@@ -125,7 +125,6 @@ def _cmd_length(args):
         d.n,
         cache_dir=_cache_dir(args),
         limit=None if args.force else BFS_LIMIT,
-        threads=args.threads,
     )
     value = table[d]
     return {"command": "length", "length": value}, [str(value)], 0
@@ -136,7 +135,6 @@ def _cmd_longest(args):
         args.n,
         cache_dir=_cache_dir(args),
         limit=None if args.force else BFS_LIMIT,
-        threads=args.threads,
     )
     value, witness = max_length(args.n, table=table)
     obj = {
@@ -196,7 +194,7 @@ def _cmd_enumerate(args):
 
 def _cmd_verify(args):
     suites = args.suites or sorted(SUITES)
-    claims = run_suites(suites, args.n, force=args.force, threads=args.threads)
+    claims = run_suites(suites, args.n, force=args.force)
     ok = all(c.ok for c in claims)
     obj = {
         "command": "verify",
@@ -211,8 +209,6 @@ def _cmd_verify(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a single JSON object")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for frontier expansion")
     common.add_argument("--cache-dir", metavar="PATH", default=None,
                         help=f"geodesic table cache (or ${CACHE_DIR_ENV})")
     common.add_argument("--force", action="store_true",

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
+    _bfs_levels,
     atoms,
     make_diagram,
-    multiply,
 )
 from brauer.presentation import Quark, Word, phi
 
@@ -63,6 +63,24 @@ def _single_bracket(brackets) -> tuple[int, int]:
     return tuple(sorted(b))
 
 
+def _theta_cycles(theta: dict[int, int]) -> list[tuple[int, ...]]:
+    """Nontrivial cycles of a permutation given as a map, sorted by
+    smallest point, each starting there and following theta."""
+    cycles = []
+    seen: set[int] = set()
+    for start in sorted(theta):
+        if start in seen or theta[start] == start:
+            continue
+        cycle = [start]
+        x = theta[start]
+        while x != start:
+            cycle.append(x)
+            x = theta[x]
+        seen.update(cycle)
+        cycles.append(tuple(cycle))
+    return cycles
+
+
 def decompose_group_corank2(pi: BrauerDiagram) -> Word:
     """Factor a corank-2 element whose left and right bracket coincide.
 
@@ -71,28 +89,18 @@ def decompose_group_corank2(pi: BrauerDiagram) -> Word:
     the smaller bracket point, with the bracket atom separating runs.
     Cycles are emitted sorted by smallest moved point and starting at it,
     walking against theta (the orientation that left-to-right chip
-    gluing realizes).
+    gluing realizes).  On the {1,2} class the word has the length given
+    by the cycle formula, so it is a geodesic there.
     """
     if pi.corank != 2:
         raise DomainError("expected a corank-2 element")
     u, v = _single_bracket(pi.left_brackets())
     if pi.left_brackets() != pi.right_brackets():
         raise DomainError("element is not in the group over its bracket")
-    theta = pi.lines()
     base = Quark(u, v)
     quarks = [base]
-    moved = sorted(p for p, image in theta.items() if image != p)
-    seen: set[int] = set()
-    for start in moved:
-        if start in seen:
-            continue
-        cycle = [start]
-        x = theta[start]
-        while x != start:
-            cycle.append(x)
-            x = theta[x]
-        seen.update(cycle)
-        for point in [start] + list(reversed(cycle[1:])):
+    for cycle in _theta_cycles(pi.lines()):
+        for point in (cycle[0],) + cycle[:0:-1]:
             quarks.append(Quark(u, point))
         quarks.append(base)
     return Word(pi.n, tuple(quarks))
@@ -176,21 +184,13 @@ def decompose(pi: BrauerDiagram) -> Word:
 
 
 def atom_closure(n: int, generators=None) -> set[BrauerDiagram]:
-    """Multiplicative closure of a set of atoms (default: all of them),
-    computed by breadth-first right multiplication."""
+    """Multiplicative closure of a set of rank-n atoms (default: all of
+    them), computed by breadth-first right multiplication."""
     gens = list(generators) if generators is not None else atoms(n)
-    closure = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for d in frontier:
-            for g in gens:
-                prod = multiply(d, g)
-                if prod not in closure:
-                    closure.add(prod)
-                    new.append(prod)
-        frontier = new
-    return closure
+    for g in gens:
+        if g.n != n:
+            raise DomainError(f"rank mismatch: {g.n} != {n}")
+    return {BrauerDiagram(p) for p in _bfs_levels(n, [g.partner for g in gens])}
 
 
 @dataclass

@@ -263,6 +263,29 @@ def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int,
     return tuple(out), loops
 
 
+def _bfs_levels(n: int, gens: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Multi-source breadth-first search from raw partner arrays ``gens``,
+    extending by right multiplication with them.
+
+    Maps every element of the generated semigroup to the least number of
+    generators whose product it is (the generators themselves at 1).
+    """
+    dist = {g: 1 for g in gens}
+    frontier = list(dist)
+    level = 1
+    while frontier:
+        level += 1
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = _compose(n, p, g)[0]
+                if q not in dist:
+                    dist[q] = level
+                    new.append(q)
+        frontier = new
+    return dist
+
+
 def multiply_with_loops(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Product together with the number of closed middle loops discarded."""
     if a.n != b.n:

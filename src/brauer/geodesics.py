@@ -6,28 +6,32 @@ atoms.  Exact values come from a multi-source breadth-first search that
 starts at every atom and extends by right multiplication; the maximum
 over rank n is floor(3n/2) - 2.  Elements whose left and right bracket
 are both {1,2} carry a permutation of {3..n}; its cycle structure gives
-a closed form ls = (n-2) - s + c + 1 (s trivial, c nontrivial cycles)
-and a witnessing word, the cyclic decomposition.
+a closed form ls = (n-2) - s + c + 1 (s trivial, c nontrivial cycles),
+and ``decompose_group_corank2`` builds a word of exactly that length
+from the same cycles.
 
 Length is undefined on invertible elements; tables simply exclude them.
+Tables can be cached as CSV; a cache file that is not a complete table
+of the requested rank counts as stale and is recomputed.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from brauer.decomposition import _theta_cycles
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
+    _bfs_levels,
     atoms,
+    count_all,
     parse_diagram,
 )
-from brauer.diagram import _compose  # shared hot path
-from brauer.presentation import Quark, Word
 
 __all__ = [
     "BFS_LIMIT",
@@ -69,18 +73,32 @@ class GeodesicTable:
         return best, witness
 
     def save(self, path: str | Path) -> None:
-        """Write a sorted CSV cache with format-version and rank fields."""
+        """Write a sorted CSV cache with format-version and rank fields.
+
+        The rows go to a temporary file in the same directory that then
+        replaces ``path``, so an interrupted write never leaves a partial
+        cache behind.
+        """
+        path = Path(path)
         rows = sorted((d.to_text(), v) for d, v in self.dist.items())
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["format", CACHE_FORMAT_VERSION])
-            writer.writerow(["n", str(self.n)])
-            writer.writerow(["diagram", "distance"])
-            writer.writerows(rows)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["format", CACHE_FORMAT_VERSION])
+                writer.writerow(["n", str(self.n)])
+                writer.writerow(["diagram", "distance"])
+                writer.writerows(rows)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path, n: int) -> GeodesicTable:
-        """Read a cache file; reject stale format versions or wrong rank."""
+        """Read a cache file.  A wrong format version or rank, an
+        unparsable row, a row outside the rank-n singular part or the
+        distance range, or a wrong row count raises DomainError."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -89,75 +107,39 @@ class GeodesicTable:
                 header = next(reader)
             except StopIteration as exc:
                 raise DomainError(f"truncated cache file {path}") from exc
+            except (ValueError, csv.Error) as exc:
+                raise DomainError(f"unreadable cache file {path}: {exc}") from exc
             if fmt != ["format", CACHE_FORMAT_VERSION]:
                 raise DomainError(f"cache {path} has unsupported format {fmt}")
             if rank != ["n", str(n)] or header != ["diagram", "distance"]:
                 raise DomainError(f"cache {path} does not match n={n}")
-            dist = {parse_diagram(text): int(value) for text, value in reader}
+            try:
+                dist = {parse_diagram(text): int(value) for text, value in reader}
+            except (ValueError, csv.Error) as exc:  # DomainError is a ValueError
+                raise DomainError(f"cache {path} has a bad row: {exc}") from exc
+            rows = reader.line_num - 3  # diagram texts hold no line breaks
+        expected = count_all(n) - math.factorial(n)
+        if not rows == len(dist) == expected:
+            raise DomainError(f"cache {path} has {rows} rows, {len(dist)} distinct, "
+                              f"expected {expected}")
+        # rank n and singular: some unprimed point is matched with another
+        if not all(len(d.partner) == 2 * n and min(d.partner[:n]) < n for d in dist):
+            raise DomainError(f"cache {path} lists a diagram outside the rank-{n} "
+                              "singular part")
+        if not all(1 <= v <= expected_max_length(n) for v in dist.values()):
+            raise DomainError(f"cache {path} has a distance outside "
+                              f"1..{expected_max_length(n)}")
         return cls(n, dist)
 
 
-def _expand_chunk(n, chunk, gens, dist):
-    out = []
-    for p in chunk:
-        for g in gens:
-            q = _compose(n, p, g)[0]
-            if q not in dist:
-                out.append(q)
-    return out
-
-
-def bfs_lengths(
-    n: int,
-    limit: int | None = BFS_LIMIT,
-    threads: int = 1,
-    side: str = "right",
-) -> GeodesicTable:
-    """Multi-source BFS from the atoms; distances are exact ls values.
-
-    Expansion multiplies on the right by default.  The left-handed walk
-    gives identical distances (lengths are preserved by the reversal
-    anti-involution) and exists for auditing that fact; production use
-    is the right-handed walk.  With ``threads > 1`` the frontier is
-    partitioned and merged per level, so distances are deterministic
-    regardless of thread count.
-    """
+def bfs_lengths(n: int, limit: int | None = BFS_LIMIT) -> GeodesicTable:
+    """Multi-source BFS from the atoms by right multiplication; the
+    distances are exact ls values."""
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
     if limit is not None and n > limit:
         raise DomainError(f"n={n} exceeds BFS limit {limit}")
-    if side not in ("right", "left"):
-        raise DomainError(f"side must be 'right' or 'left', got {side!r}")
-    gens = [a.partner for a in atoms(n)]
-    dist: dict[tuple, int] = {g: 1 for g in gens}
-    frontier = list(dist)
-    level = 1
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            level += 1
-            if side == "left":
-                candidates = [
-                    _compose(n, g, p)[0] for p in frontier for g in gens
-                ]
-            elif pool is None:
-                candidates = _expand_chunk(n, frontier, gens, dist)
-            else:
-                step = max(1, len(frontier) // threads)
-                chunks = [frontier[i:i + step] for i in range(0, len(frontier), step)]
-                candidates = []
-                for part in pool.map(
-                    lambda c: _expand_chunk(n, c, gens, dist), chunks
-                ):
-                    candidates.extend(part)
-            frontier = []
-            for q in candidates:
-                if q not in dist:
-                    dist[q] = level
-                    frontier.append(q)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    dist = _bfs_levels(n, [a.partner for a in atoms(n)])
     return GeodesicTable(n, {BrauerDiagram(p): v for p, v in dist.items()})
 
 
@@ -170,13 +152,12 @@ def max_length(
     n: int,
     table: GeodesicTable | None = None,
     limit: int | None = BFS_LIMIT,
-    threads: int = 1,
 ) -> tuple[int, BrauerDiagram]:
     """Maximum geodesic length plus one witness attaining it."""
     if n < 2:
         raise DomainError("maximal length needs n >= 2")
     if table is None:
-        table = bfs_lengths(n, limit=limit, threads=threads)
+        table = bfs_lengths(n, limit=limit)
     return table.max_entry()
 
 
@@ -186,7 +167,9 @@ class CyclicDecomposition:
 
     ``cycles`` lists the nontrivial cycles of the underlying permutation
     of {3..n}, each starting at its smallest point and following the
-    permutation; ``trivial_count`` is the number of fixed points.
+    permutation; ``trivial_count`` is the number of fixed points.  The
+    witnessing word of length :meth:`length` is
+    ``decompose_group_corank2`` of the element.
     """
 
     n: int
@@ -196,17 +179,6 @@ class CyclicDecomposition:
     @property
     def nontrivial_count(self) -> int:
         return len(self.cycles)
-
-    def word(self) -> Word:
-        """The witnessing word: base pair, then each cycle's run anchored
-        at 1 (walked in the gluing orientation), separated by base pairs."""
-        base = Quark(1, 2)
-        quarks = [base]
-        for cycle in self.cycles:
-            for point in [cycle[0]] + list(reversed(cycle[1:])):
-                quarks.append(Quark(1, point))
-            quarks.append(base)
-        return Word(self.n, tuple(quarks))
 
     def length(self) -> int:
         return (self.n - 2) - self.trivial_count + self.nontrivial_count + 1
@@ -218,20 +190,8 @@ def cyclic_decomposition(pi: BrauerDiagram) -> CyclicDecomposition:
     if pi.left_brackets() != base or pi.right_brackets() != base:
         raise DomainError("element must have left and right bracket {1,2}")
     theta = pi.lines()
-    cycles = []
-    seen: set[int] = set()
-    for start in sorted(theta):
-        if start in seen or theta[start] == start:
-            continue
-        cycle = [start]
-        x = theta[start]
-        while x != start:
-            cycle.append(x)
-            x = theta[x]
-        seen.update(cycle)
-        cycles.append(tuple(cycle))
     trivial = sum(1 for p, image in theta.items() if p == image)
-    return CyclicDecomposition(pi.n, tuple(cycles), trivial)
+    return CyclicDecomposition(pi.n, tuple(_theta_cycles(theta)), trivial)
 
 
 def ls_via_cycles(pi: BrauerDiagram) -> int:
@@ -244,7 +204,6 @@ def load_or_compute_table(
     n: int,
     cache_dir: str | Path | None = None,
     limit: int | None = BFS_LIMIT,
-    threads: int = 1,
 ) -> GeodesicTable:
     """Fetch the table from the cache directory if present, else compute
     (and store it when a cache directory is given)."""
@@ -255,8 +214,8 @@ def load_or_compute_table(
             try:
                 return GeodesicTable.load(path, n)
             except (DomainError, OSError):
-                pass  # stale or foreign file: recompute below
-    table = bfs_lengths(n, limit=limit, threads=threads)
+                pass  # stale, foreign or damaged file: recompute below
+    table = bfs_lengths(n, limit=limit)
     if path is not None:
         os.makedirs(path.parent, exist_ok=True)
         table.save(path)

@@ -2,7 +2,8 @@
 Connected sequences of 2-subsets and the intersection graph on them.
 
 A connected sequence is a nonempty run of 2-subsets of {1..n} in which
-consecutive subsets intersect.  Sequences are identified when one turns
+consecutive subsets intersect; it is held as a presentation ``Word``
+whose consecutive quarks meet.  Sequences are identified when one turns
 into the other by the local moves
 
     (I)    {i,j},{i,j}        <->  {i,j}
@@ -10,10 +11,11 @@ into the other by the local moves
     (III)  {i,j},{j,k},{k,i}  <->  {i,j},{k,i}
     (IV)   {i,j},{j,k},{i,j}  <->  {i,j}
 
-Equivalence classes biject with corank-2 diagrams (map a sequence to the
-product of the matching atoms), so equivalence is decided semantically
-through that canonical diagram; the moves themselves are kept only as
-single-step rewrites for fuzz validation, with no confluence claim.
+which are the relations R2, R3, R4 and R5 of the presentation restricted
+to connected words; single sited steps are ``find_relation_sites`` and
+``apply_relation`` with those rules.  Equivalence classes biject with
+corank-2 diagrams (map a sequence to the product of the matching atoms),
+so equivalence is decided semantically through that canonical diagram.
 Interpreting subsets as vertices of the intersection graph, sequences
 are walks, the class count is n(n-1)n!/4, and the classes of walks
 between two fixed vertices number (n-2)!.
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from brauer.diagram import BrauerDiagram, DomainError, enumerate_all
-from brauer.presentation import Quark, Word, phi
+from brauer.presentation import Quark, Word, parse_pair_list, phi
 
 __all__ = [
-    "ConnectedSequence",
     "GammaGraph",
     "seq_canonical",
     "seq_equivalent",
@@ -38,7 +39,6 @@ __all__ = [
     "count_paths",
     "corank2_census",
     "gamma_graph",
-    "find_sequence_rewrites",
     "parse_sequence",
     "sequence_to_text",
 ]
@@ -46,43 +46,35 @@ __all__ = [
 COUNT_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class ConnectedSequence:
-    """A nonempty sequence of 2-subsets with consecutive intersections."""
-
-    n: int
-    items: tuple[Quark, ...]
-
-    def __post_init__(self):
-        if not self.items:
-            raise DomainError("a sequence must contain at least one pair")
-        object.__setattr__(self, "items", tuple(self.items))
-        for q in self.items:
-            if q.j > self.n:
-                raise DomainError(f"pair {q} exceeds rank n={self.n}")
-        for a, b in zip(self.items, self.items[1:]):
-            if not a.meets(b):
-                raise DomainError(f"consecutive pairs {a} and {b} are disjoint")
-
-    def __len__(self) -> int:
-        return len(self.items)
+def _require_connected(s: Word) -> None:
+    for a, b in zip(s.quarks, s.quarks[1:]):
+        if not a.meets(b):
+            raise DomainError(f"consecutive pairs {a} and {b} are disjoint")
 
 
-def sequence(n: int, pairs: Iterable[Sequence[int]]) -> ConnectedSequence:
-    return ConnectedSequence(n, tuple(Quark(i, j) for i, j in pairs))
+def sequence(n: int, pairs: Iterable[Sequence[int]]) -> Word:
+    """Build a connected sequence; rejects pairs beyond the rank and
+    disjoint consecutive pairs."""
+    quarks = tuple(Quark(i, j) for i, j in pairs)
+    for q in quarks:
+        if q.j > n:
+            raise DomainError(f"pair {q} exceeds rank n={n}")
+    s = Word(n, quarks)
+    _require_connected(s)
+    return s
 
 
-def seq_canonical(s: ConnectedSequence) -> BrauerDiagram:
+def seq_canonical(s: Word) -> BrauerDiagram:
     """The canonical form of a class: the product of the matching atoms.
 
-    Connectedness pins the corank at exactly 2.
+    Connectedness pins the corank at exactly 2; a disconnected word is
+    rejected.
     """
-    image = phi(Word(s.n, s.items))
-    assert image.corank == 2, "connected sequences always land in corank 2"
-    return image
+    _require_connected(s)
+    return phi(s)
 
 
-def seq_equivalent(a: ConnectedSequence, b: ConnectedSequence) -> bool:
+def seq_equivalent(a: Word, b: Word) -> bool:
     """Equivalence under moves (I)-(IV), decided via canonical diagrams."""
     if a.n != b.n:
         raise DomainError(f"rank mismatch: {a.n} != {b.n}")
@@ -176,17 +168,6 @@ class GammaGraph:
             if i < j
         ]
 
-    def walk_to_sequence(self, pairs: Sequence[Quark]) -> ConnectedSequence:
-        """Interpret a walk (repeated vertices allowed) as a sequence."""
-        for q in pairs:
-            self.index_of(q)
-        return ConnectedSequence(self.n, tuple(pairs))
-
-    def sequence_to_walk(self, s: ConnectedSequence) -> list[Quark]:
-        if s.n != self.n:
-            raise DomainError(f"rank mismatch: {s.n} != {self.n}")
-        return list(s.items)
-
     def to_dot(self) -> str:
         lines = [f"graph gamma{self.n} {{"]
         for q in self.vertices:
@@ -210,75 +191,12 @@ def gamma_graph(n: int) -> GammaGraph:
     return GammaGraph(n, vertices, adjacency)
 
 
-# --- single-step rewrites for fuzz validation -------------------------------
-
-def find_sequence_rewrites(s: ConnectedSequence) -> list[tuple[str, int, ConnectedSequence]]:
-    """All one-step applications of moves (I)-(IV) on s, both directions.
-
-    Returned as (move label, position, rewritten sequence); expanding
-    directions with a free index (reverse (IV)) emit one entry per
-    admissible value.
-    """
-    items = s.items
-    out = []
-
-    def emit(label, pos, replacement, width):
-        spliced = items[:pos] + tuple(replacement) + items[pos + width:]
-        out.append((label, pos, ConnectedSequence(s.n, spliced)))
-
-    for pos, a in enumerate(items):
-        # (I) reverse: duplicate a pair
-        emit("I", pos, (a, a), 1)
-        # (IV) reverse: insert a detour {j,k} after a, for each j in a, fresh k
-        for j in (a.i, a.j):
-            for k in range(1, s.n + 1):
-                if k != j and k != a.other(j):
-                    emit("IV", pos, (a, Quark(j, k), a), 1)
-    for pos, (a, b) in enumerate(zip(items, items[1:])):
-        if a == b:
-            emit("I", pos, (a,), 2)
-        # (III) reverse: {i,j},{k,i} -> {i,j},{j,k},{k,i}
-        for i in (a.i, a.j):
-            if i in (b.i, b.j):
-                j, k = a.other(i), b.other(i)
-                if j != k:
-                    emit("III", pos, (a, Quark(j, k), b), 2)
-    for pos in range(len(items) - 2):
-        a, b, c = items[pos:pos + 3]
-        if a == c and a.meets(b):
-            emit("IV", pos, (a,), 3)
-        for j in (a.i, a.j):
-            if j not in (b.i, b.j):
-                continue
-            i, k = a.other(j), b.other(j)
-            # (II) forward: need c = {k,l} with l != i
-            if k in (c.i, c.j):
-                l = c.other(k)
-                if l != i:
-                    emit("II", pos, (a, Quark(i, l), c), 3)
-            # (III) forward: c = {k,i}
-            if {c.i, c.j} == {k, i}:
-                emit("III", pos, (a, c), 3)
-        # (II) reverse: {i,j},{i,l},{k,l} -> {i,j},{j,k},{k,l}
-        for i in (a.i, a.j):
-            if i not in (b.i, b.j):
-                continue
-            j, l = a.other(i), b.other(i)
-            if l in (c.i, c.j) and l != i:
-                k = c.other(l)
-                if k != j and i != l:
-                    emit("II", pos, (a, Quark(j, k), c), 3)
-    return out
-
-
 # --- text format -------------------------------------------------------------
 
-def parse_sequence(n: int, text: str) -> ConnectedSequence:
+def parse_sequence(n: int, text: str) -> Word:
     """Parse the bare pair-list form ``(1,2)(2,3)(3,4)``."""
-    from brauer.presentation import parse_pair_list
-
     return sequence(n, parse_pair_list(text))
 
 
-def sequence_to_text(s: ConnectedSequence) -> str:
-    return "".join(f"({q.i},{q.j})" for q in s.items)
+def sequence_to_text(s: Word) -> str:
+    return "".join(f"({q.i},{q.j})" for q in s.quarks)

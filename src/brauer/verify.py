@@ -63,7 +63,7 @@ class Claim:
         }
 
 
-def _suite_relations(n: int, threads: int) -> list[Claim]:
+def _suite_relations(n: int) -> list[Claim]:
     report = check_all_relations(n)
     detail = " ".join(f"{r}:{c}" for r, c in sorted(report.checked.items()))
     return [
@@ -71,7 +71,7 @@ def _suite_relations(n: int, threads: int) -> list[Claim]:
     ]
 
 
-def _suite_generation(n: int, threads: int) -> list[Claim]:
+def _suite_generation(n: int) -> list[Claim]:
     closure = atom_closure(n)
     expected = count_all(n) - math.factorial(n)
     claims = [
@@ -85,7 +85,7 @@ def _suite_generation(n: int, threads: int) -> list[Claim]:
     return claims
 
 
-def _suite_irreducible(n: int, threads: int) -> list[Claim]:
+def _suite_irreducible(n: int) -> list[Claim]:
     report = is_irreducible_generator_check(n, limit=None)
     return [
         Claim("irreducible", f"reducible atoms (n={n})", 0, len(report.reducible),
@@ -93,8 +93,8 @@ def _suite_irreducible(n: int, threads: int) -> list[Claim]:
     ]
 
 
-def _suite_lengths(n: int, threads: int) -> list[Claim]:
-    table = bfs_lengths(n, limit=None, threads=threads)
+def _suite_lengths(n: int) -> list[Claim]:
+    table = bfs_lengths(n, limit=None)
     value, witness = table.max_entry()
     claims = [
         Claim("lengths", f"maximal length (n={n})", expected_max_length(n), value,
@@ -112,7 +112,7 @@ def _suite_lengths(n: int, threads: int) -> list[Claim]:
     return claims
 
 
-def _suite_counts(n: int, threads: int) -> list[Claim]:
+def _suite_counts(n: int) -> list[Claim]:
     total = sum(1 for _ in enumerate_all(n, limit=None))
     corank2 = corank2_census(n, limit=None)
     classes = sum(corank2.values())
@@ -132,7 +132,7 @@ def _suite_counts(n: int, threads: int) -> list[Claim]:
     ]
 
 
-def _suite_hclasses(n: int, threads: int) -> list[Claim]:
+def _suite_hclasses(n: int) -> list[Claim]:
     sizes: dict = {}
     for d in enumerate_all(n, limit=None):
         key = (d.left_brackets(), d.right_brackets())
@@ -157,7 +157,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, n: int, force: bool = False, threads: int = 1) -> list[Claim]:
+def run_suite(name: str, n: int, force: bool = False) -> list[Claim]:
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if n < 2:
@@ -166,11 +166,11 @@ def run_suite(name: str, n: int, force: bool = False, threads: int = 1) -> list[
         raise DomainError(
             f"n={n} exceeds the {name} suite limit {SUITE_LIMITS[name]} (use --force)"
         )
-    return SUITES[name](n, threads)
+    return SUITES[name](n)
 
 
-def run_suites(names, n: int, force: bool = False, threads: int = 1) -> list[Claim]:
+def run_suites(names, n: int, force: bool = False) -> list[Claim]:
     claims = []
     for name in names:
-        claims.extend(run_suite(name, n, force=force, threads=threads))
+        claims.extend(run_suite(name, n, force=force))
     return claims

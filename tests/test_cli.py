@@ -5,7 +5,8 @@ import jsonschema
 import pytest
 
 from brauer.cli import main
-from brauer.diagram import parse_diagram
+from brauer.diagram import BrauerDiagram, parse_diagram
+from brauer.geodesics import bfs_lengths
 from brauer.presentation import parse_word, phi
 
 SCHEMA = json.loads(
@@ -101,9 +102,22 @@ class TestLengths:
         assert code == 0
         assert (tmp_path / "geodesics-n3.csv").exists()
 
-    def test_threads_flag(self, capsys):
-        code, out, _ = run(capsys, "longest", "4", "--threads", "3")
-        assert code == 0 and out.splitlines()[0] == "4"
+    @pytest.mark.parametrize("damage", ["truncated", "extra_field"])
+    def test_damaged_cache_recomputed(self, capsys, tmp_path, damage):
+        table = bfs_lengths(4)
+        last = max(table.dist, key=BrauerDiagram.to_text)  # the file's last row
+        run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
+        path = tmp_path / "geodesics-n4.csv"
+        good = path.read_bytes()
+        rows = good.splitlines(keepends=True)
+        if damage == "truncated":
+            rows = rows[:len(rows) // 2]
+        else:
+            rows[-1] = rows[-1].rstrip() + b",1\r\n"
+        path.write_bytes(b"".join(rows))
+        code, out, _ = run(capsys, "length", last.to_text(), "--cache-dir", str(tmp_path))
+        assert code == 0 and out.strip() == str(table[last])
+        assert path.read_bytes() == good
 
 
 class TestCounting:
@@ -188,3 +202,5 @@ class TestErrorHandling:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
+        code, _, err = run(capsys, "longest", "4", "--threads", "3")
+        assert code == 2 and "unrecognized arguments: --threads" in err

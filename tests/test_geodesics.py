@@ -1,3 +1,4 @@
+import csv
 import itertools
 import random
 
@@ -14,7 +15,6 @@ from brauer.diagram import (
     multiply,
 )
 from brauer.geodesics import (
-    CyclicDecomposition,
     GeodesicTable,
     bfs_lengths,
     cyclic_decomposition,
@@ -73,12 +73,6 @@ class TestBfs:
         table = bfs_lengths(3)
         assert table.dist == oracle
 
-    def test_left_walk_agrees_n4(self):
-        assert bfs_lengths(4, side="left").dist == bfs_lengths(4).dist
-
-    def test_threaded_is_deterministic(self):
-        assert bfs_lengths(4, threads=3).dist == bfs_lengths(4).dist
-
     def test_covers_exactly_the_singular_part(self):
         table = bfs_lengths(4)
         singular = {d for d in enumerate_all(4) if d.corank >= 2}
@@ -102,7 +96,7 @@ class TestBfs:
                 assert v >= d.corank // 2
 
     def test_length_invariant_under_transpose(self):
-        for n in (3, 4):
+        for n in (3, 4, 5):
             table = bfs_lengths(n)
             for d, v in table.dist.items():
                 assert table[d.transpose()] == v
@@ -113,14 +107,14 @@ class TestCyclicDecomposition:
         cd = cyclic_decomposition(atom(5, 1, 2))
         assert cd.cycles == ()
         assert cd.trivial_count == 3
-        assert cd.word() == word(5, [(1, 2)])
+        assert cd.length() == 1
         assert ls_via_cycles(atom(6, 1, 2)) == 1
 
     def test_single_transposition(self):
         pi = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
         cd = cyclic_decomposition(pi)
         assert cd.cycles == ((3, 4),)
-        assert len(cd.word()) == 4
+        assert len(decompose_group_corank2(pi)) == 4
         assert cd.length() == 4
         assert bfs_lengths(4)[pi] == 4
 
@@ -132,17 +126,16 @@ class TestCyclicDecomposition:
         pi = make_diagram(
             6, [(1, 2), (-1, -2), (3, -4), (4, -3), (5, -6), (6, -5)]
         )
-        cd = cyclic_decomposition(pi)
-        assert len(cd.word()) == 7 == expected_max_length(6)
-        assert phi(cd.word()) == pi
+        w = decompose_group_corank2(pi)
+        assert len(w) == 7 == ls_via_cycles(pi) == expected_max_length(6)
+        assert phi(w) == pi
 
     def test_word_evaluates_back(self):
         for n in (4, 5):
             for pi in h1_elements(n):
-                cd = cyclic_decomposition(pi)
-                assert phi(cd.word()) == pi
-                assert len(cd.word()) == cd.length()
-                assert cd.word() == decompose_group_corank2(pi)
+                w = decompose_group_corank2(pi)
+                assert phi(w) == pi
+                assert len(w) == ls_via_cycles(pi)
 
     def test_formula_matches_bfs(self):
         for n in (4, 5):
@@ -176,6 +169,52 @@ class TestCache:
         path.write_text("format,99\nn,3\ndiagram,distance\n")
         with pytest.raises(DomainError):
             GeodesicTable.load(path, 3)
+
+    @pytest.mark.parametrize("damage", [
+        "missing_row", "duplicate_row", "distance_zero", "distance_too_large",
+        "invertible_row", "wrong_rank_row", "extra_field", "not_a_number",
+    ])
+    def test_load_rejects_damaged_rows(self, tmp_path, damage):
+        path = tmp_path / "t.csv"
+        bfs_lengths(3).save(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        head, body, (text, value) = rows[:3], rows[3:-1], rows[-1]
+        last = {
+            "missing_row": [],
+            "duplicate_row": [[text, value], [text, value]],
+            "distance_zero": [[text, "0"]],
+            "distance_too_large": [[text, str(expected_max_length(3) + 1)]],
+            "invertible_row": [["n=3;{1,1'}{2,2'}{3,3'}", "1"]],
+            "wrong_rank_row": [["n=2;{1,2}{1',2'}", "1"]],
+            "extra_field": [[text, value, "1"]],
+            "not_a_number": [[text, "x"]],
+        }[damage]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(head + body + last)
+        with pytest.raises(DomainError):
+            GeodesicTable.load(path, 3)
+
+    def test_failed_save_keeps_old_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        bfs_lengths(3).save(path)
+        good = path.read_bytes()
+
+        class FailingWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write("partial\n")
+
+            def writerows(self, rows):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+        with pytest.raises(OSError):
+            bfs_lengths(3).save(path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_load_or_compute_populates_cache(self, tmp_path):
         t1 = load_or_compute_table(3, cache_dir=tmp_path)

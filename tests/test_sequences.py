@@ -4,14 +4,19 @@ import random
 import pytest
 
 from brauer.diagram import DomainError, atom
-from brauer.presentation import Quark
+from brauer.presentation import (
+    Quark,
+    Word,
+    apply_relation,
+    find_relation_sites,
+    is_connected,
+    word,
+)
 from brauer.sequences import (
-    ConnectedSequence,
     corank2_census,
     count_classes,
     count_paths,
     expected_class_count,
-    find_sequence_rewrites,
     gamma_graph,
     parse_sequence,
     seq_canonical,
@@ -28,7 +33,11 @@ def random_connected_sequence(rng, n, max_len=8):
         shared = rng.choice([prev.i, prev.j])
         other = rng.choice([x for x in range(1, n + 1) if x != shared])
         items.append(Quark(shared, other))
-    return ConnectedSequence(n, tuple(items))
+    return Word(n, tuple(items))
+
+
+# moves (I)-(IV) are these relations restricted to connected words
+MOVES = ("R2", "R3", "R4", "R5")
 
 
 class TestConnectedSequence:
@@ -42,6 +51,10 @@ class TestConnectedSequence:
 
     def test_single_pair_ok(self):
         assert len(sequence(5, [(2, 3)])) == 1
+
+    def test_canonical_rejects_disconnected_word(self):
+        with pytest.raises(DomainError, match="consecutive pairs"):
+            seq_canonical(word(4, [(1, 2), (2, 3), (1, 4), (3, 4)]))
 
 
 class TestCanonical:
@@ -128,11 +141,6 @@ class TestGammaGraph:
         assert [g.index_of(q) for q in g.vertices] == list(range(6))
         assert g.vertices[0] == Quark(1, 2)
 
-    def test_walk_round_trip(self):
-        g = gamma_graph(4)
-        s = sequence(4, [(1, 2), (2, 3), (2, 3), (3, 4)])
-        assert g.walk_to_sequence(g.sequence_to_walk(s)) == s
-
     def test_neighbors_intersect(self):
         g = gamma_graph(5)
         for q in g.vertices:
@@ -153,8 +161,10 @@ class TestRewrites:
         for _ in range(150):
             s = random_connected_sequence(rng, rng.randint(3, 6))
             base = seq_canonical(s)
-            rewrites = find_sequence_rewrites(s)
-            for _, _, rewritten in rng.sample(rewrites, min(8, len(rewrites))):
+            sites = find_relation_sites(s, rules=MOVES)
+            for site in rng.sample(sites, min(8, len(sites))):
+                rewritten = apply_relation(s, site)
+                assert is_connected(rewritten)
                 assert seq_canonical(rewritten) == base
                 checked += 1
         assert checked > 500
@@ -163,8 +173,8 @@ class TestRewrites:
         s = sequence(
             4, [(1, 2), (2, 3), (1, 2), (1, 2), (2, 3), (3, 4), (2, 4), (2, 3), (3, 1)]
         )
-        labels = {label for label, _, _ in find_sequence_rewrites(s)}
-        assert labels == {"I", "II", "III", "IV"}
+        sites = find_relation_sites(s, rules=MOVES)
+        assert {site.rule for site in sites if not site.reverse} == set(MOVES)
 
 
 class TestText:
