@@ -8,16 +8,13 @@ from brauer.diagram import (
     GreenRelation,
     atom,
     atoms,
-    corank,
     count_all,
-    diagram_from_json_obj,
     enumerate_all,
     from_permutation,
     green_related,
     identity,
     make_diagram,
     multiply,
-    multiply_with_loops,
     parse_diagram,
     random_diagram,
 )
@@ -28,16 +25,13 @@ __all__ = [
     "GreenRelation",
     "atom",
     "atoms",
-    "corank",
     "count_all",
-    "diagram_from_json_obj",
     "enumerate_all",
     "from_permutation",
     "green_related",
     "identity",
     "make_diagram",
     "multiply",
-    "multiply_with_loops",
     "parse_diagram",
     "random_diagram",
 ]

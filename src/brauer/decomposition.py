@@ -22,10 +22,9 @@ from brauer.diagram import (
     atoms,
     make_diagram,
 )
-from brauer.presentation import Quark, Word, phi
+from brauer.presentation import Quark, Word
 
 __all__ = [
-    "AtomFactorization",
     "decompose_group_corank2",
     "decompose_corank2",
     "decompose",
@@ -33,29 +32,6 @@ __all__ = [
     "is_irreducible_generator_check",
     "IrreducibilityReport",
 ]
-
-
-@dataclass(frozen=True)
-class AtomFactorization:
-    """A target diagram together with a witnessing word of atoms.
-
-    Construction enforces the contract: the target is singular, the word
-    evaluates to it, and the first factor is one of its left brackets.
-    """
-
-    target: BrauerDiagram
-    factors: Word
-
-    def __post_init__(self):
-        if self.target.corank < 2:
-            raise DomainError("factorization targets must be singular")
-        if self.factors.quarks[0].points() not in self.target.left_brackets():
-            raise DomainError("first factor must be a left bracket of the target")
-        if not self.verify():
-            raise DomainError("word does not evaluate to the target")
-
-    def verify(self) -> bool:
-        return phi(self.factors) == self.target
 
 
 def _single_bracket(brackets) -> tuple[int, int]:

@@ -14,8 +14,8 @@ with an apostrophe, e.g. ``n=3;{1,3}{2,3'}{1',2'}``.
 
 Products are computed by gluing the primed pins of the left factor to the
 unprimed pins of the right factor and tracing the maximal chains; closed
-loops formed in the middle are discarded (their count is available from
-:func:`multiply_with_loops`).
+loops formed in the middle are discarded, as in the monoid (only the
+Brauer algebra would weight a product by its loop count).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "atom",
     "atoms",
     "multiply",
-    "multiply_with_loops",
-    "corank",
     "green_related",
     "from_permutation",
     "enumerate_all",
@@ -76,14 +74,6 @@ class BrauerDiagram:
     def n(self) -> int:
         return len(self.partner) // 2
 
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        """Canonical block list with signed points (primed = negative)."""
-        n = self.n
-        out = []
-        for p, q in self._index_blocks():
-            out.append((p + 1 if p < n else -(p - n + 1), q + 1 if q < n else -(q - n + 1)))
-        return tuple(out)
-
     def _index_blocks(self) -> list[tuple[int, int]]:
         # pairs of internal indices, smaller first, sorted lexicographically
         return sorted(
@@ -121,9 +111,6 @@ class BrauerDiagram:
     def corank(self) -> int:
         return 2 * len(self.left_brackets())
 
-    def is_invertible(self) -> bool:
-        return self.corank == 0
-
     def transpose(self) -> BrauerDiagram:
         """Swap primed and unprimed points (the diagram-side anti-involution)."""
         n = self.n
@@ -147,10 +134,6 @@ class BrauerDiagram:
 
         body = "".join("{%s,%s}" % (point(p), point(q)) for p, q in self._index_blocks())
         return f"n={n};{body}"
-
-    def to_json_obj(self) -> dict:
-        """JSON form: primed points as negative integers."""
-        return {"n": self.n, "blocks": [list(b) for b in self.blocks()]}
 
     def __repr__(self) -> str:
         return f"BrauerDiagram({self.to_text()!r})"
@@ -214,21 +197,18 @@ def atoms(n: int) -> list[BrauerDiagram]:
     return [atom(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Chain composition on raw partner arrays; returns (partners, loop count)."""
+def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Chain composition on raw partner arrays; middle loops are dropped."""
     size = 2 * n
     out = [-1] * size
-    mid_seen = bytearray(n)
     for start in range(n):
         if out[start] != -1:
             continue
         p = a[start]
         while p >= n:
-            mid_seen[p - n] = 1
             q = b[p - n]
             if q >= n:
                 break
-            mid_seen[q] = 1
             p = a[q + n]
         else:
             out[start], out[p] = p, start
@@ -239,28 +219,15 @@ def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int,
             continue
         q = b[start]
         while q < n:
-            mid_seen[q] = 1
             p = a[q + n]
             if p < n:
                 break
-            mid_seen[p - n] = 1
             q = b[p - n]
         else:
             out[start], out[q] = q, start
             continue
         out[start], out[p] = p, start
-    loops = 0
-    for m in range(n):
-        if mid_seen[m]:
-            continue
-        loops += 1
-        cur = m
-        while not mid_seen[cur]:
-            mid_seen[cur] = 1
-            nxt = a[cur + n] - n
-            mid_seen[nxt] = 1
-            cur = b[nxt]
-    return tuple(out), loops
+    return tuple(out)
 
 
 def _bfs_levels(n: int, gens: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
@@ -278,7 +245,7 @@ def _bfs_levels(n: int, gens: list[tuple[int, ...]]) -> dict[tuple[int, ...], in
         new = []
         for p in frontier:
             for g in gens:
-                q = _compose(n, p, g)[0]
+                q = _compose(n, p, g)
                 if q not in dist:
                     dist[q] = level
                     new.append(q)
@@ -286,22 +253,11 @@ def _bfs_levels(n: int, gens: list[tuple[int, ...]]) -> dict[tuple[int, ...], in
     return dist
 
 
-def multiply_with_loops(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
-    """Product together with the number of closed middle loops discarded."""
-    if a.n != b.n:
-        raise DomainError(f"rank mismatch: {a.n} != {b.n}")
-    partner, loops = _compose(a.n, a.partner, b.partner)
-    return BrauerDiagram(partner), loops
-
-
 def multiply(a: BrauerDiagram, b: BrauerDiagram) -> BrauerDiagram:
     """Chain composition, a's chip on the left."""
-    return multiply_with_loops(a, b)[0]
-
-
-def corank(a: BrauerDiagram) -> int:
-    """Twice the number of left brackets."""
-    return a.corank
+    if a.n != b.n:
+        raise DomainError(f"rank mismatch: {a.n} != {b.n}")
+    return BrauerDiagram(_compose(a.n, a.partner, b.partner))
 
 
 def green_related(a: BrauerDiagram, b: BrauerDiagram, rel: GreenRelation | str) -> bool:
@@ -412,11 +368,3 @@ def parse_diagram(text: str) -> BrauerDiagram:
         raise DomainError(f"unexpected text in diagram: {body[pos:]!r}")
     return make_diagram(n, blocks)
 
-
-def diagram_from_json_obj(obj: dict) -> BrauerDiagram:
-    """Parse the JSON form {"n": ..., "blocks": [[x, y], ...]}."""
-    try:
-        n, blocks = obj["n"], obj["blocks"]
-    except (TypeError, KeyError) as exc:
-        raise DomainError(f"diagram object needs 'n' and 'blocks': {obj!r}") from exc
-    return make_diagram(n, blocks)

@@ -5,14 +5,15 @@ For a singular diagram w, ls(w) is the least k with w a product of k
 atoms.  Exact values come from a multi-source breadth-first search that
 starts at every atom and extends by right multiplication; the maximum
 over rank n is floor(3n/2) - 2.  Elements whose left and right bracket
-are both {1,2} carry a permutation of {3..n}; its cycle structure gives
-a closed form ls = (n-2) - s + c + 1 (s trivial, c nontrivial cycles),
-and ``decompose_group_corank2`` builds a word of exactly that length
-from the same cycles.
+are both {1,2} carry a permutation of {3..n}; ``ls_via_cycles`` reads
+the closed form ls = (n-2) - s + c + 1 (s trivial, c nontrivial cycles)
+off its cycle structure, and ``decompose_group_corank2`` builds a word
+of exactly that length from the same cycles.
 
 Length is undefined on invertible elements; tables simply exclude them.
 Tables can be cached as CSV; a cache file that is not a complete table
-of the requested rank counts as stale and is recomputed.
+of the requested rank counts as stale and is recomputed, and a cache
+that cannot be written costs only a warning on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +42,6 @@ __all__ = [
     "bfs_lengths",
     "max_length",
     "expected_max_length",
-    "CyclicDecomposition",
-    "cyclic_decomposition",
     "ls_via_cycles",
     "load_or_compute_table",
 ]
@@ -161,43 +161,16 @@ def max_length(
     return table.max_entry()
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
-    """Cycle data of an element sitting over the base pair {1,2}.
-
-    ``cycles`` lists the nontrivial cycles of the underlying permutation
-    of {3..n}, each starting at its smallest point and following the
-    permutation; ``trivial_count`` is the number of fixed points.  The
-    witnessing word of length :meth:`length` is
-    ``decompose_group_corank2`` of the element.
-    """
-
-    n: int
-    cycles: tuple[tuple[int, ...], ...]
-    trivial_count: int
-
-    @property
-    def nontrivial_count(self) -> int:
-        return len(self.cycles)
-
-    def length(self) -> int:
-        return (self.n - 2) - self.trivial_count + self.nontrivial_count + 1
-
-
-def cyclic_decomposition(pi: BrauerDiagram) -> CyclicDecomposition:
-    """Extract the cycle structure of an element H-related to the {1,2} atom."""
+def ls_via_cycles(pi: BrauerDiagram) -> int:
+    """Closed-form geodesic length on the H-class of the {1,2} atom:
+    (n-2) - s + c + 1, with s fixed points and c nontrivial cycles of the
+    permutation the element's lines induce on {3..n}."""
     base = frozenset({frozenset((1, 2))})
     if pi.left_brackets() != base or pi.right_brackets() != base:
         raise DomainError("element must have left and right bracket {1,2}")
     theta = pi.lines()
-    trivial = sum(1 for p, image in theta.items() if p == image)
-    return CyclicDecomposition(pi.n, tuple(_theta_cycles(theta)), trivial)
-
-
-def ls_via_cycles(pi: BrauerDiagram) -> int:
-    """Closed-form geodesic length on the H-class of the {1,2} atom:
-    (n-2) - s + c + 1."""
-    return cyclic_decomposition(pi).length()
+    fixed = sum(1 for p, image in theta.items() if p == image)
+    return (pi.n - 2) - fixed + len(_theta_cycles(theta)) + 1
 
 
 def load_or_compute_table(
@@ -206,7 +179,8 @@ def load_or_compute_table(
     limit: int | None = BFS_LIMIT,
 ) -> GeodesicTable:
     """Fetch the table from the cache directory if present, else compute
-    (and store it when a cache directory is given)."""
+    it and store it there when a cache directory is given.  A failed
+    store is reported on stderr and the computed table is returned."""
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"geodesics-n{n}.csv"
@@ -217,6 +191,9 @@ def load_or_compute_table(
                 pass  # stale, foreign or damaged file: recompute below
     table = bfs_lengths(n, limit=limit)
     if path is not None:
-        os.makedirs(path.parent, exist_ok=True)
-        table.save(path)
+        try:
+            os.makedirs(path.parent, exist_ok=True)
+            table.save(path)
+        except OSError as exc:  # the table is still good: report, do not fail
+            print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
     return table

@@ -50,6 +50,7 @@ __all__ = [
     "RelationReport",
     "parse_word",
     "word_to_text",
+    "WORD_RANK_LIMIT",
 ]
 
 
@@ -396,6 +397,8 @@ def check_all_relations(n: int) -> RelationReport:
 
 # --- text format ------------------------------------------------------------
 
+WORD_RANK_LIMIT = 10**4
+
 _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
@@ -414,12 +417,21 @@ def _parse_pairs(body: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def check_word_rank(n: int) -> None:
+    """Reject a declared rank above WORD_RANK_LIMIT: evaluating a word
+    costs O(n) memory per letter, so the rank must not be unbounded."""
+    if n > WORD_RANK_LIMIT:
+        raise DomainError(f"rank n={n} exceeds the word rank limit {WORD_RANK_LIMIT}")
+
+
 def parse_word(text: str) -> Word:
     """Parse ``n=5: (1,2)(2,3)(1,2)``."""
     m = re.match(r"\s*n\s*=\s*(\d+)\s*:\s*", text)
     if not m:
         raise DomainError(f"word must start with 'n=<rank>: ': {text!r}")
-    return word(int(m.group(1)), _parse_pairs(text[m.end():]))
+    n = int(m.group(1))
+    check_word_rank(n)
+    return word(n, _parse_pairs(text[m.end():]))
 
 
 def word_to_text(w: Word) -> str:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from brauer.diagram import BrauerDiagram, DomainError, enumerate_all
-from brauer.presentation import Quark, Word, parse_pair_list, phi
+from brauer.presentation import Quark, Word, check_word_rank, parse_pair_list, phi
 
 __all__ = [
     "GammaGraph",
@@ -195,6 +195,7 @@ def gamma_graph(n: int) -> GammaGraph:
 
 def parse_sequence(n: int, text: str) -> Word:
     """Parse the bare pair-list form ``(1,2)(2,3)(3,4)``."""
+    check_word_rank(n)
     return sequence(n, parse_pair_list(text))
 
 

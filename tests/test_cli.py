@@ -1,4 +1,5 @@
 import json
+import resource
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,12 @@ SCHEMA = json.loads(
 )
 
 ATOM12_N3 = "n=3;{1,2}{1',2'}{3,3'}"
+
+
+def _address_space():
+    """This process's current virtual memory size in bytes."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[0]) * resource.getpagesize()
 
 
 def run(capsys, *argv):
@@ -119,6 +126,16 @@ class TestLengths:
         assert code == 0 and out.strip() == str(table[last])
         assert path.read_bytes() == good
 
+    def test_unwritable_cache_keeps_answer(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("BRAUER_CACHE_DIR", raising=False)
+        _, expected, _ = run(capsys, "longest", "3")
+        blocker = tmp_path / "blocker"  # a regular file where a directory should be
+        blocker.write_text("")
+        code, out, err = run(capsys, "longest", "3", "--cache-dir", str(blocker))
+        assert code == 0 and out == expected
+        assert len(err.splitlines()) == 1 and str(blocker) in err
+        assert blocker.read_text() == ""
+
 
 class TestCounting:
     def test_classes(self, capsys):
@@ -189,6 +206,25 @@ class TestErrorHandling:
     def test_rank_mismatch_exits_2(self, capsys):
         code, _, err = run(capsys, "mult", ATOM12_N3, "n=2;{1,2}{1',2'}")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("phi", "n=400000000: (1,2)"),
+        ("equal", "n=400000000: (1,2)", "n=400000000: (1,2)"),
+        ("seq-equal", "400000000", "(1,2)", "(1,2)"),
+    ])
+    def test_oversized_word_rank_exits_2(self, capsys, argv):
+        # capped address space: without the rank limit these allocate
+        # tens of GB, which must fail here rather than take the machine
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = _address_space() + 2**30
+        if hard != resource.RLIM_INFINITY:
+            cap = min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            code, _, err = run(capsys, *argv)
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == 2 and "rank limit" in err
 
     def test_enumerate_limit_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "9")

@@ -17,7 +17,6 @@ from brauer.diagram import (
 from brauer.geodesics import (
     GeodesicTable,
     bfs_lengths,
-    cyclic_decomposition,
     expected_max_length,
     load_or_compute_table,
     ls_via_cycles,
@@ -104,18 +103,16 @@ class TestBfs:
 
 class TestCyclicDecomposition:
     def test_atom_case(self):
-        cd = cyclic_decomposition(atom(5, 1, 2))
-        assert cd.cycles == ()
-        assert cd.trivial_count == 3
-        assert cd.length() == 1
+        # no cycles, three fixed points: (5-2) - 3 + 0 + 1
+        assert ls_via_cycles(atom(5, 1, 2)) == 1
+        assert decompose_group_corank2(atom(5, 1, 2)) == word(5, [(1, 2)])
         assert ls_via_cycles(atom(6, 1, 2)) == 1
 
     def test_single_transposition(self):
         pi = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
-        cd = cyclic_decomposition(pi)
-        assert cd.cycles == ((3, 4),)
-        assert len(decompose_group_corank2(pi)) == 4
-        assert cd.length() == 4
+        # the one cycle (3 4): base atom, a run through 3 and 4, base atom
+        assert decompose_group_corank2(pi) == word(4, [(1, 2), (1, 3), (1, 4), (1, 2)])
+        assert ls_via_cycles(pi) == 4
         assert bfs_lengths(4)[pi] == 4
 
     def test_three_cycle_attains_max_n5(self):
@@ -145,9 +142,9 @@ class TestCyclicDecomposition:
 
     def test_precondition(self):
         with pytest.raises(DomainError):
-            cyclic_decomposition(atom(4, 1, 3))
+            ls_via_cycles(atom(4, 1, 3))
         with pytest.raises(DomainError):
-            cyclic_decomposition(identity(4))
+            ls_via_cycles(identity(4))
 
 
 class TestCache:
