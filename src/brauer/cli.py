@@ -4,10 +4,13 @@ Command-line front end.
 One subcommand per library operation, bit-exact text formats for all
 diagram and word I/O, and a ``--json`` switch that replaces the text
 output with a single JSON object (schema in docs/cli-schema.json).
+The rank limits live here alone, in ``RANK_LIMITS``; ``--force`` lifts
+them and exists only on the commands that have one.
 
 Exit codes: 0 on success, 2 on a domain error (bad diagram or word,
-violated precondition, limit exceeded), 1 on an internal failure or a
-failed verification.  Usage errors print help to stderr.
+violated precondition, rank over its limit) or a usage error (help on
+stderr), 1 on an internal failure, a failed verification or a closed
+stdout pipe (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ import traceback
 
 from brauer.decomposition import decompose
 from brauer.diagram import (
-    ENUMERATION_LIMIT,
     DomainError,
     enumerate_all,
     green_related,
     multiply,
     parse_diagram,
 )
-from brauer.geodesics import BFS_LIMIT, load_or_compute_table, max_length
+from brauer.geodesics import load_or_compute_table, max_length
 from brauer.presentation import (
     Quark,
     normalize,
@@ -37,7 +39,6 @@ from brauer.presentation import (
     words_equal_in_T,
 )
 from brauer.sequences import (
-    COUNT_LIMIT,
     count_classes,
     count_paths,
     expected_class_count,
@@ -45,9 +46,32 @@ from brauer.sequences import (
     parse_sequence,
     seq_equivalent,
 )
-from brauer.verify import SUITES, run_suites
+from brauer.verify import SUITES
 
 CACHE_DIR_ENV = "BRAUER_CACHE_DIR"
+
+# The largest n each command and each verify suite takes without --force;
+# the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
+RANK_LIMITS = {
+    "length": 7,
+    "longest": 7,
+    "classes": 7,
+    "classes --dot": 40,
+    "paths": 7,
+    "enumerate": 8,
+    "relations": 8,
+    "generation": 6,
+    "irreducible": 5,
+    "lengths": 7,
+    "counts": 7,
+    "hclasses": 7,
+}
+
+
+def _check_rank(args, name: str, n: int) -> None:
+    limit = RANK_LIMITS[name]
+    if n > limit and not args.force:
+        raise DomainError(f"n={n} exceeds the {name} limit {limit} (use --force)")
 
 
 def _parse_endpoint(text: str) -> tuple[int, int]:
@@ -121,21 +145,15 @@ def _cmd_length(args):
     d = parse_diagram(args.diagram)
     if d.corank == 0:
         raise DomainError("length is undefined on invertible elements")
-    table = load_or_compute_table(
-        d.n,
-        cache_dir=_cache_dir(args),
-        limit=None if args.force else BFS_LIMIT,
-    )
+    _check_rank(args, "length", d.n)
+    table = load_or_compute_table(d.n, cache_dir=_cache_dir(args))
     value = table[d]
     return {"command": "length", "length": value}, [str(value)], 0
 
 
 def _cmd_longest(args):
-    table = load_or_compute_table(
-        args.n,
-        cache_dir=_cache_dir(args),
-        limit=None if args.force else BFS_LIMIT,
-    )
+    _check_rank(args, "longest", args.n)
+    table = load_or_compute_table(args.n, cache_dir=_cache_dir(args))
     value, witness = max_length(args.n, table=table)
     obj = {
         "command": "longest",
@@ -147,10 +165,11 @@ def _cmd_longest(args):
 
 
 def _cmd_classes(args):
+    _check_rank(args, "classes --dot" if args.dot else "classes", args.n)
     if args.dot:
         dot = gamma_graph(args.n).to_dot()
         return {"command": "classes", "n": args.n, "dot": dot}, [dot], 0
-    value = count_classes(args.n, limit=None if args.force else COUNT_LIMIT)
+    value = count_classes(args.n)
     obj = {
         "command": "classes",
         "n": args.n,
@@ -161,8 +180,9 @@ def _cmd_classes(args):
 
 
 def _cmd_paths(args):
+    _check_rank(args, "paths", args.n)
     frm, to = _parse_endpoint(args.frm), _parse_endpoint(args.to)
-    value = count_paths(args.n, frm, to, limit=None if args.force else COUNT_LIMIT)
+    value = count_paths(args.n, frm, to)
     obj = {
         "command": "paths",
         "n": args.n,
@@ -181,7 +201,8 @@ def _cmd_seq_equal(args):
 
 
 def _cmd_enumerate(args):
-    stream = enumerate_all(args.n, limit=None if args.force else ENUMERATION_LIMIT)
+    _check_rank(args, "enumerate", args.n)
+    stream = enumerate_all(args.n)
     if args.json:
         diagrams = [d.to_text() for d in stream]
         obj = {"command": "enumerate", "n": args.n, "count": len(diagrams), "diagrams": diagrams}
@@ -194,7 +215,13 @@ def _cmd_enumerate(args):
 
 def _cmd_verify(args):
     suites = args.suites or sorted(SUITES)
-    claims = run_suites(suites, args.n, force=args.force)
+    for name in suites:  # every suite is checked before any runs
+        if name not in SUITES:
+            raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        if args.n < 2:
+            raise DomainError("verification suites need n >= 2")
+        _check_rank(args, name, args.n)
+    claims = [c for name in suites for c in SUITES[name](args.n)]
     ok = all(c.ok for c in claims)
     obj = {
         "command": "verify",
@@ -209,10 +236,11 @@ def _cmd_verify(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a single JSON object")
-    common.add_argument("--cache-dir", metavar="PATH", default=None,
+    limited = argparse.ArgumentParser(add_help=False, parents=[common])
+    limited.add_argument("--force", action="store_true", help="lift the rank limit")
+    cached = argparse.ArgumentParser(add_help=False, parents=[limited])
+    cached.add_argument("--cache-dir", metavar="PATH", default=None,
                         help=f"geodesic table cache (or ${CACHE_DIR_ENV})")
-    common.add_argument("--force", action="store_true",
-                        help="override the per-command rank limits")
 
     parser = argparse.ArgumentParser(
         prog="brauer",
@@ -255,23 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v")
     p.set_defaults(handler=_cmd_equal)
 
-    p = sub.add_parser("length", parents=[common], help="geodesic length of a diagram")
+    p = sub.add_parser("length", parents=[cached], help="geodesic length of a diagram")
     p.add_argument("diagram")
     p.set_defaults(handler=_cmd_length)
 
-    p = sub.add_parser("longest", parents=[common],
+    p = sub.add_parser("longest", parents=[cached],
                        help="maximal geodesic length at rank n, with witness")
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_longest)
 
-    p = sub.add_parser("classes", parents=[common],
+    p = sub.add_parser("classes", parents=[limited],
                        help="number of connected-sequence classes at rank n")
     p.add_argument("n", type=int)
     p.add_argument("--dot", action="store_true",
                    help="print the pair graph in DOT form instead")
     p.set_defaults(handler=_cmd_classes)
 
-    p = sub.add_parser("paths", parents=[common],
+    p = sub.add_parser("paths", parents=[limited],
                        help="classes of sequences between two endpoint pairs")
     p.add_argument("n", type=int)
     p.add_argument("frm", metavar="from", help="first pair, e.g. 1,2")
@@ -285,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.set_defaults(handler=_cmd_seq_equal)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[limited],
                        help="run exhaustive verification suites")
     p.add_argument("n", type=int)
     p.add_argument("suites", nargs="*",
                    help=f"subset of {sorted(SUITES)} (default: all)")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[limited],
                        help="stream every diagram of rank n")
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_enumerate)
@@ -308,18 +336,25 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         obj, lines, code = args.handler(args)
+        if args.json:
+            if obj is not None:
+                print(json.dumps(obj, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: divert stdout so the exit-time flush is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except Exception:
         traceback.print_exc()
         return 1
-    if args.json:
-        if obj is not None:
-            print(json.dumps(obj, indent=2))
-    else:
-        for line in lines:
-            print(line)
     return code
 
 

@@ -179,10 +179,8 @@ class IrreducibilityReport:
         return not self.reducible
 
 
-def is_irreducible_generator_check(n: int, limit: int = 5) -> IrreducibilityReport:
+def is_irreducible_generator_check(n: int) -> IrreducibilityReport:
     """Verify no atom lies in the multiplicative closure of the others."""
-    if limit is not None and n > limit:
-        raise DomainError(f"n={n} exceeds irreducibility-check limit {limit}")
     all_atoms = atoms(n)
     reducible = []
     for skip in all_atoms:

@@ -40,10 +40,7 @@ __all__ = [
     "enumerate_all",
     "random_diagram",
     "parse_diagram",
-    "ENUMERATION_LIMIT",
 ]
-
-ENUMERATION_LIMIT = 8
 
 
 class DomainError(ValueError):
@@ -299,17 +296,14 @@ def from_permutation(perm: Sequence[int]) -> BrauerDiagram:
     return BrauerDiagram(tuple(partner))
 
 
-def enumerate_all(n: int, limit: int | None = ENUMERATION_LIMIT) -> Iterator[BrauerDiagram]:
+def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     """Yield every rank-n diagram exactly once ((2n-1)!! of them).
 
     Order: repeatedly match the smallest unmatched point with each larger
-    point in increasing order.  The limit guards against accidental
-    double-factorial blowups; pass ``limit=None`` to override.
+    point in increasing order.  Any n is taken; the command line bounds it.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
-    if limit is not None and n > limit:
-        raise DomainError(f"n={n} exceeds enumeration limit {limit}")
     partner = [-1] * (2 * n)
 
     def rec(first: int) -> Iterator[BrauerDiagram]:

@@ -36,7 +36,6 @@ from brauer.diagram import (
 )
 
 __all__ = [
-    "BFS_LIMIT",
     "CACHE_FORMAT_VERSION",
     "GeodesicTable",
     "bfs_lengths",
@@ -46,7 +45,6 @@ __all__ = [
     "load_or_compute_table",
 ]
 
-BFS_LIMIT = 7
 CACHE_FORMAT_VERSION = "1"
 
 
@@ -132,13 +130,11 @@ class GeodesicTable:
         return cls(n, dist)
 
 
-def bfs_lengths(n: int, limit: int | None = BFS_LIMIT) -> GeodesicTable:
+def bfs_lengths(n: int) -> GeodesicTable:
     """Multi-source BFS from the atoms by right multiplication; the
     distances are exact ls values."""
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
-    if limit is not None and n > limit:
-        raise DomainError(f"n={n} exceeds BFS limit {limit}")
     dist = _bfs_levels(n, [a.partner for a in atoms(n)])
     return GeodesicTable(n, {BrauerDiagram(p): v for p, v in dist.items()})
 
@@ -148,16 +144,12 @@ def expected_max_length(n: int) -> int:
     return 3 * n // 2 - 2
 
 
-def max_length(
-    n: int,
-    table: GeodesicTable | None = None,
-    limit: int | None = BFS_LIMIT,
-) -> tuple[int, BrauerDiagram]:
+def max_length(n: int, table: GeodesicTable | None = None) -> tuple[int, BrauerDiagram]:
     """Maximum geodesic length plus one witness attaining it."""
     if n < 2:
         raise DomainError("maximal length needs n >= 2")
     if table is None:
-        table = bfs_lengths(n, limit=limit)
+        table = bfs_lengths(n)
     return table.max_entry()
 
 
@@ -173,11 +165,7 @@ def ls_via_cycles(pi: BrauerDiagram) -> int:
     return (pi.n - 2) - fixed + len(_theta_cycles(theta)) + 1
 
 
-def load_or_compute_table(
-    n: int,
-    cache_dir: str | Path | None = None,
-    limit: int | None = BFS_LIMIT,
-) -> GeodesicTable:
+def load_or_compute_table(n: int, cache_dir: str | Path | None = None) -> GeodesicTable:
     """Fetch the table from the cache directory if present, else compute
     it and store it there when a cache directory is given.  A failed
     store is reported on stderr and the computed table is returned."""
@@ -189,7 +177,7 @@ def load_or_compute_table(
                 return GeodesicTable.load(path, n)
             except (DomainError, OSError):
                 pass  # stale, foreign or damaged file: recompute below
-    table = bfs_lengths(n, limit=limit)
+    table = bfs_lengths(n)
     if path is not None:
         try:
             os.makedirs(path.parent, exist_ok=True)

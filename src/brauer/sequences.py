@@ -43,8 +43,6 @@ __all__ = [
     "sequence_to_text",
 ]
 
-COUNT_LIMIT = 7
-
 
 def _require_connected(s: Word) -> None:
     for a, b in zip(s.quarks, s.quarks[1:]):
@@ -86,20 +84,15 @@ def expected_class_count(n: int) -> int:
     return n * (n - 1) * math.factorial(n) // 4
 
 
-def count_classes(n: int, limit: int | None = COUNT_LIMIT) -> int:
+def count_classes(n: int) -> int:
     """Number of equivalence classes, counted by enumerating the
     corank-2 diagrams they biject with."""
     if n < 2:
         raise DomainError("classes need n >= 2")
-    return sum(1 for d in enumerate_all(n, limit=limit) if d.corank == 2)
+    return sum(1 for d in enumerate_all(n) if d.corank == 2)
 
 
-def count_paths(
-    n: int,
-    frm: Sequence[int],
-    to: Sequence[int],
-    limit: int | None = COUNT_LIMIT,
-) -> int:
+def count_paths(n: int, frm: Sequence[int], to: Sequence[int]) -> int:
     """Number of classes of sequences with the given first and last pair,
     counted as corank-2 diagrams with those brackets; always (n-2)!."""
     if n < 2:
@@ -111,17 +104,17 @@ def count_paths(
     right = frozenset((to_q.i, to_q.j))
     return sum(
         1
-        for d in enumerate_all(n, limit=limit)
+        for d in enumerate_all(n)
         if d.corank == 2
         and left in d.left_brackets()
         and right in d.right_brackets()
     )
 
 
-def corank2_census(n: int, limit: int | None = COUNT_LIMIT) -> dict:
+def corank2_census(n: int) -> dict:
     """Counts of corank-2 diagrams keyed by (left bracket, right bracket)."""
     census: dict = {}
-    for d in enumerate_all(n, limit=limit):
+    for d in enumerate_all(n):
         if d.corank != 2:
             continue
         (lb,) = d.left_brackets()

@@ -5,9 +5,8 @@ Each suite recomputes one of the checkable claims at rank n and compares
 against the closed-form value: relation families under evaluation,
 generation of the singular part by atoms, irreducibility of the atom
 system, the maximal geodesic length and the cycle-formula lengths,
-enumeration and class counts, and H-class sizes.  Suites carry per-rank
-limits so a stray argument cannot trigger a double-factorial blowup;
-``force`` lifts them.
+enumeration and class counts, and H-class sizes.  A suite runs at any
+n >= 2; the command line bounds n per suite before it runs any.
 """
 
 from __future__ import annotations
@@ -16,21 +15,12 @@ import math
 from dataclasses import dataclass
 
 from brauer.decomposition import atom_closure, is_irreducible_generator_check
-from brauer.diagram import DomainError, count_all, enumerate_all
+from brauer.diagram import count_all, enumerate_all
 from brauer.geodesics import bfs_lengths, expected_max_length, ls_via_cycles
 from brauer.presentation import check_all_relations
 from brauer.sequences import corank2_census, expected_class_count
 
-__all__ = ["Claim", "SUITES", "SUITE_LIMITS", "run_suite", "run_suites"]
-
-SUITE_LIMITS = {
-    "relations": 8,
-    "generation": 6,
-    "irreducible": 5,
-    "lengths": 7,
-    "counts": 7,
-    "hclasses": 7,
-}
+__all__ = ["Claim", "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ def _suite_generation(n: int) -> list[Claim]:
         Claim("generation", f"atom-closure size (n={n})", expected, len(closure),
               f"(2n-1)!! - n! = {count_all(n)} - {math.factorial(n)}")
     ]
-    singular = {d for d in enumerate_all(n, limit=None) if d.corank >= 2}
+    singular = {d for d in enumerate_all(n) if d.corank >= 2}
     claims.append(
         Claim("generation", f"closure equals corank>=2 set (n={n})", True, closure == singular)
     )
@@ -86,7 +76,7 @@ def _suite_generation(n: int) -> list[Claim]:
 
 
 def _suite_irreducible(n: int) -> list[Claim]:
-    report = is_irreducible_generator_check(n, limit=None)
+    report = is_irreducible_generator_check(n)
     return [
         Claim("irreducible", f"reducible atoms (n={n})", 0, len(report.reducible),
               f"{math.comb(n, 2)} atoms checked")
@@ -94,7 +84,7 @@ def _suite_irreducible(n: int) -> list[Claim]:
 
 
 def _suite_lengths(n: int) -> list[Claim]:
-    table = bfs_lengths(n, limit=None)
+    table = bfs_lengths(n)
     value, witness = table.max_entry()
     claims = [
         Claim("lengths", f"maximal length (n={n})", expected_max_length(n), value,
@@ -113,8 +103,8 @@ def _suite_lengths(n: int) -> list[Claim]:
 
 
 def _suite_counts(n: int) -> list[Claim]:
-    total = sum(1 for _ in enumerate_all(n, limit=None))
-    corank2 = corank2_census(n, limit=None)
+    total = sum(1 for _ in enumerate_all(n))
+    corank2 = corank2_census(n)
     classes = sum(corank2.values())
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     bad_paths = sum(
@@ -134,7 +124,7 @@ def _suite_counts(n: int) -> list[Claim]:
 
 def _suite_hclasses(n: int) -> list[Claim]:
     sizes: dict = {}
-    for d in enumerate_all(n, limit=None):
+    for d in enumerate_all(n):
         key = (d.left_brackets(), d.right_brackets())
         sizes[key] = sizes.get(key, 0) + 1
     bad = sum(
@@ -155,22 +145,3 @@ SUITES = {
     "counts": _suite_counts,
     "hclasses": _suite_hclasses,
 }
-
-
-def run_suite(name: str, n: int, force: bool = False) -> list[Claim]:
-    if name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if n < 2:
-        raise DomainError("verification suites need n >= 2")
-    if not force and n > SUITE_LIMITS[name]:
-        raise DomainError(
-            f"n={n} exceeds the {name} suite limit {SUITE_LIMITS[name]} (use --force)"
-        )
-    return SUITES[name](n)
-
-
-def run_suites(names, n: int, force: bool = False) -> list[Claim]:
-    claims = []
-    for name in names:
-        claims.extend(run_suite(name, n, force=force))
-    return claims

@@ -69,7 +69,7 @@ def tables():
 
     def get(n):
         if n not in cache:
-            cache[n] = bfs_lengths(n, limit=None)
+            cache[n] = bfs_lengths(n)
         return cache[n]
 
     return get

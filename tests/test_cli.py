@@ -1,14 +1,20 @@
 import json
+import os
 import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from brauer.cli import main
-from brauer.diagram import BrauerDiagram, parse_diagram
-from brauer.geodesics import bfs_lengths
+import brauer
+from brauer import cli
+from brauer.cli import RANK_LIMITS, main
+from brauer.diagram import BrauerDiagram, DomainError, atom, parse_diagram
+from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import parse_word, phi
+from brauer.verify import SUITES
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json").read_text()
@@ -27,6 +33,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def over_limit(name):
+    """The command line that asks the RANK_LIMITS entry ``name`` for one
+    rank more than it allows."""
+    n = RANK_LIMITS[name] + 1
+    if name == "length":
+        return ["length", atom(n, 1, 2).to_text()]
+    if name == "classes --dot":
+        return ["classes", str(n), "--dot"]
+    if name == "paths":
+        return ["paths", str(n), "1,2", "3,4"]
+    if name in SUITES:
+        return ["verify", str(n), name]
+    return [name, str(n)]
 
 
 def run_json(capsys, *argv):
@@ -136,6 +157,15 @@ class TestLengths:
         assert len(err.splitlines()) == 1 and str(blocker) in err
         assert blocker.read_text() == ""
 
+    def test_limit_holds_with_cache_file(self, capsys, tmp_path, monkeypatch):
+        # the rank is checked before the cache: a rank-8 file is never read
+        (tmp_path / "geodesics-n8.csv").write_text("")
+        monkeypatch.setattr(GeodesicTable, "load", staticmethod(
+            lambda path, n: pytest.fail(f"read {path}")))
+        for argv in (["longest", "8"], ["length", atom(8, 1, 2).to_text()]):
+            code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+            assert code == 2 and "--force" in err
+
 
 class TestCounting:
     def test_classes(self, capsys):
@@ -145,6 +175,12 @@ class TestCounting:
     def test_classes_dot(self, capsys):
         code, out, _ = run(capsys, "classes", "4", "--dot")
         assert code == 0 and out.startswith("graph gamma4 {")
+
+    def test_classes_dot_limit(self, capsys):
+        code, _, err = run(capsys, "classes", "41", "--dot")
+        assert code == 2 and "--force" in err
+        code, out, _ = run(capsys, "classes", "41", "--dot", "--force")
+        assert code == 0 and out.startswith("graph gamma41 {")
 
     def test_paths(self, capsys):
         code, out, _ = run(capsys, "paths", "4", "1,2", "3,4")
@@ -194,6 +230,43 @@ class TestVerify:
         assert code == 2 and "--force" in err
 
 
+class TestRankLimits:
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Every library call behind a limited command, replaced by a stub
+        that records its name and fails with a marker error."""
+        started = []
+
+        def stub(name):
+            def start(*args, **kwargs):
+                started.append(name)
+                raise DomainError("work started")
+            return start
+
+        for name in ("load_or_compute_table", "gamma_graph", "count_classes",
+                     "count_paths", "enumerate_all"):
+            monkeypatch.setattr(cli, name, stub(name))
+        for name in SUITES:
+            monkeypatch.setitem(SUITES, name, stub(name))
+        return started
+
+    @pytest.mark.parametrize("name", sorted(RANK_LIMITS))
+    def test_one_rank_over_exits_2_before_work(self, capsys, work, name):
+        n, limit = RANK_LIMITS[name] + 1, RANK_LIMITS[name]
+        code, out, err = run(capsys, *over_limit(name))
+        assert (code, out, work) == (2, "", [])
+        assert err == f"error: n={n} exceeds the {name} limit {limit} (use --force)\n"
+        code, _, err = run(capsys, *over_limit(name), "--force")
+        assert code == 2 and "work started" in err and len(work) == 1
+
+    def test_verify_checks_every_suite_before_running_any(self, capsys, work):
+        # at n=6 only irreducible (limit 5) is over, and it sorts after
+        # counts, generation and hclasses
+        code, _, err = run(capsys, "verify", "6")
+        assert code == 2 and "irreducible limit 5" in err
+        assert work == []
+
+
 class TestErrorHandling:
     def test_bad_diagram_exits_2(self, capsys):
         code, _, err = run(capsys, "corank", "n=3;{1,2}")
@@ -229,6 +302,26 @@ class TestErrorHandling:
     def test_enumerate_limit_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "9")
         assert code == 2 and "limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mult", ATOM12_N3, ATOM12_N3, "--force"),
+        ("phi", "n=3: (1,2)", "--cache-dir", "X"),
+    ])
+    def test_flag_outside_its_commands(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err
+
+    def test_closed_pipe_exits_1_quietly(self):
+        src = str(Path(brauer.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "brauer.cli", "enumerate", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"n=6;")
+        proc.stdout.close()  # 10,395 lines: the writer hits the closed pipe
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
     def test_usage_error_prints_help_to_stderr(self, capsys):
         code, out, err = run(capsys, "mult", ATOM12_N3)  # missing operand

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brauer.cli import main
 from brauer.decomposition import (
     atom_closure,
     decompose,
@@ -130,6 +131,7 @@ class TestClosure:
         report = is_irreducible_generator_check(n)
         assert report.ok
 
-    def test_limit_guard(self):
-        with pytest.raises(DomainError):
-            is_irreducible_generator_check(6)
+    def test_limit_guard(self, capsys):
+        # the rank limit is the command line's; the check runs at any n
+        assert main(["verify", "6", "irreducible"]) == 2
+        assert "--force" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from brauer.cli import main
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
@@ -284,11 +285,10 @@ class TestEnumerate:
         assert len(seen) == total
         assert count_all(n) == total
 
-    def test_limit_guard(self):
-        with pytest.raises(DomainError):
-            enumerate_all(9)
-        with pytest.raises(DomainError):
-            enumerate_all(4, limit=3)
+    def test_limit_guard(self, capsys):
+        # the rank limit is the command line's; the library enumerates any n
+        assert main(["enumerate", "9"]) == 2
+        assert "--force" in capsys.readouterr().err
 
     def test_first_element_is_smallest_matching(self):
         first = next(iter(enumerate_all(3)))

@@ -33,3 +33,19 @@ def test_imports_are_used(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "brauer.cli"])
+def test_no_rank_policy_outside_cli(name):
+    """Rank limits belong to the command line: no library function takes
+    a ``limit`` or ``force`` parameter."""
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    params = [
+        f"{node.name}({arg.arg})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg in ("limit", "force")
+    ]
+    assert params == []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from brauer.cli import main
 from brauer.decomposition import decompose_group_corank2
 from brauer.diagram import (
     DomainError,
@@ -77,9 +78,10 @@ class TestBfs:
         singular = {d for d in enumerate_all(4) if d.corank >= 2}
         assert set(table.dist) == singular
 
-    def test_limit_guard(self):
-        with pytest.raises(DomainError):
-            bfs_lengths(8)
+    def test_limit_guard(self, capsys):
+        # the rank limit is the command line's; the library has only n >= 2
+        assert main(["longest", "8"]) == 2
+        assert "--force" in capsys.readouterr().err
         with pytest.raises(DomainError):
             max_length(1)
 

@@ -1,6 +1,7 @@
 """Property tests: the text formats round-trip, the product is
 associative and matches the component oracle, factorizations evaluate
-back, and the CLI answers any positional text with exit 0 or 2."""
+back, and the CLI answers any positional text, with or without its
+output flags, with exit 0 or 2."""
 
 import argparse
 import contextlib
@@ -115,11 +116,15 @@ ARG = st.one_of(
 @given(st.data())
 def test_cli_positional_text_exits_0_or_2(data):
     command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    # --force and --cache-dir are never drawn: they lift the rank limits
+    # and write files
+    optional = ["--json", "--dot"] if command == "classes" else ["--json"]
+    flags = [flag for flag in optional if data.draw(st.booleans())]
     args = []
     for nargs in SUBCOMMANDS[command]:
         count = 1 if nargs is None else data.draw(st.integers(0, 2))
         args += [data.draw(ARG) for _ in range(count)]
-    argv = [command, "--", *args]  # after "--" every argument is positional
+    argv = [command, *flags, "--", *args]  # after "--" every argument is positional
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
