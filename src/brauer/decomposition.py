@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
+    _atom_pairs,
     _bfs_levels,
+    atom,
     atoms,
     make_diagram,
 )
@@ -161,12 +163,24 @@ def decompose(pi: BrauerDiagram) -> Word:
 
 def atom_closure(n: int, generators=None) -> set[BrauerDiagram]:
     """Multiplicative closure of a set of rank-n atoms (default: all of
-    them), computed by breadth-first right multiplication."""
-    gens = list(generators) if generators is not None else atoms(n)
-    for g in gens:
-        if g.n != n:
-            raise DomainError(f"rank mismatch: {g.n} != {n}")
-    return {BrauerDiagram(p) for p in _bfs_levels(n, [g.partner for g in gens])}
+    them), computed by breadth-first right multiplication.  A generator
+    of another rank, or one that is not an atom, raises DomainError."""
+    if generators is None:
+        pairs = _atom_pairs(n)
+    else:
+        pairs = [_atom_bracket(n, g) for g in generators]
+    return {BrauerDiagram(p) for p in _bfs_levels(n, pairs)}
+
+
+def _atom_bracket(n: int, g: BrauerDiagram) -> tuple[int, int]:
+    """The bracket (i, j) of g if g is the rank-n atom {i,j}."""
+    if g.n != n:
+        raise DomainError(f"rank mismatch: {g.n} != {n}")
+    if g.corank == 2:
+        i, j = _single_bracket(g.left_brackets())
+        if g == atom(n, i, j):
+            return i, j
+    raise DomainError(f"{g.to_text()} is not an atom")
 
 
 @dataclass

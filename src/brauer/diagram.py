@@ -15,11 +15,16 @@ with an apostrophe, e.g. ``n=3;{1,3}{2,3'}{1',2'}``.
 Products are computed by gluing the primed pins of the left factor to the
 unprimed pins of the right factor and tracing the maximal chains; closed
 loops formed in the middle are discarded, as in the monoid (only the
-Brauer algebra would weight a product by its loop count).
+Brauer algebra would weight a product by its loop count).  ``multiply``
+is the one general product, O(n).  The breadth-first search over the
+atoms steps in O(1) instead: right multiplication by the atom {i,j}
+changes at most four partner slots (see :func:`_bfs_levels`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -71,12 +76,6 @@ class BrauerDiagram:
     def n(self) -> int:
         return len(self.partner) // 2
 
-    def _index_blocks(self) -> list[tuple[int, int]]:
-        # pairs of internal indices, smaller first, sorted lexicographically
-        return sorted(
-            (p, q) for p, q in enumerate(self.partner) if p < q
-        )
-
     def left_brackets(self) -> frozenset[frozenset[int]]:
         """Blocks lying entirely in {1..n}, as sets of unprimed labels."""
         n = self.n
@@ -123,17 +122,27 @@ class BrauerDiagram:
         return multiply(self, other)
 
     def to_text(self) -> str:
-        """Bit-exact canonical text form, e.g. ``n=3;{1,3}{2,3'}{1',2'}``."""
+        """Bit-exact canonical text form, e.g. ``n=3;{1,3}{2,3'}{1',2'}``.
+
+        Blocks are listed by their smaller index; each index is the
+        smaller end of at most one block, so one pass in index order
+        gives the sorted order.
+        """
         n = self.n
-
-        def point(p: int) -> str:
-            return str(p + 1) if p < n else f"{p - n + 1}'"
-
-        body = "".join("{%s,%s}" % (point(p), point(q)) for p, q in self._index_blocks())
+        label = _point_labels(n)
+        body = "".join(
+            ["{%s,%s}" % (label[p], label[q]) for p, q in enumerate(self.partner) if p < q]
+        )
         return f"n={n};{body}"
 
     def __repr__(self) -> str:
         return f"BrauerDiagram({self.to_text()!r})"
+
+
+@functools.lru_cache(maxsize=32)
+def _point_labels(n: int) -> tuple[str, ...]:
+    """Text label of each index: ``1..n`` then ``1'..n'``."""
+    return tuple(str(k) for k in range(1, n + 1)) + tuple(f"{k}'" for k in range(1, n + 1))
 
 
 def _signed_to_index(point: int, n: int) -> int:
@@ -189,9 +198,14 @@ def atom(n: int, i: int, j: int) -> BrauerDiagram:
     return BrauerDiagram(tuple(partner))
 
 
+def _atom_pairs(n: int) -> list[tuple[int, int]]:
+    """The brackets (i, j), i < j, of the C(n,2) atoms of rank n, in order."""
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
 def atoms(n: int) -> list[BrauerDiagram]:
     """All C(n,2) atoms of rank n, ordered by (i, j)."""
-    return [atom(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [atom(n, i, j) for i, j in _atom_pairs(n)]
 
 
 def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -227,22 +241,37 @@ def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _bfs_levels(n: int, gens: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    """Multi-source breadth-first search from raw partner arrays ``gens``,
-    extending by right multiplication with them.
+def _bfs_levels(n: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
+    """Multi-source breadth-first search from the atoms {i,j} named by
+    ``pairs`` (1-based), extending by right multiplication with them.
 
-    Maps every element of the generated semigroup to the least number of
-    generators whose product it is (the generators themselves at 1).
+    Maps the partner array of every element of the generated semigroup
+    to the least number of those atoms whose product it is (the atoms
+    themselves at 1).
+
+    One step is O(1).  Right-multiplying p by the atom {i,j} glues p's
+    primed points i' and j' (indices pi = n+i-1, pj = n+j-1) to the
+    atom's left bracket.  If p already pairs pi with pj, the chain
+    closes into a middle loop and the product is p itself, which is
+    skipped.  Otherwise a = p[pi] and b = p[pj] become one block, and
+    {i',j'} becomes a right bracket; every other block of p stays.
     """
-    dist = {g: 1 for g in gens}
+    dist = {atom(n, i, j).partner: 1 for i, j in pairs}
+    steps = [(n + i - 1, n + j - 1) for i, j in pairs]
     frontier = list(dist)
     level = 1
     while frontier:
         level += 1
         new = []
         for p in frontier:
-            for g in gens:
-                q = _compose(n, p, g)
+            for pi, pj in steps:
+                a = p[pi]
+                if a == pj:
+                    continue
+                b = p[pj]
+                q = list(p)
+                q[a], q[b], q[pi], q[pj] = b, a, pj, pi
+                q = tuple(q)
                 if q not in dist:
                     dist[q] = level
                     new.append(q)

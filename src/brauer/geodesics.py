@@ -29,8 +29,8 @@ from brauer.decomposition import _theta_cycles
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
+    _atom_pairs,
     _bfs_levels,
-    atoms,
     count_all,
     parse_diagram,
 )
@@ -135,7 +135,7 @@ def bfs_lengths(n: int) -> GeodesicTable:
     distances are exact ls values."""
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
-    dist = _bfs_levels(n, [a.partner for a in atoms(n)])
+    dist = _bfs_levels(n, _atom_pairs(n))
     return GeodesicTable(n, {BrauerDiagram(p): v for p, v in dist.items()})
 
 

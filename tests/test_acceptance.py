@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -153,6 +154,14 @@ def test_criterion_06_maximal_length(tables):
         and elapsed < 300
     )
     report(6, ok, f"max lengths n=2..7 = {list(got.values())}, BFS in {elapsed:.1f}s")
+
+
+def test_level_census_n7(tables):
+    # elements of each geodesic length 1..8; reads the criterion-06 table
+    census = [21, 315, 2835, 15330, 44415, 53550, 12579, 1050]
+    counts = Counter(tables(7).dist.values())
+    ok = sorted(counts.items()) == list(enumerate(census, 1))
+    report(6, ok, f"rank-7 elements per length = {dict(sorted(counts.items()))}")
 
 
 def test_criterion_07_h1_length_formula(tables):

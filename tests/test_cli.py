@@ -225,10 +225,6 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "4", "nonsense")
         assert code == 2 and "unknown suite" in err
 
-    def test_limit_guard_and_force(self, capsys):
-        code, _, err = run(capsys, "verify", "6", "irreducible")
-        assert code == 2 and "--force" in err
-
 
 class TestRankLimits:
     @pytest.fixture
@@ -298,10 +294,6 @@ class TestErrorHandling:
         finally:
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         assert code == 2 and "rank limit" in err
-
-    def test_enumerate_limit_guard(self, capsys):
-        code, _, err = run(capsys, "enumerate", "9")
-        assert code == 2 and "limit" in err
 
     @pytest.mark.parametrize("argv", [
         ("mult", ATOM12_N3, ATOM12_N3, "--force"),

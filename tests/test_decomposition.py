@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from brauer.cli import main
 from brauer.decomposition import (
     atom_closure,
     decompose,
@@ -131,7 +130,12 @@ class TestClosure:
         report = is_irreducible_generator_check(n)
         assert report.ok
 
-    def test_limit_guard(self, capsys):
-        # the rank limit is the command line's; the check runs at any n
-        assert main(["verify", "6", "irreducible"]) == 2
-        assert "--force" in capsys.readouterr().err
+    def test_rejects_non_atom_generators(self):
+        with pytest.raises(DomainError, match="not an atom"):
+            atom_closure(3, [identity(3)])
+        # corank 2 with equal brackets, but the lines are crossed
+        crossed = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
+        with pytest.raises(DomainError, match="not an atom"):
+            atom_closure(4, [atom(4, 1, 2), crossed])
+        with pytest.raises(DomainError, match="rank mismatch"):
+            atom_closure(4, [atom(3, 1, 2)])

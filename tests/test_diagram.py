@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from brauer.cli import main
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
@@ -285,11 +284,6 @@ class TestEnumerate:
         assert len(seen) == total
         assert count_all(n) == total
 
-    def test_limit_guard(self, capsys):
-        # the rank limit is the command line's; the library enumerates any n
-        assert main(["enumerate", "9"]) == 2
-        assert "--force" in capsys.readouterr().err
-
     def test_first_element_is_smallest_matching(self):
         first = next(iter(enumerate_all(3)))
         assert first == make_diagram(3, [(1, 2), (3, -1), (-2, -3)])
@@ -304,6 +298,19 @@ class TestSerialization:
         d = make_diagram(6, FIG1_BLOCKS)
         assert parse_diagram("n=6;{1,5}{4,6}{2,1'}{3,6'}{2',4'}{3',5'}") == d
         assert parse_diagram(d.to_text()) == d
+
+    def test_text_matches_sorted_blocks_n5(self):
+        def sorted_blocks_text(d):
+            n = d.n
+            label = lambda p: str(p + 1) if p < n else f"{p - n + 1}'"
+            blocks = sorted((p, q) for p, q in enumerate(d.partner) if p < q)
+            return f"n={n};" + "".join("{%s,%s}" % (label(p), label(q)) for p, q in blocks)
+
+        checked = 0
+        for d in enumerate_all(5):
+            assert d.to_text() == sorted_blocks_text(d)
+            checked += 1
+        assert checked == 945
 
     def test_round_trip_exhaustive(self):
         for n in (1, 2, 3, 4, 5):

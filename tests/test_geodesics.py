@@ -1,13 +1,16 @@
 import csv
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from brauer.cli import main
 from brauer.decomposition import decompose_group_corank2
 from brauer.diagram import (
+    BrauerDiagram,
     DomainError,
+    _bfs_levels,
     atom,
     atoms,
     enumerate_all,
@@ -49,6 +52,43 @@ def brute_force_lengths(n, max_len):
             best.setdefault(d, length)
         layer = {multiply(d, g): None for d in layer for g in gens}
     return best
+
+
+def reference_bfs(n, pairs):
+    """Level-by-level BFS over the general product ``multiply(d, atom)``."""
+    gens = [atom(n, i, j) for i, j in pairs]
+    dist = {g: 1 for g in gens}
+    frontier, level = list(dist), 1
+    while frontier:
+        level += 1
+        new = []
+        for d in frontier:
+            for g in gens:
+                e = multiply(d, g)
+                if e not in dist:
+                    dist[e] = level
+                    new.append(e)
+        frontier = new
+    return dist
+
+
+class TestBfsKernel:
+    # skip: the irreducibility check runs the kernel without one atom
+    @pytest.mark.parametrize("n,skip", [(2, None), (3, None), (4, None), (5, None), (4, (1, 2))])
+    def test_atom_step_matches_general_product(self, n, skip):
+        pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if p != skip]
+        dist = _bfs_levels(n, pairs)
+        assert {BrauerDiagram(p): v for p, v in dist.items()} == reference_bfs(n, pairs)
+
+    @pytest.mark.parametrize("n,census", [
+        (3, [3, 6]),
+        (4, [6, 27, 42, 6]),
+        (5, [10, 75, 270, 390, 80]),
+        (6, [15, 165, 1005, 3240, 4245, 960, 45]),
+    ])
+    def test_level_census(self, n, census):
+        counts = Counter(bfs_lengths(n).dist.values())
+        assert sorted(counts.items()) == list(enumerate(census, 1))
 
 
 class TestBfs:
