@@ -10,7 +10,6 @@ from brauer.diagram import (
     atoms,
     count_all,
     enumerate_all,
-    from_permutation,
     green_related,
     identity,
     make_diagram,
@@ -27,7 +26,6 @@ __all__ = [
     "atoms",
     "count_all",
     "enumerate_all",
-    "from_permutation",
     "green_related",
     "identity",
     "make_diagram",

@@ -48,8 +48,6 @@ from brauer.sequences import (
 )
 from brauer.verify import SUITES
 
-CACHE_DIR_ENV = "BRAUER_CACHE_DIR"
-
 # The largest n each command and each verify suite takes without --force;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
 RANK_LIMITS = {
@@ -83,10 +81,6 @@ def _parse_endpoint(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise DomainError(f"expected a pair like 1,2 - got {text!r}") from exc
     return i, j
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
 
 
 def _bool_text(value: bool) -> str:
@@ -146,14 +140,14 @@ def _cmd_length(args):
     if d.corank == 0:
         raise DomainError("length is undefined on invertible elements")
     _check_rank(args, "length", d.n)
-    table = load_or_compute_table(d.n, cache_dir=_cache_dir(args))
+    table = load_or_compute_table(d.n, cache_dir=args.cache_dir or None)
     value = table[d]
     return {"command": "length", "length": value}, [str(value)], 0
 
 
 def _cmd_longest(args):
     _check_rank(args, "longest", args.n)
-    table = load_or_compute_table(args.n, cache_dir=_cache_dir(args))
+    table = load_or_compute_table(args.n, cache_dir=args.cache_dir or None)
     value, witness = max_length(args.n, table=table)
     obj = {
         "command": "longest",
@@ -167,7 +161,7 @@ def _cmd_longest(args):
 def _cmd_classes(args):
     _check_rank(args, "classes --dot" if args.dot else "classes", args.n)
     if args.dot:
-        dot = gamma_graph(args.n).to_dot()
+        dot = gamma_graph(args.n)
         return {"command": "classes", "n": args.n, "dot": dot}, [dot], 0
     value = count_classes(args.n)
     obj = {
@@ -240,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     limited.add_argument("--force", action="store_true", help="lift the rank limit")
     cached = argparse.ArgumentParser(add_help=False, parents=[limited])
     cached.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help=f"geodesic table cache (or ${CACHE_DIR_ENV})")
+                        help="geodesic table cache")
 
     parser = argparse.ArgumentParser(
         prog="brauer",

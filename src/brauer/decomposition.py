@@ -13,8 +13,6 @@ that the first factor is a left bracket of pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
@@ -32,7 +30,6 @@ __all__ = [
     "decompose",
     "atom_closure",
     "is_irreducible_generator_check",
-    "IrreducibilityReport",
 ]
 
 
@@ -183,18 +180,9 @@ def _atom_bracket(n: int, g: BrauerDiagram) -> tuple[int, int]:
     raise DomainError(f"{g.to_text()} is not an atom")
 
 
-@dataclass
-class IrreducibilityReport:
-    n: int
-    reducible: list[tuple[int, int]]  # atoms found in the closure of the others
-
-    @property
-    def ok(self) -> bool:
-        return not self.reducible
-
-
-def is_irreducible_generator_check(n: int) -> IrreducibilityReport:
-    """Verify no atom lies in the multiplicative closure of the others."""
+def is_irreducible_generator_check(n: int) -> list[tuple[int, int]]:
+    """The brackets of the atoms that lie in the multiplicative closure
+    of the others; empty when the atom system is irreducible."""
     all_atoms = atoms(n)
     reducible = []
     for skip in all_atoms:
@@ -204,4 +192,4 @@ def is_irreducible_generator_check(n: int) -> IrreducibilityReport:
         if skip in atom_closure(n, others):
             lb = _single_bracket(skip.left_brackets())
             reducible.append(lb)
-    return IrreducibilityReport(n, reducible)
+    return reducible

@@ -41,7 +41,6 @@ __all__ = [
     "atoms",
     "multiply",
     "green_related",
-    "from_permutation",
     "enumerate_all",
     "random_diagram",
     "parse_diagram",
@@ -305,24 +304,6 @@ def green_related(a: BrauerDiagram, b: BrauerDiagram, rel: GreenRelation | str) 
             and a.right_brackets() == b.right_brackets()
         )
     return a.corank == b.corank
-
-
-def from_permutation(perm: Sequence[int]) -> BrauerDiagram:
-    """Corank-0 diagram with lines {k, perm[k-1]'}.
-
-    ``perm`` lists images 1-based, so ``perm[k-1]`` is the image of k.
-    The embedding is multiplicative for left-to-right composition:
-    ``from_permutation(p) * from_permutation(q) == from_permutation(t)``
-    with ``t[k-1] = q[p[k-1]-1]``.
-    """
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise DomainError("not a bijection of 1..n")
-    partner = [0] * (2 * n)
-    for k, image in enumerate(perm):
-        partner[k] = n + image - 1
-        partner[n + image - 1] = k
-    return BrauerDiagram(tuple(partner))
 
 
 def enumerate_all(n: int) -> Iterator[BrauerDiagram]:

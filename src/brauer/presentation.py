@@ -15,9 +15,10 @@ subject to seven relation families (indices pairwise distinct):
 The evaluation map ``phi`` sends each quark to the corresponding diagram
 atom; it is an isomorphism onto the singular part of the Brauer monoid,
 so equality in T is decided by comparing phi-images.  R1 is baked into
-quark storage (the pair is kept sorted); the remaining relations are
-exposed as single, explicitly sited rewrite steps for auditing and
-fuzzing.  No confluent completion of the system is attempted.
+quark storage (the pair is kept sorted).  The families are the pattern
+table ``RELATION_RULES``; ``check_all_relations`` instantiates every one
+at every tuple of distinct indices and compares both sides under phi.
+No confluent completion of the system is attempted.
 
 Word text format: ``n=5: (1,2)(2,3)(1,2)``.
 """
@@ -27,24 +28,20 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from brauer.diagram import BrauerDiagram, DomainError, atom, multiply
 
 __all__ = [
     "Quark",
     "Word",
-    "RelationId",
     "RELATION_RULES",
     "phi",
     "words_equal_in_T",
-    "apply_relation",
-    "find_relation_sites",
     "star",
     "is_connected",
     "normalize",
     "is_normal_form",
-    "standard_idempotent",
     "gamma",
     "check_all_relations",
     "RelationReport",
@@ -143,7 +140,7 @@ def is_connected(w: Word) -> bool:
     return all(a.meets(b) for a, b in zip(w.quarks, w.quarks[1:]))
 
 
-# --- relations as explicit, sited rewrites -------------------------------
+# --- the relation families -------------------------------------------------
 
 # pattern quarks are 2-letter variable strings over i, j, k, l
 RELATION_RULES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
@@ -157,102 +154,8 @@ RELATION_RULES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class RelationId:
-    """One concrete rewrite: a rule, a position, a variable binding, and
-    the direction (reverse=True rewrites right-hand side to left)."""
-
-    rule: str
-    pos: int
-    binding: tuple[tuple[str, int], ...]  # e.g. (("i", 1), ("j", 2), ...)
-    reverse: bool = False
-
-    def bound(self) -> dict[str, int]:
-        return dict(self.binding)
-
-
 def _instantiate(pattern: tuple[str, ...], bound: dict[str, int]) -> tuple[Quark, ...]:
     return tuple(Quark(bound[a], bound[b]) for a, b in pattern)
-
-
-def apply_relation(w: Word, r: RelationId) -> Word:
-    """Apply one relation at the given site; the phi-image is unchanged.
-
-    Raises if the rule is unknown, the binding misses variables or binds
-    them non-distinctly, or the pattern does not match the word there.
-    """
-    if r.rule not in RELATION_RULES:
-        raise DomainError(f"unknown relation {r.rule!r}")
-    lhs, rhs = RELATION_RULES[r.rule]
-    if r.reverse:
-        lhs, rhs = rhs, lhs
-    bound = r.bound()
-    variables = sorted(set("".join(lhs + rhs)))
-    if sorted(bound) != variables:
-        raise DomainError(f"{r.rule} needs bindings for {variables}, got {sorted(bound)}")
-    values = list(bound.values())
-    if len(set(values)) != len(values):
-        raise DomainError(f"{r.rule} requires pairwise distinct indices, got {bound}")
-    if any(v < 1 or v > w.n for v in values):
-        raise DomainError(f"binding {bound} out of range for n={w.n}")
-    needle = _instantiate(lhs, bound)
-    if not (0 <= r.pos <= len(w.quarks) - len(needle)):
-        raise DomainError(f"position {r.pos} out of range")
-    if w.quarks[r.pos:r.pos + len(needle)] != needle:
-        raise DomainError(f"{r.rule}{bound} does not match at position {r.pos}")
-    replacement = _instantiate(rhs, bound)
-    return Word(w.n, w.quarks[:r.pos] + replacement + w.quarks[r.pos + len(needle):])
-
-
-def _match_pattern(quarks: tuple[Quark, ...], pattern: tuple[str, ...]) -> Iterator[dict[str, int]]:
-    """Yield all injective variable bindings making the pattern equal the segment."""
-
-    def extend(idx: int, bound: dict[str, int]) -> Iterator[dict[str, int]]:
-        if idx == len(pattern):
-            yield dict(bound)
-            return
-        a, b = pattern[idx]
-        q = quarks[idx]
-        for x, y in ((q.i, q.j), (q.j, q.i)):
-            new = dict(bound)
-            ok = True
-            for var, val in ((a, x), (b, y)):
-                if var in new:
-                    ok = new[var] == val
-                else:
-                    ok = val not in new.values()
-                    new[var] = val
-                if not ok:
-                    break
-            if ok:
-                yield from extend(idx + 1, new)
-
-    return extend(0, {})
-
-
-def find_relation_sites(w: Word, rules: Iterable[str] | None = None) -> list[RelationId]:
-    """Every sited relation application (both directions) available on w.
-
-    When the rewritten-in side mentions an index the matched side does
-    not (reversed R5 introduces k), each admissible value is emitted as
-    its own site.
-    """
-    sites = []
-    for rule in rules if rules is not None else RELATION_RULES:
-        lhs, rhs = RELATION_RULES[rule]
-        variables = sorted(set("".join(lhs + rhs)))
-        for reverse, pattern in ((False, lhs), (True, rhs)):
-            for pos in range(len(w.quarks) - len(pattern) + 1):
-                segment = w.quarks[pos:pos + len(pattern)]
-                for bound in _match_pattern(segment, pattern):
-                    free = [v for v in variables if v not in bound]
-                    pool = [x for x in range(1, w.n + 1) if x not in bound.values()]
-                    for values in itertools.permutations(pool, len(free)):
-                        full = dict(bound, **dict(zip(free, values)))
-                        sites.append(
-                            RelationId(rule, pos, tuple(sorted(full.items())), reverse)
-                        )
-    return sites
 
 
 # --- normal form ----------------------------------------------------------
@@ -328,19 +231,7 @@ def is_normal_form(w: Word) -> bool:
     return False
 
 
-# --- standard idempotents and the gamma generators ------------------------
-
-def standard_idempotent(n: int, pairs: Sequence[Sequence[int]]) -> Word:
-    """The word of a family of pairwise disjoint pairs; its image is
-    idempotent, and these words represent the L-classes of T."""
-    quarks = tuple(Quark(i, j) for i, j in pairs)
-    seen: set[int] = set()
-    for q in quarks:
-        if q.i in seen or q.j in seen:
-            raise DomainError(f"pairs are not disjoint at {q}")
-        seen.update((q.i, q.j))
-    return Word(n, quarks)
-
+# --- the gamma generators --------------------------------------------------
 
 def gamma(n: int, i: int) -> Word:
     """The i-th Coxeter-like generator of the unit-group copy sitting

@@ -11,11 +11,12 @@ into the other by the local moves
     (III)  {i,j},{j,k},{k,i}  <->  {i,j},{k,i}
     (IV)   {i,j},{j,k},{i,j}  <->  {i,j}
 
-which are the relations R2, R3, R4 and R5 of the presentation restricted
-to connected words; single sited steps are ``find_relation_sites`` and
-``apply_relation`` with those rules.  Equivalence classes biject with
-corank-2 diagrams (map a sequence to the product of the matching atoms),
-so equivalence is decided semantically through that canonical diagram.
+which are the ``RELATION_RULES`` entries R2, R3, R4 and R5 of the
+presentation restricted to connected words: both sides of each are
+connected and share their first and last pair.  Equivalence classes
+biject with corank-2 diagrams (map a sequence to the product of the
+matching atoms), so equivalence is decided semantically through that
+canonical diagram.
 Interpreting subsets as vertices of the intersection graph, sequences
 are walks, the class count is n(n-1)n!/4, and the classes of walks
 between two fixed vertices number (n-2)!.
@@ -24,14 +25,12 @@ between two fixed vertices number (n-2)!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from brauer.diagram import BrauerDiagram, DomainError, enumerate_all
 from brauer.presentation import Quark, Word, check_word_rank, parse_pair_list, phi
 
 __all__ = [
-    "GammaGraph",
     "seq_canonical",
     "seq_equivalent",
     "count_classes",
@@ -40,7 +39,6 @@ __all__ = [
     "corank2_census",
     "gamma_graph",
     "parse_sequence",
-    "sequence_to_text",
 ]
 
 
@@ -100,15 +98,7 @@ def count_paths(n: int, frm: Sequence[int], to: Sequence[int]) -> int:
     frm_q, to_q = Quark(*frm), Quark(*to)
     if frm_q.j > n or to_q.j > n:
         raise DomainError("endpoint pairs exceed the rank")
-    left = frozenset((frm_q.i, frm_q.j))
-    right = frozenset((to_q.i, to_q.j))
-    return sum(
-        1
-        for d in enumerate_all(n)
-        if d.corank == 2
-        and left in d.left_brackets()
-        and right in d.right_brackets()
-    )
+    return corank2_census(n)[(frm_q.i, frm_q.j), (to_q.i, to_q.j)]
 
 
 def corank2_census(n: int) -> dict:
@@ -126,62 +116,22 @@ def corank2_census(n: int) -> dict:
 
 # --- the intersection graph -------------------------------------------------
 
-def _colex_rank(q: Quark) -> int:
-    return (q.j - 1) * (q.j - 2) // 2 + (q.i - 1)
-
-
-@dataclass(frozen=True)
-class GammaGraph:
-    """Graph on the 2-subsets of {1..n}; edges join intersecting subsets.
-
-    Vertices sit in colex order, so a pair is found in O(1) from its
-    colex rank.
-    """
-
-    n: int
-    vertices: tuple[Quark, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def index_of(self, pair: Quark) -> int:
-        if pair.j > self.n:
-            raise DomainError(f"pair {pair} exceeds rank n={self.n}")
-        return _colex_rank(pair)
-
-    def neighbors(self, pair: Quark) -> tuple[Quark, ...]:
-        return tuple(self.vertices[i] for i in self.adjacency[self.index_of(pair)])
-
-    def degree(self, pair: Quark) -> int:
-        return len(self.adjacency[self.index_of(pair)])
-
-    def edges(self) -> list[tuple[Quark, Quark]]:
-        return [
-            (self.vertices[i], self.vertices[j])
-            for i, row in enumerate(self.adjacency)
-            for j in row
-            if i < j
-        ]
-
-    def to_dot(self) -> str:
-        lines = [f"graph gamma{self.n} {{"]
-        for q in self.vertices:
-            lines.append(f'  "{q.i},{q.j}";')
-        for a, b in self.edges():
-            lines.append(f'  "{a.i},{a.j}" -- "{b.i},{b.j}";')
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def gamma_graph(n: int) -> GammaGraph:
+def gamma_graph(n: int) -> str:
+    """The graph on the 2-subsets of {1..n}, edges joining intersecting
+    subsets, in DOT form; vertices in colex order."""
     if n < 2:
         raise DomainError("the pair graph needs n >= 2")
-    vertices = tuple(
-        Quark(i, j) for j in range(2, n + 1) for i in range(1, j)
-    )
-    adjacency = tuple(
-        tuple(k for k, other in enumerate(vertices) if other != q and q.meets(other))
-        for q in vertices
-    )
-    return GammaGraph(n, vertices, adjacency)
+    vertices = [Quark(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    lines = [f"graph gamma{n} {{"]
+    lines += [f'  "{q.i},{q.j}";' for q in vertices]
+    lines += [
+        f'  "{a.i},{a.j}" -- "{b.i},{b.j}";'
+        for x, a in enumerate(vertices)
+        for b in vertices[x + 1:]
+        if a.meets(b)
+    ]
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # --- text format -------------------------------------------------------------
@@ -191,6 +141,3 @@ def parse_sequence(n: int, text: str) -> Word:
     check_word_rank(n)
     return sequence(n, parse_pair_list(text))
 
-
-def sequence_to_text(s: Word) -> str:
-    return "".join(f"({q.i},{q.j})" for q in s.quarks)

@@ -105,7 +105,7 @@ def test_criterion_03_generation():
 
 
 def test_criterion_04_irreducibility():
-    reducible = {n: len(is_irreducible_generator_check(n).reducible) for n in (3, 4, 5)}
+    reducible = {n: len(is_irreducible_generator_check(n)) for n in (3, 4, 5)}
     ok = all(v == 0 for v in reducible.values())
     report(4, ok, f"atoms reducible over the rest for n=3,4,5: {list(reducible.values())}")
 

@@ -124,11 +124,13 @@ class TestLengths:
         code2, out2, _ = run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
         assert code2 == 0 and out2 == out
 
-    def test_cache_dir_env_fallback(self, capsys, tmp_path, monkeypatch):
+    def test_cache_dir_env_ignored(self, capsys, tmp_path, monkeypatch):
+        # --cache-dir is the only way to write a cache: an inherited
+        # environment variable must not make a run write files
         monkeypatch.setenv("BRAUER_CACHE_DIR", str(tmp_path))
         code, _, _ = run(capsys, "longest", "3")
         assert code == 0
-        assert (tmp_path / "geodesics-n3.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("damage", ["truncated", "extra_field"])
     def test_damaged_cache_recomputed(self, capsys, tmp_path, damage):
@@ -147,8 +149,7 @@ class TestLengths:
         assert code == 0 and out.strip() == str(table[last])
         assert path.read_bytes() == good
 
-    def test_unwritable_cache_keeps_answer(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("BRAUER_CACHE_DIR", raising=False)
+    def test_unwritable_cache_keeps_answer(self, capsys, tmp_path):
         _, expected, _ = run(capsys, "longest", "3")
         blocker = tmp_path / "blocker"  # a regular file where a directory should be
         blocker.write_text("")

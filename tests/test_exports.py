@@ -11,6 +11,13 @@ MODULES = sorted(
     f"brauer.{info.name}" for info in pkgutil.iter_modules(brauer.__path__)
 ) + ["brauer"]
 
+# exported names that no program code references, each with its claim
+NO_CALLER_NEEDED = {
+    "identity": "the monoid unit",
+    "random_diagram": "the seeded random-diagram fixture",
+    "gamma": "the S_(n-2) generators, to be checked without phi (ROADMAP item 3)",
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
@@ -49,3 +56,32 @@ def test_no_rank_policy_outside_cli(name):
         if isinstance(arg, ast.arg) and arg.arg in ("limit", "force")
     ]
     assert params == []
+
+
+def _program_references() -> set[str]:
+    """Every name the package modules (not __init__) and the benchmark
+    scripts reference, as a bare name or as an attribute."""
+    package = Path(brauer.__file__).parent
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += (package.parents[1] / "perfbench").glob("*.py")
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_have_program_callers(name):
+    """Every __all__ name is used by the program or the benchmark, not only
+    by the tests, unless NO_CALLER_NEEDED gives it a claim."""
+    module = importlib.import_module(name)
+    referenced = _program_references()
+    unreached = [
+        attr for attr in getattr(module, "__all__", ())
+        if attr not in referenced and attr not in NO_CALLER_NEEDED
+    ]
+    assert unreached == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,12 +6,13 @@ import pytest
 
 from brauer.diagram import DomainError, atom
 from brauer.presentation import (
+    RELATION_RULES,
     Quark,
     Word,
-    apply_relation,
-    find_relation_sites,
+    _relation_words,
     is_connected,
     word,
+    word_to_text,
 )
 from brauer.sequences import (
     corank2_census,
@@ -22,7 +24,6 @@ from brauer.sequences import (
     seq_canonical,
     seq_equivalent,
     sequence,
-    sequence_to_text,
 )
 
 
@@ -38,6 +39,38 @@ def random_connected_sequence(rng, n, max_len=8):
 
 # moves (I)-(IV) are these relations restricted to connected words
 MOVES = ("R2", "R3", "R4", "R5")
+
+
+def move_instances(rule, n=4):
+    """Both sides of the rule at every tuple of distinct indices."""
+    lhs, rhs = RELATION_RULES[rule]
+    variables = sorted(set("".join(lhs + rhs)))
+    for values in itertools.permutations(range(1, n + 1), len(variables)):
+        yield _relation_words(rule, n, dict(zip(variables, values)))
+
+
+def dot_vertices(dot):
+    return [line.strip(' ";') for line in dot.splitlines()[1:-1] if " -- " not in line]
+
+
+def dot_edges(dot):
+    return [
+        tuple(line.strip(' ";').split('" -- "'))
+        for line in dot.splitlines()
+        if " -- " in line
+    ]
+
+
+def dot_degrees(dot):
+    degree = dict.fromkeys(dot_vertices(dot), 0)
+    for a, b in dot_edges(dot):
+        degree[a] += 1
+        degree[b] += 1
+    return degree
+
+
+def label_quark(label):
+    return Quark(*map(int, label.split(",")))
 
 
 class TestConnectedSequence:
@@ -120,68 +153,104 @@ class TestCounts:
                 assert count_paths(n, pair, pair) == math.factorial(n - 2)
 
 
+GAMMA4_DOT = """graph gamma4 {
+  "1,2";
+  "1,3";
+  "2,3";
+  "1,4";
+  "2,4";
+  "3,4";
+  "1,2" -- "1,3";
+  "1,2" -- "2,3";
+  "1,2" -- "1,4";
+  "1,2" -- "2,4";
+  "1,3" -- "2,3";
+  "1,3" -- "1,4";
+  "1,3" -- "3,4";
+  "2,3" -- "2,4";
+  "2,3" -- "3,4";
+  "1,4" -- "2,4";
+  "1,4" -- "3,4";
+  "2,4" -- "3,4";
+}"""
+
+
 class TestGammaGraph:
     def test_n4_shape(self):
-        g = gamma_graph(4)
-        assert len(g.vertices) == 6
-        assert all(g.degree(q) == 4 for q in g.vertices)
+        degrees = dot_degrees(gamma_graph(4))
+        assert len(degrees) == 6
+        assert set(degrees.values()) == {4}
+
+    def test_n4_golden(self):
+        assert gamma_graph(4) == GAMMA4_DOT
 
     def test_n2_trivial(self):
-        g = gamma_graph(2)
-        assert len(g.vertices) == 1
-        assert g.edges() == []
+        dot = gamma_graph(2)
+        assert dot_vertices(dot) == ["1,2"]
+        assert dot_edges(dot) == []
 
     def test_n5_degree(self):
-        g = gamma_graph(5)
-        assert len(g.vertices) == 10
-        assert all(g.degree(q) == 2 * (5 - 2) for q in g.vertices)
+        degrees = dot_degrees(gamma_graph(5))
+        assert len(degrees) == 10
+        assert set(degrees.values()) == {2 * (5 - 2)}
 
     def test_colex_index(self):
-        g = gamma_graph(4)
-        assert [g.index_of(q) for q in g.vertices] == list(range(6))
-        assert g.vertices[0] == Quark(1, 2)
+        quarks = [label_quark(v) for v in dot_vertices(gamma_graph(5))]
+        assert quarks == sorted(quarks, key=lambda q: (q.j, q.i))
+        assert quarks[0] == Quark(1, 2)
 
     def test_neighbors_intersect(self):
-        g = gamma_graph(5)
-        for q in g.vertices:
-            for other in g.neighbors(q):
-                assert q.meets(other) and q != other
+        dot = gamma_graph(5)
+        order = dot_vertices(dot)
+        for a, b in dot_edges(dot):
+            assert order.index(a) < order.index(b)
+            assert label_quark(a).meets(label_quark(b))
+        assert len(set(dot_edges(dot))) == len(dot_edges(dot)) == 10 * 6 // 2
 
     def test_dot_output(self):
-        dot = gamma_graph(3).to_dot()
+        dot = gamma_graph(3)
         assert dot.startswith("graph gamma3 {")
         assert '"1,2" -- "1,3";' in dot
         assert dot.count("--") == 3
 
+    def test_rank_below_two_rejected(self):
+        with pytest.raises(DomainError):
+            gamma_graph(1)
+
 
 class TestRewrites:
+    """Moves (I)-(IV) are the rule-table entries R2-R5 on connected words."""
+
     def test_moves_preserve_canonical(self):
-        rng = random.Random(99)
-        checked = 0
-        for _ in range(150):
-            s = random_connected_sequence(rng, rng.randint(3, 6))
-            base = seq_canonical(s)
-            sites = find_relation_sites(s, rules=MOVES)
-            for site in rng.sample(sites, min(8, len(sites))):
-                rewritten = apply_relation(s, site)
-                assert is_connected(rewritten)
-                assert seq_canonical(rewritten) == base
-                checked += 1
-        assert checked > 500
+        for rule in MOVES:
+            for u, v in move_instances(rule):
+                assert is_connected(u) and is_connected(v)
+                assert seq_canonical(u) == seq_canonical(v)
+
+    def test_moves_keep_endpoints(self):
+        for rule in MOVES:
+            for u, v in move_instances(rule):
+                assert u.quarks[0] == v.quarks[0]
+                assert u.quarks[-1] == v.quarks[-1]
 
     def test_each_move_appears(self):
-        s = sequence(
-            4, [(1, 2), (2, 3), (1, 2), (1, 2), (2, 3), (3, 4), (2, 4), (2, 3), (3, 1)]
-        )
-        sites = find_relation_sites(s, rules=MOVES)
-        assert {site.rule for site in sites if not site.reverse} == set(MOVES)
+        # (I)-(IV) as the module docstring writes them, at i,j,k,l = 1,2,3,4
+        moves = {
+            "R2": ("(1,2)(1,2)", "(1,2)"),
+            "R3": ("(1,2)(2,3)(3,4)", "(1,2)(1,4)(3,4)"),
+            "R4": ("(1,2)(2,3)(3,1)", "(1,2)(3,1)"),
+            "R5": ("(1,2)(2,3)(1,2)", "(1,2)"),
+        }
+        for rule, (u, v) in moves.items():
+            pair = (parse_sequence(4, u), parse_sequence(4, v))
+            assert pair in set(move_instances(rule))
 
 
 class TestText:
     def test_round_trip(self):
         s = sequence(4, [(1, 2), (2, 3)])
-        assert sequence_to_text(s) == "(1,2)(2,3)"
-        assert parse_sequence(4, "(1,2)(2,3)") == s
+        assert word_to_text(s) == "n=4: (1,2)(2,3)"
+        assert parse_sequence(4, word_to_text(s).partition(": ")[2]) == s
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(DomainError):
