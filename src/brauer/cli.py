@@ -50,9 +50,12 @@ from brauer.verify import SUITES
 
 # The largest n each command and each verify suite takes without --force;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
+# ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
+# orbits (135 of them at n=8) and, for the last two, a witness search over
+# n! relabellings (about 0.3 s at n=8).
 RANK_LIMITS = {
-    "length": 7,
-    "longest": 7,
+    "length": 8,
+    "longest": 8,
     "classes": 7,
     "classes --dot": 40,
     "paths": 7,
@@ -60,7 +63,7 @@ RANK_LIMITS = {
     "relations": 8,
     "generation": 6,
     "irreducible": 5,
-    "lengths": 7,
+    "lengths": 8,
     "counts": 7,
     "hclasses": 7,
 }

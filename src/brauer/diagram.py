@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DomainError",
@@ -240,13 +240,23 @@ def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _bfs_levels(n: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
+def _bfs_levels(
+    n: int,
+    pairs: list[tuple[int, int]],
+    key: Callable[[tuple[int, ...]], Hashable] | None = None,
+) -> dict[Hashable, int]:
     """Multi-source breadth-first search from the atoms {i,j} named by
     ``pairs`` (1-based), extending by right multiplication with them.
 
     Maps the partner array of every element of the generated semigroup
     to the least number of those atoms whose product it is (the atoms
     themselves at 1).
+
+    With ``key``, the map is keyed by ``key(partner)`` instead, and only
+    the first element reached with each key is expanded.  That is exact
+    when elements with equal keys have equally long geodesics and their
+    neighbours have equal keys again, as for conjugation orbits when
+    ``pairs`` names every atom.
 
     One step is O(1).  Right-multiplying p by the atom {i,j} glues p's
     primed points i' and j' (indices pi = n+i-1, pj = n+j-1) to the
@@ -255,9 +265,15 @@ def _bfs_levels(n: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, ...], i
     skipped.  Otherwise a = p[pi] and b = p[pj] become one block, and
     {i',j'} becomes a right bracket; every other block of p stays.
     """
-    dist = {atom(n, i, j).partner: 1 for i, j in pairs}
+    dist: dict[Hashable, int] = {}
+    frontier = []
+    for i, j in pairs:
+        p = atom(n, i, j).partner
+        k = p if key is None else key(p)
+        if k not in dist:
+            dist[k] = 1
+            frontier.append(p)
     steps = [(n + i - 1, n + j - 1) for i, j in pairs]
-    frontier = list(dist)
     level = 1
     while frontier:
         level += 1
@@ -271,8 +287,9 @@ def _bfs_levels(n: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, ...], i
                 q = list(p)
                 q[a], q[b], q[pi], q[pj] = b, a, pj, pi
                 q = tuple(q)
-                if q not in dist:
-                    dist[q] = level
+                k = q if key is None else key(q)
+                if k not in dist:
+                    dist[k] = level
                     new.append(q)
         frontier = new
     return dist

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import resource
@@ -11,7 +12,7 @@ import pytest
 import brauer
 from brauer import cli
 from brauer.cli import RANK_LIMITS, main
-from brauer.diagram import BrauerDiagram, DomainError, atom, parse_diagram
+from brauer.diagram import DomainError, atom, parse_diagram
 from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import parse_word, phi
 from brauer.verify import SUITES
@@ -117,6 +118,11 @@ class TestLengths:
         assert code == 0 and obj["max"] == 4
         assert parse_diagram(obj["witness"]).corank >= 2
 
+    def test_longest_n8(self, capsys):
+        code, out, _ = run(capsys, "longest", "8")
+        assert code == 0
+        assert out == "10\nn=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'}\n"
+
     def test_cache_dir_used(self, capsys, tmp_path):
         code, out, _ = run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
         assert code == 0 and out.splitlines()[0] == "4"
@@ -132,19 +138,31 @@ class TestLengths:
         assert code == 0
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("damage", ["truncated", "extra_field"])
+    @pytest.mark.parametrize("damage", ["truncated", "extra_field", "same_orbit_twice",
+                                        "v1_file"])
     def test_damaged_cache_recomputed(self, capsys, tmp_path, damage):
         table = bfs_lengths(4)
-        last = max(table.dist, key=BrauerDiagram.to_text)  # the file's last row
         run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
         path = tmp_path / "geodesics-n4.csv"
         good = path.read_bytes()
-        rows = good.splitlines(keepends=True)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        text, value = rows[-1]  # the last orbit row
+        last = parse_diagram(text)
         if damage == "truncated":
             rows = rows[:len(rows) // 2]
-        else:
-            rows[-1] = rows[-1].rstrip() + b",1\r\n"
-        path.write_bytes(b"".join(rows))
+        elif damage == "extra_field":
+            rows[-1].append("1")
+        elif damage == "same_orbit_twice":
+            # the last row's diagram with its points 1 and 2 swapped
+            swapped = text.translate(str.maketrans("12", "21"))
+            assert parse_diagram(swapped) != last
+            rows.append([swapped, value])
+        else:  # format 1: one row per element
+            rows = [["format", "1"], *rows[1:3],
+                    *sorted([d.to_text(), str(v)] for d, v in table.dist.items())]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
         code, out, _ = run(capsys, "length", last.to_text(), "--cache-dir", str(tmp_path))
         assert code == 0 and out.strip() == str(table[last])
         assert path.read_bytes() == good
@@ -159,11 +177,11 @@ class TestLengths:
         assert blocker.read_text() == ""
 
     def test_limit_holds_with_cache_file(self, capsys, tmp_path, monkeypatch):
-        # the rank is checked before the cache: a rank-8 file is never read
-        (tmp_path / "geodesics-n8.csv").write_text("")
+        # the rank is checked before the cache: a rank-9 file is never read
+        (tmp_path / "geodesics-n9.csv").write_text("")
         monkeypatch.setattr(GeodesicTable, "load", staticmethod(
             lambda path, n: pytest.fail(f"read {path}")))
-        for argv in (["longest", "8"], ["length", atom(8, 1, 2).to_text()]):
+        for argv in (["longest", "9"], ["length", atom(9, 1, 2).to_text()]):
             code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
             assert code == 2 and "--force" in err
 
@@ -221,6 +239,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "4", "generation")
         assert code == 0
         assert "expected 81, computed 81" in out
+
+    def test_lengths_suite_n8(self, capsys):
+        code, out, _ = run(capsys, "verify", "8", "lengths")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2
+        assert all(line.startswith("PASS") for line in lines)
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "4", "nonsense")

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -10,16 +11,22 @@ from brauer.decomposition import decompose_group_corank2
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
+    _atom_pairs,
     _bfs_levels,
     atom,
     atoms,
+    count_all,
     enumerate_all,
     identity,
     make_diagram,
     multiply,
+    parse_diagram,
 )
 from brauer.geodesics import (
     GeodesicTable,
+    _orbit_key,
+    _orbit_representative,
+    _orbit_size,
     bfs_lengths,
     expected_max_length,
     load_or_compute_table,
@@ -91,6 +98,56 @@ class TestBfsKernel:
         assert sorted(counts.items()) == list(enumerate(census, 1))
 
 
+def closed_form(key):
+    """ls = n - s + c - b read off an orbit key: s identity lines,
+    c bracket-free cycles through two or more points, b cycles through
+    a bracket."""
+    s = sum(1 for word in key if word == (0,))
+    c = sum(1 for word in key if len(word) >= 2 and 1 not in word)
+    b = sum(1 for word in key if 1 in word)
+    return sum(map(len, key)) - s + c - b
+
+
+def level_census(table):
+    """Elements per geodesic length, from the orbit sizes."""
+    census = Counter()
+    for key, v in table.orbits.items():
+        census[v] += _orbit_size(key)
+    return [census[v] for v in range(1, max(census) + 1)]
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_flat_bfs(self, n):
+        flat = _bfs_levels(n, _atom_pairs(n))
+        dist = bfs_lengths(n).dist
+        assert len(dist) == len(flat)
+        assert all(dist[BrauerDiagram(p)] == v for p, v in flat.items())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orbit_sizes_count_keys(self, n):
+        counts = Counter(_orbit_key(d.partner) for d in enumerate_all(n))
+        assert {key: _orbit_size(key) for key in counts} == counts
+        for key in counts:
+            assert _orbit_key(_orbit_representative(key)) == key
+
+    def test_census_n8(self):
+        assert level_census(bfs_lengths(8)) == [
+            28, 546, 6720, 53445, 259840, 688800, 775152, 182574, 19180, 420,
+        ]
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_census_sums_to_singular_part(self, n):
+        census = level_census(bfs_lengths(n))
+        assert sum(census) == count_all(n) - math.factorial(n)
+        assert len(census) == expected_max_length(n) and census[-1] > 0
+
+    def test_closed_form_on_every_orbit(self):
+        for n in range(2, 11):
+            for key, v in bfs_lengths(n).orbits.items():
+                assert closed_form(key) == v, (n, key)
+
+
 class TestBfs:
     def test_atoms_have_distance_one(self):
         table = bfs_lengths(4)
@@ -120,7 +177,7 @@ class TestBfs:
 
     def test_limit_guard(self, capsys):
         # the rank limit is the command line's; the library has only n >= 2
-        assert main(["longest", "8"]) == 2
+        assert main(["longest", "9"]) == 2
         assert "--force" in capsys.readouterr().err
         with pytest.raises(DomainError):
             max_length(1)
@@ -212,25 +269,33 @@ class TestCache:
     @pytest.mark.parametrize("damage", [
         "missing_row", "duplicate_row", "distance_zero", "distance_too_large",
         "invertible_row", "wrong_rank_row", "extra_field", "not_a_number",
+        "same_orbit_twice", "v1_file",
     ])
     def test_load_rejects_damaged_rows(self, tmp_path, damage):
         path = tmp_path / "t.csv"
-        bfs_lengths(3).save(path)
+        table = bfs_lengths(3)
+        table.save(path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         head, body, (text, value) = rows[:3], rows[3:-1], rows[-1]
-        last = {
-            "missing_row": [],
-            "duplicate_row": [[text, value], [text, value]],
-            "distance_zero": [[text, "0"]],
-            "distance_too_large": [[text, str(expected_max_length(3) + 1)]],
-            "invertible_row": [["n=3;{1,1'}{2,2'}{3,3'}", "1"]],
-            "wrong_rank_row": [["n=2;{1,2}{1',2'}", "1"]],
-            "extra_field": [[text, value, "1"]],
-            "not_a_number": [[text, "x"]],
+        swapped = text.translate(str.maketrans("12", "21"))  # relabel 1 <-> 2
+        assert parse_diagram(swapped) != parse_diagram(text)
+        damaged = {
+            "missing_row": head + body,
+            "duplicate_row": rows + [[text, value]],
+            "distance_zero": head + body + [[text, "0"]],
+            "distance_too_large": head + body + [[text, str(expected_max_length(3) + 1)]],
+            "invertible_row": rows + [["n=3;{1,1'}{2,2'}{3,3'}", "1"]],
+            "wrong_rank_row": rows + [["n=2;{1,2}{1',2'}", "1"]],
+            "extra_field": head + body + [[text, value, "1"]],
+            "not_a_number": head + body + [[text, "x"]],
+            "same_orbit_twice": rows + [[swapped, value]],
+            # format 1 held one row per element
+            "v1_file": [["format", "1"], *head[1:],
+                        *sorted([d.to_text(), str(v)] for d, v in table.dist.items())],
         }[damage]
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(head + body + last)
+            csv.writer(fh).writerows(damaged)
         with pytest.raises(DomainError):
             GeodesicTable.load(path, 3)
 
