@@ -104,7 +104,11 @@ class BrauerDiagram:
 
     @property
     def corank(self) -> int:
-        return 2 * len(self.left_brackets())
+        """The number of points of {1..n} in left brackets: those whose
+        partner also lies in {1..n}."""
+        p = self.partner
+        n = len(p) // 2
+        return len([q for q in p[:n] if q < n])
 
     def transpose(self) -> BrauerDiagram:
         """Swap primed and unprimed points (the diagram-side anti-involution)."""
@@ -136,6 +140,14 @@ class BrauerDiagram:
 
     def __repr__(self) -> str:
         return f"BrauerDiagram({self.to_text()!r})"
+
+
+def _bracket_skeleton(partner: tuple[int, ...]) -> tuple[int, ...]:
+    """``partner`` with both ends of every line set to -1: the brackets
+    alone, so two diagrams are H-related iff their skeletons are equal."""
+    n = len(partner) // 2
+    left, right = partner[:n], partner[n:]
+    return tuple([q if q < n else -1 for q in left] + [q if q >= n else -1 for q in right])
 
 
 @functools.lru_cache(maxsize=32)
@@ -327,26 +339,40 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     """Yield every rank-n diagram exactly once ((2n-1)!! of them).
 
     Order: repeatedly match the smallest unmatched point with each larger
-    point in increasing order.  Any n is taken; the command line bounds it.
+    free point in increasing order, so the first diagram pairs index 0
+    with 1, 2 with 3, and so on.  The lazy generator backtracks on one
+    partner list with an explicit stack of the smaller ends of the pairs
+    made.  Any n is taken; the command line bounds it.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
-    partner = [-1] * (2 * n)
 
-    def rec(first: int) -> Iterator[BrauerDiagram]:
-        while first < 2 * n and partner[first] != -1:
-            first += 1
-        if first == 2 * n:
-            yield BrauerDiagram(tuple(partner))
-            return
-        for other in range(first + 1, 2 * n):
-            if partner[other] != -1:
-                continue
-            partner[first], partner[other] = other, first
-            yield from rec(first + 1)
-            partner[first], partner[other] = -1, -1
+    def matchings() -> Iterator[BrauerDiagram]:
+        size = 2 * n
+        partner = [-1] * size
+        stack: list[int] = []
+        p = q = 0
+        while True:
+            # pair p with the next free point after q; with none left, undo the last pair
+            q += 1
+            while q < size and partner[q] != -1:
+                q += 1
+            if q < size:
+                partner[p], partner[q] = q, p
+                stack.append(p)
+                if len(stack) < n:
+                    while partner[p] != -1:
+                        p += 1
+                    q = p
+                    continue
+                yield BrauerDiagram(tuple(partner))
+            if not stack:
+                return
+            p = stack.pop()
+            q = partner[p]
+            partner[p] = partner[q] = -1
 
-    return rec(0)
+    return matchings()
 
 
 def count_all(n: int) -> int:

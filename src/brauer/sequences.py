@@ -102,14 +102,17 @@ def count_paths(n: int, frm: Sequence[int], to: Sequence[int]) -> int:
 
 
 def corank2_census(n: int) -> dict:
-    """Counts of corank-2 diagrams keyed by (left bracket, right bracket)."""
+    """Counts of corank-2 diagrams keyed by (left bracket, right bracket),
+    each bracket a sorted pair of 1-based labels read off ``partner``."""
     census: dict = {}
     for d in enumerate_all(n):
         if d.corank != 2:
             continue
-        (lb,) = d.left_brackets()
-        (rb,) = d.right_brackets()
-        key = (tuple(sorted(lb)), tuple(sorted(rb)))
+        p = d.partner
+        key = (
+            tuple([x + 1 for x in range(n) if p[x] < n]),
+            tuple([x - n + 1 for x in range(n, 2 * n) if p[x] >= n]),
+        )
         census[key] = census.get(key, 0) + 1
     return census
 

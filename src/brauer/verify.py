@@ -7,16 +7,19 @@ generation of the singular part by atoms, irreducibility of the atom
 system, the maximal geodesic length and the cycle-formula lengths,
 enumeration and class counts, and H-class sizes.  A suite runs at any
 n >= 2; the command line bounds n per suite before it runs any.
+The counting suites read bracket data straight off ``partner``, with
+no set of sets per diagram.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from brauer.decomposition import atom_closure, is_irreducible_generator_check
-from brauer.diagram import count_all, enumerate_all, make_diagram
+from brauer.diagram import _bracket_skeleton, count_all, enumerate_all, make_diagram
 from brauer.geodesics import bfs_lengths, expected_max_length, ls_via_cycles
 from brauer.presentation import check_all_relations
 from brauer.sequences import corank2_census, expected_class_count
@@ -126,16 +129,11 @@ def _suite_counts(n: int) -> list[Claim]:
 
 
 def _suite_hclasses(n: int) -> list[Claim]:
-    sizes: dict = {}
-    for d in enumerate_all(n):
-        key = (d.left_brackets(), d.right_brackets())
-        sizes[key] = sizes.get(key, 0) + 1
-    bad = sum(
-        1
-        for (lb, _), size in sizes.items()
-        if size != math.factorial(n - 2 * len(lb))
-    )
-    by_corank = sorted({(2 * len(lb), math.factorial(n - 2 * len(lb))) for (lb, _) in sizes})
+    # one key per H-class; the -1 slots of its left half are its n - 2k lines
+    sizes = Counter(_bracket_skeleton(d.partner) for d in enumerate_all(n))
+    classes = [(key[:n].count(-1), size) for key, size in sizes.items()]
+    bad = sum(1 for lines, size in classes if size != math.factorial(lines))
+    by_corank = sorted({(n - lines, math.factorial(lines)) for lines, _ in classes})
     detail = " ".join(f"corank {c}: {s}" for c, s in by_corank)
     return [Claim("hclasses", f"H-classes off (n-2k)! (n={n})", 0, bad, detail)]
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import resource
@@ -220,6 +221,87 @@ class TestCounting:
     def test_enumerate_json(self, capsys):
         code, obj, _ = run_json(capsys, "enumerate", "2")
         assert code == 0 and obj["count"] == 3
+
+
+# Outputs of the counting commands, byte for byte.  They pass over every
+# rank-7 (or rank-6) matching, so any change to the enumeration or to
+# the bracket keys that moves a count or an order shows here.
+GOLDEN_COUNTING = {
+    ("verify", "7", "counts", "hclasses"): """\
+PASS diagram count (n=7): expected 135135, computed 135135 ((2n-1)!!)
+PASS class count (n=7): expected 52920, computed 52920 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=7): expected 0, computed 0 (441 endpoint pairs)
+PASS H-classes off (n-2k)! (n=7): expected 0, computed 0 (corank 0: 5040 corank 2: 120 corank 4: 6 corank 6: 1)
+""",
+    ("verify", "7", "counts", "hclasses", "--json"): """\
+{
+  "command": "verify",
+  "n": 7,
+  "suites": [
+    "counts",
+    "hclasses"
+  ],
+  "claims": [
+    {
+      "suite": "counts",
+      "name": "diagram count (n=7)",
+      "expected": 135135,
+      "computed": 135135,
+      "detail": "(2n-1)!!",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "class count (n=7)",
+      "expected": 52920,
+      "computed": 52920,
+      "detail": "n(n-1)n!/4",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "endpoint pairs off (n-2)! (n=7)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "441 endpoint pairs",
+      "ok": true
+    },
+    {
+      "suite": "hclasses",
+      "name": "H-classes off (n-2k)! (n=7)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "corank 0: 5040 corank 2: 120 corank 4: 6 corank 6: 1",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("classes", "7"): "52920\n",
+    ("classes", "7", "--json"): """\
+{
+  "command": "classes",
+  "n": 7,
+  "classes": 52920,
+  "formula": 52920
+}
+""",
+}
+
+ENUMERATE_6_SHA256 = "f2e0503b1f560e3dd5291eeed3474e4cc63d02813a350d891a326696198bee76"
+
+
+class TestCountingGolden:
+    @pytest.mark.parametrize("argv", list(GOLDEN_COUNTING), ids=" ".join)
+    def test_output_is_byte_exact(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, GOLDEN_COUNTING[argv], "")
+
+    def test_enumerate_6_digest(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "6")
+        assert code == 0 and out.count("\n") == 10395
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_6_SHA256
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ import pytest
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
+    _bracket_skeleton,
     atom,
     atoms,
     count_all,
@@ -19,6 +20,28 @@ from brauer.diagram import (
 )
 
 FIG1_BLOCKS = [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)]
+
+
+def enumerate_recursive(n):
+    """Reference enumerator: plain recursion in the documented order,
+    matching the smallest unmatched point with each larger free point in
+    increasing order.  Yields partner tuples."""
+    partner = [-1] * (2 * n)
+
+    def rec(first):
+        while first < 2 * n and partner[first] != -1:
+            first += 1
+        if first == 2 * n:
+            yield tuple(partner)
+            return
+        for other in range(first + 1, 2 * n):
+            if partner[other] != -1:
+                continue
+            partner[first], partner[other] = other, first
+            yield from rec(first + 1)
+            partner[first], partner[other] = -1, -1
+
+    return rec(0)
 
 
 def compose_by_components(a, b):
@@ -212,6 +235,11 @@ class TestCorank:
                 assert d.corank % 2 == 0
                 assert d.corank <= 2 * (n // 2)
 
+    def test_counts_left_bracket_points_exhaustive(self):
+        for n in range(1, 7):
+            for d in enumerate_all(n):
+                assert d.corank == 2 * len(d.left_brackets())
+
 
 class TestGreen:
     def test_reflexive_h(self):
@@ -238,6 +266,20 @@ class TestGreen:
             for (lb, _), size in classes.items():
                 k = len(lb)
                 assert size == math.factorial(n - 2 * k)
+
+    def test_bracket_skeleton_groups_h_classes(self):
+        # equal skeletons exactly when the bracket sets are equal, and the
+        # -1 slots of the left half are the lines
+        for n in range(1, 7):
+            by_skeleton, by_brackets = {}, {}
+            for d in enumerate_all(n):
+                key = _bracket_skeleton(d.partner)
+                assert n - key[:n].count(-1) == d.corank
+                by_skeleton.setdefault(key, set()).add(d)
+                by_brackets.setdefault((d.left_brackets(), d.right_brackets()), set()).add(d)
+            assert {frozenset(c) for c in by_skeleton.values()} == {
+                frozenset(c) for c in by_brackets.values()
+            }
 
 
 def from_permutation(perm):
@@ -291,6 +333,21 @@ class TestEnumerate:
     def test_first_element_is_smallest_matching(self):
         first = next(iter(enumerate_all(3)))
         assert first == make_diagram(3, [(1, 2), (3, -1), (-2, -3)])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_order_matches_recursive_reference(self, n):
+        assert [d.partner for d in enumerate_all(n)] == list(enumerate_recursive(n))
+
+    def test_count_n7(self):
+        assert sum(1 for _ in enumerate_all(7)) == count_all(7) == 135135
+
+    def test_lazy(self):
+        # 79!! rank-40 diagrams could never be listed: the first must come at once
+        assert next(enumerate_all(40)).partner == tuple(p ^ 1 for p in range(80))
+
+    def test_rejects_rank_below_one(self):
+        with pytest.raises(DomainError):
+            enumerate_all(0)
 
 
 class TestSerialization:

@@ -1,7 +1,7 @@
-"""Property tests: the text formats round-trip, the product is
-associative and matches the component oracle, factorizations evaluate
-back, and the CLI answers any positional text, with or without its
-output flags, with exit 0 or 2."""
+"""Property tests: the text formats round-trip, corank counts the points
+in left brackets, the product is associative and matches the component
+oracle, factorizations evaluate back, and the CLI answers any positional
+text, with or without its output flags, with exit 0 or 2."""
 
 import argparse
 import contextlib
@@ -51,6 +51,12 @@ def same_rank_diagrams(draw, count):
 @given(diagrams())
 def test_diagram_text_round_trip(d):
     assert parse_diagram(d.to_text()) == d
+
+
+@PROPERTY
+@given(diagrams(max_rank=32))
+def test_corank_counts_left_bracket_points(d):
+    assert d.corank == 2 * len(d.left_brackets())
 
 
 @PROPERTY

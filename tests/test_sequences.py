@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from brauer.diagram import DomainError, atom
+from brauer.diagram import DomainError, atom, enumerate_all
 from brauer.presentation import (
     RELATION_RULES,
     Quark,
@@ -145,6 +145,17 @@ class TestCounts:
             assert sum(census.values()) == expected_class_count(n)
             assert all(v == math.factorial(n - 2) for v in census.values())
             assert len(census) == math.comb(n, 2) ** 2
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_census_matches_bracket_set_reference(self, n):
+        reference = {}
+        for d in enumerate_all(n):
+            if len(d.left_brackets()) != 1:
+                continue
+            ((lb,), (rb,)) = d.left_brackets(), d.right_brackets()
+            key = (tuple(sorted(lb)), tuple(sorted(rb)))
+            reference[key] = reference.get(key, 0) + 1
+        assert corank2_census(n) == reference
 
     def test_loop_counts(self):
         # classes of loops at a vertex: (n-2)!
