@@ -51,8 +51,9 @@ from brauer.verify import SUITES
 # The largest n each command and each verify suite takes without --force;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
-# orbits (135 of them at n=8) and, for the last two, a witness search over
-# n! relabellings (about 0.3 s at n=8).
+# orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
+# two, a branch-and-bound search for the smallest witness text, which grows
+# with the maximal orbits rather than with n! (under 1 ms at n=8).
 RANK_LIMITS = {
     "length": 8,
     "longest": 8,

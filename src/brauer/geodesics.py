@@ -26,8 +26,9 @@ the rotations and reflections that keep its word.
 ``GeodesicTable.dist`` is a read-only mapping over the whole singular
 part: a lookup finds its diagram's orbit, its length is the sum of the
 orbit sizes, and iterating it enumerates the singular diagrams.  The
-witness of ``max_entry`` is the smallest text over the n! relabellings
-of each maximal orbit's representative.
+witness of ``max_entry`` is the smallest text over all relabellings of
+the maximal orbits, found by a branch-and-bound search that builds the
+text one block at a time, so its work grows with the orbit, not with n!.
 
 Elements whose left and right bracket are both {1,2} carry a permutation
 of {3..n}; ``ls_via_cycles`` reads the closed form ls = (n-2) - s + c + 1
@@ -47,7 +48,6 @@ cannot be written costs only a warning on stderr.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import sys
@@ -62,6 +62,7 @@ from brauer.diagram import (
     DomainError,
     _atom_pairs,
     _bfs_levels,
+    _point_labels,
     count_all,
     enumerate_all,
     parse_diagram,
@@ -92,13 +93,14 @@ def _readings(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield w[i:] + w[:i]
 
 
-def _orbit_key(p: tuple[int, ...]) -> _OrbitKey:
-    """The conjugation-orbit key of a partner array (module docstring)."""
+def _cycles(p: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The word of each cycle of partner array p, walked from its
+    smallest node (module docstring), and the cycle of each node."""
     n = len(p) // 2
-    seen = [False] * n
+    cycle_of = [-1] * n
     words = []
     for start in range(n):
-        if seen[start]:
+        if cycle_of[start] >= 0:
             continue
         word = []
         port = start  # enter the start node through its top port
@@ -111,10 +113,27 @@ def _orbit_key(p: tuple[int, ...]) -> _OrbitKey:
                 node = port - n
                 word.append(1)
                 port = p[node]
-            seen[node] = True
+            cycle_of[node] = len(words)
             if port == start:
                 break
-        words.append(min(_readings(tuple(word))))
+        words.append(tuple(word))
+    return words, cycle_of
+
+
+def _orbit_key(
+    p: tuple[int, ...], least: dict[tuple[int, ...], tuple[int, ...]] | None = None
+) -> _OrbitKey:
+    """The conjugation-orbit key of a partner array (module docstring).
+    ``least`` maps cycle words to their least readings; a caller that
+    keys many arrays passes one to share it across calls."""
+    if least is None:
+        least = {}
+    words = []
+    for word in _cycles(p)[0]:
+        reading = least.get(word)
+        if reading is None:
+            reading = least[word] = min(_readings(word))
+        words.append(reading)
     words.sort()
     return tuple(words)
 
@@ -146,16 +165,70 @@ def _orbit_representative(key: _OrbitKey) -> tuple[int, ...]:
     return tuple(partner)
 
 
-def _relabelings(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The conjugate of partner array p by every permutation of its
-    points, with repeats when p has symmetries."""
+def _least_text(p: tuple[int, ...]) -> str:
+    """The smallest text of a conjugate of partner array p.
+
+    The text, as ``BrauerDiagram.to_text`` writes it, lists blocks by
+    their smaller index, and block strings are prefix-free (each ends in
+    its only ``}``), so texts compare block by block.  The search labels the nodes of p so that each block in turn,
+    from the smallest index not yet in a block, is as small as possible.
+    An unlabelled partner takes the free label that makes the block
+    smallest, a unique choice; the only branching is which unlabelled
+    node takes the next label, among the nodes that tie on the block.
+    Of tied nodes on cycles with no label yet, those of one cycle per
+    cycle word are tried, since an automorphism swaps the others onto
+    them.  A branch stops once the best text found beats its prefix.
+    """
     n = len(p) // 2
-    for sigma in itertools.permutations(range(n)):
-        index = sigma + tuple(k + n for k in sigma)
-        q = [0] * (2 * n)
-        for x, y in enumerate(p):
-            q[index[x]] = index[y]
-        yield tuple(q)
+    label = _point_labels(n)
+    # free labels, best first, for a partner at the top and at the bottom
+    order = [sorted(range(n), key=lambda k: label[k + off] + "}") for off in (0, n)]
+    words, cycle_of = _cycles(p)
+    words = [min(_readings(word)) for word in words]
+    best: list[str] | None = None  # the blocks of the best text so far
+
+    def partner(new: list[int], old: list[int], x: int) -> int:
+        """The index paired with index x, whose node has a label; an
+        unlabelled partner node first takes the best free label."""
+        z = p[old[x % n] + (n if x >= n else 0)]
+        bottom = z >= n
+        v = z - n if bottom else z
+        if new[v] < 0:
+            k = next(k for k in order[bottom] if old[k] < 0)
+            new[v], old[k] = k, v
+        return new[v] + (n if bottom else 0)
+
+    def search(new: list[int], old: list[int], blocks: list[str], x: int) -> None:
+        # new[u]: label of node u of p, old[k]: node of p labelled k, -1 if none
+        nonlocal best
+        while x < 2 * n:
+            if best is not None and best[:len(blocks)] < blocks:
+                return
+            if x < n and old[x] < 0:
+                ties: dict[str, list] = {}
+                kept: dict[tuple[int, ...], int] = {}  # word -> its one unlabelled cycle
+                labelled = {cycle_of[u] for u in range(n) if new[u] >= 0}
+                for u in range(n):
+                    c = cycle_of[u]
+                    if new[u] >= 0 or c not in labelled and kept.setdefault(words[c], c) != c:
+                        continue
+                    new_u, old_u = new[:], old[:]
+                    new_u[u], old_u[x] = x, u
+                    block = "{%s,%s}" % (label[x], label[partner(new_u, old_u, x)])
+                    ties.setdefault(block, []).append((new_u, old_u))
+                least = min(ties)
+                for new_u, old_u in ties[least]:
+                    search(new_u, old_u, blocks + [least], x + 1)
+                return
+            z = partner(new, old, x)
+            if z > x:
+                blocks.append("{%s,%s}" % (label[x], label[z]))
+            x += 1
+        if best is None or blocks < best:
+            best = blocks
+
+    search([-1] * n, [-1] * n, [], 0)
+    return f"n={n};" + "".join(best)
 
 
 class _SingularLengths(Mapping):
@@ -195,18 +268,13 @@ class GeodesicTable:
         return self.dist[d]
 
     def max_entry(self) -> tuple[int, BrauerDiagram]:
-        """Maximal distance and its lexicographically smallest witness."""
+        """Maximal distance and its lexicographically smallest witness,
+        the least of the maximal orbits' least texts (``_least_text``)."""
         best = max(self.orbits.values())
         witness = min(
-            (
-                BrauerDiagram(q)
-                for key, v in self.orbits.items()
-                if v == best
-                for q in _relabelings(_orbit_representative(key))
-            ),
-            key=BrauerDiagram.to_text,
+            _least_text(_orbit_representative(key)) for key, v in self.orbits.items() if v == best
         )
-        return best, witness
+        return best, parse_diagram(witness)
 
     def save(self, path: str | Path) -> None:
         """Write a sorted CSV cache with format-version and rank fields,
@@ -265,7 +333,8 @@ class GeodesicTable:
         if not all(1 <= v <= expected_max_length(n) for _, v in rows):
             raise DomainError(f"cache {path} has a distance outside "
                               f"1..{expected_max_length(n)}")
-        orbits = {_orbit_key(d.partner): v for d, v in rows}
+        least: dict[tuple[int, ...], tuple[int, ...]] = {}  # for this load only
+        orbits = {_orbit_key(d.partner, least): v for d, v in rows}
         # distinct orbits partition the singular part: they are all there
         # exactly when their sizes add up to it
         covered, expected = sum(map(_orbit_size, orbits)), count_all(n) - math.factorial(n)
@@ -281,7 +350,8 @@ def bfs_lengths(n: int) -> GeodesicTable:
     values."""
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
-    return GeodesicTable(n, _bfs_levels(n, _atom_pairs(n), key=_orbit_key))
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}  # for this search only
+    return GeodesicTable(n, _bfs_levels(n, _atom_pairs(n), key=lambda p: _orbit_key(p, least)))
 
 
 def expected_max_length(n: int) -> int:

@@ -304,6 +304,153 @@ class TestCountingGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_6_SHA256
 
 
+# copied from the output of the n! relabelling search, before the
+# least-text search replaced it
+GOLDEN_LONGEST = {
+    ("longest", "2"): """\
+1
+n=2;{1,2}{1',2'}
+""",
+    ("longest", "2", "--json"): """\
+{
+  "command": "longest",
+  "n": 2,
+  "max": 1,
+  "witness": "n=2;{1,2}{1',2'}"
+}
+""",
+    ("verify", "2", "lengths"): """\
+PASS maximal length (n=2): expected 1, computed 1 (witness n=2;{1,2}{1',2'})
+PASS cycle-formula mismatches on the {1,2} class (n=2): expected 0, computed 0
+""",
+    ("longest", "3"): """\
+2
+n=3;{1,2'}{2,3}{1',3'}
+""",
+    ("longest", "3", "--json"): """\
+{
+  "command": "longest",
+  "n": 3,
+  "max": 2,
+  "witness": "n=3;{1,2'}{2,3}{1',3'}"
+}
+""",
+    ("verify", "3", "lengths"): """\
+PASS maximal length (n=3): expected 2, computed 2 (witness n=3;{1,2'}{2,3}{1',3'})
+PASS cycle-formula mismatches on the {1,2} class (n=3): expected 0, computed 0
+""",
+    ("longest", "4"): """\
+4
+n=4;{1,2'}{2,1'}{3,4}{3',4'}
+""",
+    ("longest", "4", "--json"): """\
+{
+  "command": "longest",
+  "n": 4,
+  "max": 4,
+  "witness": "n=4;{1,2'}{2,1'}{3,4}{3',4'}"
+}
+""",
+    ("verify", "4", "lengths"): """\
+PASS maximal length (n=4): expected 4, computed 4 (witness n=4;{1,2'}{2,1'}{3,4}{3',4'})
+PASS cycle-formula mismatches on the {1,2} class (n=4): expected 0, computed 0
+""",
+    ("longest", "5"): """\
+5
+n=5;{1,2'}{2,1'}{3,4'}{4,5}{3',5'}
+""",
+    ("longest", "5", "--json"): """\
+{
+  "command": "longest",
+  "n": 5,
+  "max": 5,
+  "witness": "n=5;{1,2'}{2,1'}{3,4'}{4,5}{3',5'}"
+}
+""",
+    ("verify", "5", "lengths"): """\
+PASS maximal length (n=5): expected 5, computed 5 (witness n=5;{1,2'}{2,1'}{3,4'}{4,5}{3',5'})
+PASS cycle-formula mismatches on the {1,2} class (n=5): expected 0, computed 0
+""",
+    ("longest", "6"): """\
+7
+n=6;{1,2'}{2,1'}{3,4'}{4,3'}{5,6}{5',6'}
+""",
+    ("longest", "6", "--json"): """\
+{
+  "command": "longest",
+  "n": 6,
+  "max": 7,
+  "witness": "n=6;{1,2'}{2,1'}{3,4'}{4,3'}{5,6}{5',6'}"
+}
+""",
+    ("verify", "6", "lengths"): """\
+PASS maximal length (n=6): expected 7, computed 7 (witness n=6;{1,2'}{2,1'}{3,4'}{4,3'}{5,6}{5',6'})
+PASS cycle-formula mismatches on the {1,2} class (n=6): expected 0, computed 0
+""",
+    ("longest", "7"): """\
+8
+n=7;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,7}{5',7'}
+""",
+    ("longest", "7", "--json"): """\
+{
+  "command": "longest",
+  "n": 7,
+  "max": 8,
+  "witness": "n=7;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,7}{5',7'}"
+}
+""",
+    ("verify", "7", "lengths"): """\
+PASS maximal length (n=7): expected 8, computed 8 (witness n=7;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,7}{5',7'})
+PASS cycle-formula mismatches on the {1,2} class (n=7): expected 0, computed 0
+""",
+    ("longest", "8"): """\
+10
+n=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'}
+""",
+    ("longest", "8", "--json"): """\
+{
+  "command": "longest",
+  "n": 8,
+  "max": 10,
+  "witness": "n=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'}"
+}
+""",
+    ("verify", "8", "lengths"): """\
+PASS maximal length (n=8): expected 10, computed 10 (witness n=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'})
+PASS cycle-formula mismatches on the {1,2} class (n=8): expected 0, computed 0
+""",
+    ("longest", "9", "--force"): """\
+11
+n=9;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8'}{8,9}{7',9'}
+""",
+}
+
+# SHA-256 of the geodesics-nN.csv that `longest N --cache-dir` writes
+CACHE_SHA256 = {
+    2: "c810ecb110eda4046e344cea7f243caf7a631552998470e3e555b533c30e5f7a",
+    3: "58b4ba901d86652aa4d8f124d617c58bf51927248cb9f0c3799a2a96d2f4a8c5",
+    4: "bfa6c00647cb1d84e3f062f10cf069b6ad077c03982f7ebb6e1b2a1811d81174",
+    5: "4d855b7bc3950672fd3bbe1091daf6b25d2530e4444dcbd1cc25d58376a8bc49",
+    6: "c80785191c71724c64cfc97ac6df5c5b3e57124f4bafa1c15c3c9276feac289e",
+    7: "0d688bbefe5ab65a46091f421c921967ad7742a7611c6fe66f7629de7d6b073f",
+    8: "a5847910157ab2e70dbd632a9a0f8dbc9d6ed253ed098e8de84359b1fb3ff23d",
+}
+
+
+class TestLongestGolden:
+    @pytest.mark.parametrize("argv", list(GOLDEN_LONGEST), ids=" ".join)
+    def test_output_is_byte_exact(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, GOLDEN_LONGEST[argv], "")
+
+    @pytest.mark.parametrize("n", sorted(CACHE_SHA256))
+    def test_cache_file_digest(self, capsys, tmp_path, n):
+        code, out, err = run(capsys, "longest", str(n), "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (0, GOLDEN_LONGEST[("longest", str(n))], "")
+        digest = hashlib.sha256((tmp_path / f"geodesics-n{n}.csv").read_bytes()).hexdigest()
+        assert digest == CACHE_SHA256[n]
+
+
 class TestVerify:
     def test_relations_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "4", "relations")

@@ -24,6 +24,7 @@ from brauer.diagram import (
 )
 from brauer.geodesics import (
     GeodesicTable,
+    _least_text,
     _orbit_key,
     _orbit_representative,
     _orbit_size,
@@ -142,10 +143,96 @@ class TestOrbits:
         assert sum(census) == count_all(n) - math.factorial(n)
         assert len(census) == expected_max_length(n) and census[-1] > 0
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_memo_keeps_the_orbit_table(self, n):
+        plain = _bfs_levels(n, _atom_pairs(n), key=_orbit_key)
+        table = bfs_lengths(n)
+        assert list(table.orbits.items()) == list(plain.items())
+        if n == 7:
+            rng = random.Random(7)
+            for _ in range(50):
+                d = BrauerDiagram(random_partner(rng, 7))
+                if d.corank:
+                    assert table[d] == plain[_orbit_key(d.partner)]
+
     def test_closed_form_on_every_orbit(self):
         for n in range(2, 11):
             for key, v in bfs_lengths(n).orbits.items():
                 assert closed_form(key) == v, (n, key)
+
+
+def relabelings(p):
+    """The conjugate of partner array p by every permutation of its
+    points, with repeats when p has symmetries."""
+    n = len(p) // 2
+    for sigma in itertools.permutations(range(n)):
+        yield conjugate(p, sigma)
+
+
+def conjugate(p, sigma):
+    """Partner array p relabelled by the permutation sigma of its points."""
+    n = len(p) // 2
+    index = tuple(sigma) + tuple(k + n for k in sigma)
+    q = [0] * (2 * n)
+    for x, y in enumerate(p):
+        q[index[x]] = index[y]
+    return tuple(q)
+
+
+def random_partner(rng, n):
+    """A uniformly random perfect matching of the 2n points."""
+    points = rng.sample(range(2 * n), 2 * n)
+    p = [0] * (2 * n)
+    for x, y in zip(points[::2], points[1::2]):
+        p[x], p[y] = y, x
+    return tuple(p)
+
+
+def max_orbit_keys(n):
+    """The maximal orbits (n >= 5): transposition cycles (0, 0) plus a
+    bracket 2-cycle (0, 1) at even n; at odd n, a bracket 3-cycle
+    (0, 0, 1), or a bracket 2-cycle and a 3-cycle (0, 0, 0)."""
+    if n % 2 == 0:
+        return [((0, 0),) * ((n - 2) // 2) + ((0, 1),)]
+    return [((0, 0),) * ((n - 3) // 2) + ((0, 0, 1),),
+            ((0, 0),) * ((n - 5) // 2) + ((0, 0, 0), (0, 1))]
+
+
+class TestLeastText:
+    """The witness search against the minimum over all n! relabellings."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_orbit(self, n):
+        for key in bfs_lengths(n).orbits:
+            rep = _orbit_representative(key)
+            assert _least_text(rep) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_maximal_orbits(self, n):
+        table = bfs_lengths(n)
+        best = max(table.orbits.values())
+        maximal = [key for key, v in table.orbits.items() if v == best]
+        assert maximal == max_orbit_keys(n)
+        for key in maximal:
+            rep = _orbit_representative(key)
+            assert _least_text(rep) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_same_text_on_the_whole_orbit(self, n):
+        # past brute force: any relabelling of the input gives the same text,
+        # on the maximal orbits (many equal cycles) and on random diagrams
+        rng = random.Random(n)
+        reps = [_orbit_representative(key) for key in max_orbit_keys(n)]
+        reps += [_orbit_representative(_orbit_key(random_partner(rng, n))) for _ in range(10)]
+        for rep in reps:
+            text = _least_text(rep)
+            assert _orbit_key(parse_diagram(text).partner) == _orbit_key(rep)
+            for _ in range(3):
+                assert _least_text(conjugate(rep, rng.sample(range(n), n))) == text
+
+    def test_labels_compare_as_strings(self):
+        # at n >= 10 the label 10 sorts before 2
+        assert _least_text(_orbit_representative(max_orbit_keys(10)[0])).startswith("n=10;{1,10'}")
 
 
 class TestBfs:
