@@ -224,8 +224,9 @@ class TestCounting:
 
 
 # Outputs of the counting commands, byte for byte.  They pass over every
-# rank-7 (or rank-6) matching, so any change to the enumeration or to
-# the bracket keys that moves a count or an order shows here.
+# matching of ranks 2 to 7, so any change to the enumeration or to the
+# bracket keys that moves a count or an order shows here.  ``paths`` takes
+# its endpoints in either order and may start and end at one pair.
 GOLDEN_COUNTING = {
     ("verify", "7", "counts", "hclasses"): """\
 PASS diagram count (n=7): expected 135135, computed 135135 ((2n-1)!!)
@@ -285,6 +286,345 @@ PASS H-classes off (n-2k)! (n=7): expected 0, computed 0 (corank 0: 5040 corank 
   "n": 7,
   "classes": 52920,
   "formula": 52920
+}
+""",
+    ("verify", "2", "counts", "hclasses"): """\
+PASS diagram count (n=2): expected 3, computed 3 ((2n-1)!!)
+PASS class count (n=2): expected 1, computed 1 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=2): expected 0, computed 0 (1 endpoint pairs)
+PASS H-classes off (n-2k)! (n=2): expected 0, computed 0 (corank 0: 2 corank 2: 1)
+""",
+    ("verify", "2", "counts", "hclasses", "--json"): """\
+{
+  "command": "verify",
+  "n": 2,
+  "suites": [
+    "counts",
+    "hclasses"
+  ],
+  "claims": [
+    {
+      "suite": "counts",
+      "name": "diagram count (n=2)",
+      "expected": 3,
+      "computed": 3,
+      "detail": "(2n-1)!!",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "class count (n=2)",
+      "expected": 1,
+      "computed": 1,
+      "detail": "n(n-1)n!/4",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "endpoint pairs off (n-2)! (n=2)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "1 endpoint pairs",
+      "ok": true
+    },
+    {
+      "suite": "hclasses",
+      "name": "H-classes off (n-2k)! (n=2)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "corank 0: 2 corank 2: 1",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("classes", "2"): "1\n",
+    ("classes", "2", "--json"): """\
+{
+  "command": "classes",
+  "n": 2,
+  "classes": 1,
+  "formula": 1
+}
+""",
+    ("verify", "3", "counts", "hclasses"): """\
+PASS diagram count (n=3): expected 15, computed 15 ((2n-1)!!)
+PASS class count (n=3): expected 9, computed 9 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=3): expected 0, computed 0 (9 endpoint pairs)
+PASS H-classes off (n-2k)! (n=3): expected 0, computed 0 (corank 0: 6 corank 2: 1)
+""",
+    ("verify", "3", "counts", "hclasses", "--json"): """\
+{
+  "command": "verify",
+  "n": 3,
+  "suites": [
+    "counts",
+    "hclasses"
+  ],
+  "claims": [
+    {
+      "suite": "counts",
+      "name": "diagram count (n=3)",
+      "expected": 15,
+      "computed": 15,
+      "detail": "(2n-1)!!",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "class count (n=3)",
+      "expected": 9,
+      "computed": 9,
+      "detail": "n(n-1)n!/4",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "endpoint pairs off (n-2)! (n=3)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "9 endpoint pairs",
+      "ok": true
+    },
+    {
+      "suite": "hclasses",
+      "name": "H-classes off (n-2k)! (n=3)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "corank 0: 6 corank 2: 1",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("classes", "3"): "9\n",
+    ("classes", "3", "--json"): """\
+{
+  "command": "classes",
+  "n": 3,
+  "classes": 9,
+  "formula": 9
+}
+""",
+    ("verify", "4", "counts", "hclasses"): """\
+PASS diagram count (n=4): expected 105, computed 105 ((2n-1)!!)
+PASS class count (n=4): expected 72, computed 72 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=4): expected 0, computed 0 (36 endpoint pairs)
+PASS H-classes off (n-2k)! (n=4): expected 0, computed 0 (corank 0: 24 corank 2: 2 corank 4: 1)
+""",
+    ("verify", "4", "counts", "hclasses", "--json"): """\
+{
+  "command": "verify",
+  "n": 4,
+  "suites": [
+    "counts",
+    "hclasses"
+  ],
+  "claims": [
+    {
+      "suite": "counts",
+      "name": "diagram count (n=4)",
+      "expected": 105,
+      "computed": 105,
+      "detail": "(2n-1)!!",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "class count (n=4)",
+      "expected": 72,
+      "computed": 72,
+      "detail": "n(n-1)n!/4",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "endpoint pairs off (n-2)! (n=4)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "36 endpoint pairs",
+      "ok": true
+    },
+    {
+      "suite": "hclasses",
+      "name": "H-classes off (n-2k)! (n=4)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "corank 0: 24 corank 2: 2 corank 4: 1",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("classes", "4"): "72\n",
+    ("classes", "4", "--json"): """\
+{
+  "command": "classes",
+  "n": 4,
+  "classes": 72,
+  "formula": 72
+}
+""",
+    ("verify", "5", "counts", "hclasses"): """\
+PASS diagram count (n=5): expected 945, computed 945 ((2n-1)!!)
+PASS class count (n=5): expected 600, computed 600 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=5): expected 0, computed 0 (100 endpoint pairs)
+PASS H-classes off (n-2k)! (n=5): expected 0, computed 0 (corank 0: 120 corank 2: 6 corank 4: 1)
+""",
+    ("verify", "5", "counts", "hclasses", "--json"): """\
+{
+  "command": "verify",
+  "n": 5,
+  "suites": [
+    "counts",
+    "hclasses"
+  ],
+  "claims": [
+    {
+      "suite": "counts",
+      "name": "diagram count (n=5)",
+      "expected": 945,
+      "computed": 945,
+      "detail": "(2n-1)!!",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "class count (n=5)",
+      "expected": 600,
+      "computed": 600,
+      "detail": "n(n-1)n!/4",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "endpoint pairs off (n-2)! (n=5)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "100 endpoint pairs",
+      "ok": true
+    },
+    {
+      "suite": "hclasses",
+      "name": "H-classes off (n-2k)! (n=5)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "corank 0: 120 corank 2: 6 corank 4: 1",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("classes", "5"): "600\n",
+    ("classes", "5", "--json"): """\
+{
+  "command": "classes",
+  "n": 5,
+  "classes": 600,
+  "formula": 600
+}
+""",
+    ("verify", "6", "counts", "hclasses"): """\
+PASS diagram count (n=6): expected 10395, computed 10395 ((2n-1)!!)
+PASS class count (n=6): expected 5400, computed 5400 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=6): expected 0, computed 0 (225 endpoint pairs)
+PASS H-classes off (n-2k)! (n=6): expected 0, computed 0 (corank 0: 720 corank 2: 24 corank 4: 2 corank 6: 1)
+""",
+    ("verify", "6", "counts", "hclasses", "--json"): """\
+{
+  "command": "verify",
+  "n": 6,
+  "suites": [
+    "counts",
+    "hclasses"
+  ],
+  "claims": [
+    {
+      "suite": "counts",
+      "name": "diagram count (n=6)",
+      "expected": 10395,
+      "computed": 10395,
+      "detail": "(2n-1)!!",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "class count (n=6)",
+      "expected": 5400,
+      "computed": 5400,
+      "detail": "n(n-1)n!/4",
+      "ok": true
+    },
+    {
+      "suite": "counts",
+      "name": "endpoint pairs off (n-2)! (n=6)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "225 endpoint pairs",
+      "ok": true
+    },
+    {
+      "suite": "hclasses",
+      "name": "H-classes off (n-2k)! (n=6)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "corank 0: 720 corank 2: 24 corank 4: 2 corank 6: 1",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("classes", "6"): "5400\n",
+    ("classes", "6", "--json"): """\
+{
+  "command": "classes",
+  "n": 6,
+  "classes": 5400,
+  "formula": 5400
+}
+""",
+    ("paths", "5", "1,2", "3,4"): "6\n",
+    ("paths", "5", "2,1", "1,3"): "6\n",
+    ("paths", "5", "1,2", "1,2"): "6\n",
+    ("paths", "5", "3,5", "5,1"): "6\n",
+    ("paths", "5", "2,1", "4,5", "--json"): """\
+{
+  "command": "paths",
+  "n": 5,
+  "from": "1,2",
+  "to": "4,5",
+  "paths": 6
+}
+""",
+    ("paths", "6", "1,2", "3,4"): "24\n",
+    ("paths", "6", "2,1", "1,3"): "24\n",
+    ("paths", "6", "1,2", "1,2"): "24\n",
+    ("paths", "6", "3,5", "5,1"): "24\n",
+    ("paths", "6", "2,1", "4,5", "--json"): """\
+{
+  "command": "paths",
+  "n": 6,
+  "from": "1,2",
+  "to": "4,5",
+  "paths": 24
+}
+""",
+    ("paths", "7", "1,2", "3,4"): "120\n",
+    ("paths", "7", "2,1", "1,3"): "120\n",
+    ("paths", "7", "1,2", "1,2"): "120\n",
+    ("paths", "7", "3,5", "5,1"): "120\n",
+    ("paths", "7", "2,1", "4,5", "--json"): """\
+{
+  "command": "paths",
+  "n": 7,
+  "from": "1,2",
+  "to": "4,5",
+  "paths": 120
 }
 """,
 }
