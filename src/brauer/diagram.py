@@ -19,6 +19,10 @@ Brauer algebra would weight a product by its loop count).  ``multiply``
 is the one general product, O(n).  The breadth-first search over the
 atoms steps in O(1) instead: right multiplication by the atom {i,j}
 changes at most four partner slots (see :func:`_bfs_levels`).
+
+The counting claims need only how many matchings share each bracket set,
+so :func:`_bracket_walk` counts those per int key over every matching
+without building a partner tuple or a diagram.
 """
 
 from __future__ import annotations
@@ -140,14 +144,6 @@ class BrauerDiagram:
 
     def __repr__(self) -> str:
         return f"BrauerDiagram({self.to_text()!r})"
-
-
-def _bracket_skeleton(partner: tuple[int, ...]) -> tuple[int, ...]:
-    """``partner`` with both ends of every line set to -1: the brackets
-    alone, so two diagrams are H-related iff their skeletons are equal."""
-    n = len(partner) // 2
-    left, right = partner[:n], partner[n:]
-    return tuple([q if q < n else -1 for q in left] + [q if q >= n else -1 for q in right])
 
 
 @functools.lru_cache(maxsize=32)
@@ -373,6 +369,54 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
             partner[p] = partner[q] = -1
 
     return matchings()
+
+
+def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """Count the rank-n matchings by their bracket sets, building no diagram.
+
+    Returns ``(counts, ends)``: ``counts[key]`` is the number of matchings
+    whose brackets are exactly the set bits of ``key``, and bit b stands
+    for the bracket ``ends[b]``, a pair of 1-based labels.  The C(n,2)
+    left-bracket bits come first, then the C(n,2) right-bracket bits.  A
+    key is an H-class, so ``counts`` holds the H-class sizes.
+
+    Every one of the (2n-1)!! matchings is visited once, in the order of
+    :func:`enumerate_all`: the smallest free point is paired with each
+    larger one in turn, a line adding no bit, and the three matchings of
+    the last four points are written out.
+    """
+    if n < 1:
+        raise DomainError("rank n must be a positive integer")
+    size = 2 * n
+    bit = [[0] * size for _ in range(size)]
+    ends: list[tuple[int, int]] = []
+    for lo in (0, n):
+        for p, q in itertools.combinations(range(lo, lo + n), 2):
+            bit[p][q] = 1 << len(ends)
+            ends.append((p - lo + 1, q - lo + 1))
+    counts: dict[int, int] = {}
+    get = counts.get
+
+    def walk(free: tuple[int, ...], key: int) -> None:
+        if len(free) > 4:
+            row = bit[free[0]]
+            for k in range(1, len(free)):
+                walk(free[1:k] + free[k + 1:], key | row[free[k]])
+            return
+        a, b, c, d = free
+        ra, rb = bit[a], bit[b]
+        k = key | ra[b] | bit[c][d]
+        counts[k] = get(k, 0) + 1
+        k = key | ra[c] | rb[d]
+        counts[k] = get(k, 0) + 1
+        k = key | ra[d] | rb[c]
+        counts[k] = get(k, 0) + 1
+
+    if n == 1:
+        counts[0] = 1  # the one matching is a line
+    else:
+        walk(tuple(range(size)), 0)
+    return counts, ends
 
 
 def count_all(n: int) -> int:

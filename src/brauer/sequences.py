@@ -16,7 +16,8 @@ presentation restricted to connected words: both sides of each are
 connected and share their first and last pair.  Equivalence classes
 biject with corank-2 diagrams (map a sequence to the product of the
 matching atoms), so equivalence is decided semantically through that
-canonical diagram.
+canonical diagram.  The counts below walk every matching through
+``diagram._bracket_walk`` and keep the corank-2 bracket sets.
 Interpreting subsets as vertices of the intersection graph, sequences
 are walks, the class count is n(n-1)n!/4, and the classes of walks
 between two fixed vertices number (n-2)!.
@@ -27,7 +28,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from brauer.diagram import BrauerDiagram, DomainError, enumerate_all
+# enumerate_all is bound here only for perfbench/tracing.py, which patches it by name
+from brauer.diagram import BrauerDiagram, DomainError, _bracket_walk, enumerate_all
 from brauer.presentation import Quark, Word, check_word_rank, parse_pair_list, phi
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "corank2_census",
     "gamma_graph",
     "parse_sequence",
+    "enumerate_all",
 ]
 
 
@@ -83,11 +86,11 @@ def expected_class_count(n: int) -> int:
 
 
 def count_classes(n: int) -> int:
-    """Number of equivalence classes, counted by enumerating the
-    corank-2 diagrams they biject with."""
+    """Number of equivalence classes, counted as the corank-2 matchings
+    they biject with, over every matching of rank n."""
     if n < 2:
         raise DomainError("classes need n >= 2")
-    return sum(1 for d in enumerate_all(n) if d.corank == 2)
+    return sum(corank2_census(n).values())
 
 
 def count_paths(n: int, frm: Sequence[int], to: Sequence[int]) -> int:
@@ -103,18 +106,19 @@ def count_paths(n: int, frm: Sequence[int], to: Sequence[int]) -> int:
 
 def corank2_census(n: int) -> dict:
     """Counts of corank-2 diagrams keyed by (left bracket, right bracket),
-    each bracket a sorted pair of 1-based labels read off ``partner``."""
-    census: dict = {}
-    for d in enumerate_all(n):
-        if d.corank != 2:
-            continue
-        p = d.partner
-        key = (
-            tuple([x + 1 for x in range(n) if p[x] < n]),
-            tuple([x - n + 1 for x in range(n, 2 * n) if p[x] >= n]),
-        )
-        census[key] = census.get(key, 0) + 1
-    return census
+    each bracket a sorted pair of 1-based labels.
+
+    One walk over every matching counts the bracket sets; a corank-2 set
+    has one left-bracket bit, and its one right-bracket bit is the
+    highest bit of the key.
+    """
+    counts, ends = _bracket_walk(n)
+    left = (1 << math.comb(n, 2)) - 1
+    return {
+        (ends[(key & left).bit_length() - 1], ends[key.bit_length() - 1]): size
+        for key, size in counts.items()
+        if (key & left).bit_count() == 1
+    }
 
 
 # --- the intersection graph -------------------------------------------------

@@ -7,19 +7,20 @@ generation of the singular part by atoms, irreducibility of the atom
 system, the maximal geodesic length and the cycle-formula lengths,
 enumeration and class counts, and H-class sizes.  A suite runs at any
 n >= 2; the command line bounds n per suite before it runs any.
-The counting suites read bracket data straight off ``partner``, with
-no set of sets per diagram.
+The ``counts`` suite checks the diagram total over ``enumerate_all``,
+the public enumerator; its class claims and the ``hclasses`` suite
+count bracket sets with ``diagram._bracket_walk``, which visits every
+matching as an int key and builds no diagram.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from brauer.decomposition import atom_closure, is_irreducible_generator_check
-from brauer.diagram import _bracket_skeleton, count_all, enumerate_all, make_diagram
+from brauer.diagram import _bracket_walk, count_all, enumerate_all, make_diagram
 from brauer.geodesics import bfs_lengths, expected_max_length, ls_via_cycles
 from brauer.presentation import check_all_relations
 from brauer.sequences import corank2_census, expected_class_count
@@ -129,9 +130,10 @@ def _suite_counts(n: int) -> list[Claim]:
 
 
 def _suite_hclasses(n: int) -> list[Claim]:
-    # one key per H-class; the -1 slots of its left half are its n - 2k lines
-    sizes = Counter(_bracket_skeleton(d.partner) for d in enumerate_all(n))
-    classes = [(key[:n].count(-1), size) for key, size in sizes.items()]
+    # one key per H-class; its left-bracket bits cover 2k points, leaving n - 2k lines
+    sizes, _ = _bracket_walk(n)
+    left = (1 << math.comb(n, 2)) - 1
+    classes = [(n - 2 * (key & left).bit_count(), size) for key, size in sizes.items()]
     bad = sum(1 for lines, size in classes if size != math.factorial(lines))
     by_corank = sorted({(n - lines, math.factorial(lines)) for lines, _ in classes})
     detail = " ".join(f"corank {c}: {s}" for c, s in by_corank)

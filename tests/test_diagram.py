@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
-    _bracket_skeleton,
+    _bracket_walk,
     atom,
     atoms,
     count_all,
@@ -267,19 +269,74 @@ class TestGreen:
                 k = len(lb)
                 assert size == math.factorial(n - 2 * k)
 
-    def test_bracket_skeleton_groups_h_classes(self):
-        # equal skeletons exactly when the bracket sets are equal, and the
-        # -1 slots of the left half are the lines
+    def test_bracket_walk_keys_are_h_classes(self):
+        # one walk key per (left brackets, right brackets), counting the
+        # diagrams of that H-class
         for n in range(1, 7):
-            by_skeleton, by_brackets = {}, {}
-            for d in enumerate_all(n):
-                key = _bracket_skeleton(d.partner)
-                assert n - key[:n].count(-1) == d.corank
-                by_skeleton.setdefault(key, set()).add(d)
-                by_brackets.setdefault((d.left_brackets(), d.right_brackets()), set()).add(d)
-            assert {frozenset(c) for c in by_skeleton.values()} == {
-                frozenset(c) for c in by_brackets.values()
-            }
+            by_brackets = Counter((d.left_brackets(), d.right_brackets()) for d in enumerate_all(n))
+            assert walk_bracket_sets(n) == by_brackets
+
+
+def _bracket_skeleton(partner):
+    """The H-class key the counting suites used before the bracket walk:
+    ``partner`` with both ends of every line set to -1."""
+    n = len(partner) // 2
+    left, right = partner[:n], partner[n:]
+    return tuple([q if q < n else -1 for q in left] + [q if q >= n else -1 for q in right])
+
+
+def skeleton_bracket_sets(skeleton):
+    """(left brackets, right brackets) of a skeleton, as in ``left_brackets``."""
+    n = len(skeleton) // 2
+    sides = [set(), set()]
+    for p, q in enumerate(skeleton):
+        if p < q:
+            lo = 0 if p < n else n
+            sides[lo > 0].add(frozenset((p - lo + 1, q - lo + 1)))
+    return frozenset(sides[0]), frozenset(sides[1])
+
+
+def walk_bracket_sets(n):
+    """``_bracket_walk(n)`` counts keyed by (left brackets, right brackets)."""
+    counts, ends = _bracket_walk(n)
+    left = math.comb(n, 2)
+    out = {}
+    brackets = [frozenset(e) for e in ends]
+    for key, size in counts.items():
+        bits = [b for b in range(key.bit_length()) if key >> b & 1]
+        out[
+            frozenset([brackets[b] for b in bits if b < left]),
+            frozenset([brackets[b] for b in bits if b >= left]),
+        ] = size
+    assert len(out) == len(counts)
+    return Counter(out)
+
+
+class TestBracketWalk:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_skeleton_counter(self, n):
+        skeletons = Counter(_bracket_skeleton(d.partner) for d in enumerate_all(n))
+        reference = Counter()
+        for skeleton, size in skeletons.items():
+            reference[skeleton_bracket_sets(skeleton)] += size
+        assert walk_bracket_sets(n) == reference
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_layout(self, n):
+        counts, ends = _bracket_walk(n)
+        assert sum(counts.values()) == count_all(n)
+        # C(n,2) left-bracket bits below C(n,2) right-bracket bits, and
+        # every key has as many brackets on each side
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        assert ends == pairs + pairs
+        left = math.comb(n, 2)
+        assert all(
+            (k & (1 << left) - 1).bit_count() == (k >> left).bit_count() for k in counts
+        )
+
+    def test_rejects_rank_0(self):
+        with pytest.raises(DomainError):
+            _bracket_walk(0)
 
 
 def from_permutation(perm):
