@@ -21,8 +21,8 @@ atoms steps in O(1) instead: right multiplication by the atom {i,j}
 changes at most four partner slots (see :func:`_bfs_levels`).
 
 The counting claims need only how many matchings share each bracket set,
-so :func:`_bracket_walk` counts those per int key over every matching
-without building a partner tuple or a diagram.
+so :func:`_bracket_walk` visits every matching and counts it under an int
+key of its brackets, building no partner tuple and no diagram.
 """
 
 from __future__ import annotations

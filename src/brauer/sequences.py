@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-# enumerate_all is bound here only for perfbench/tracing.py, which patches it by name
+# enumerate_all has no caller here; perfbench/tracing.py patches it here by name
 from brauer.diagram import BrauerDiagram, DomainError, _bracket_walk, enumerate_all
 from brauer.presentation import Quark, Word, check_word_rank, parse_pair_list, phi
 
