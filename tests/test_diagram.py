@@ -288,12 +288,11 @@ def _bracket_skeleton(partner):
 def skeleton_bracket_sets(skeleton):
     """(left brackets, right brackets) of a skeleton, as in ``left_brackets``."""
     n = len(skeleton) // 2
-    sides = [set(), set()]
-    for p, q in enumerate(skeleton):
-        if p < q:
-            lo = 0 if p < n else n
-            sides[lo > 0].add(frozenset((p - lo + 1, q - lo + 1)))
-    return frozenset(sides[0]), frozenset(sides[1])
+    return tuple(
+        frozenset(frozenset((p - lo + 1, q - lo + 1))
+                  for p, q in enumerate(skeleton[lo:lo + n], lo) if p < q)
+        for lo in (0, n)
+    )
 
 
 def walk_bracket_sets(n):
@@ -303,11 +302,12 @@ def walk_bracket_sets(n):
     out = {}
     brackets = [frozenset(e) for e in ends]
     for key, size in counts.items():
-        bits = [b for b in range(key.bit_length()) if key >> b & 1]
-        out[
-            frozenset([brackets[b] for b in bits if b < left]),
-            frozenset([brackets[b] for b in bits if b >= left]),
-        ] = size
+        sides = [], []
+        while key:
+            b = (key & -key).bit_length() - 1
+            sides[b >= left].append(brackets[b])
+            key &= key - 1
+        out[frozenset(sides[0]), frozenset(sides[1])] = size
     assert len(out) == len(counts)
     return Counter(out)
 
