@@ -924,3 +924,302 @@ class TestErrorHandling:
         assert code == 2
         code, _, err = run(capsys, "longest", "4", "--threads", "3")
         assert code == 2 and "unrecognized arguments: --threads" in err
+
+
+# Everything argparse prints, byte for byte, at a terminal width of 80
+# columns: the help pages, the usage errors and the unrecognized-argument
+# errors, with their exit codes.  Copied from the output of the parser that
+# built every subcommand on each call, so a parser built for one command
+# must print the same.  ``verify 3 --json lengths`` is refused: argparse
+# does not resume the ``nargs="*"`` suites after an option.
+WORD_N3 = "n=3: (1,2)"
+
+HELP_BRAUER = """\
+usage: brauer [-h] COMMAND ...
+
+Brauer monoid diagrams, their idempotent presentation, factorizations,
+geodesic lengths, and counting checks.
+
+positional arguments:
+  COMMAND
+    mult      multiply two diagrams
+    corank    corank of a diagram
+    green     test a Green's relation
+    decompose
+              factor a singular diagram into atoms
+    normalize
+              rewrite a word into connected-prefix/disjoint-tail form
+    phi       evaluate a word to a diagram
+    equal     decide equality of two words
+    length    geodesic length of a diagram
+    longest   maximal geodesic length at rank n, with witness
+    classes   number of connected-sequence classes at rank n
+    paths     classes of sequences between two endpoint pairs
+    seq-equal
+              decide equivalence of two connected sequences
+    verify    run exhaustive verification suites
+    enumerate
+              stream every diagram of rank n
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+GOLDEN_PARSER = {
+    (): (2, "", """\
+usage: brauer [-h] COMMAND ...
+brauer: error: the following arguments are required: COMMAND
+"""),
+    ("-h",): (0, HELP_BRAUER, ""),
+    ("--help",): (0, HELP_BRAUER, ""),
+    ("mult", "-h"): (0, """\
+usage: brauer mult [-h] [--json] a b
+
+positional arguments:
+  a
+  b
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("corank", "-h"): (0, """\
+usage: brauer corank [-h] [--json] diagram
+
+positional arguments:
+  diagram
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("green", "-h"): (0, """\
+usage: brauer green [-h] [--json] a b {R,L,H,D}
+
+positional arguments:
+  a
+  b
+  {R,L,H,D}
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("decompose", "-h"): (0, """\
+usage: brauer decompose [-h] [--json] diagram
+
+positional arguments:
+  diagram
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("normalize", "-h"): (0, """\
+usage: brauer normalize [-h] [--json] word
+
+positional arguments:
+  word
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("phi", "-h"): (0, """\
+usage: brauer phi [-h] [--json] word
+
+positional arguments:
+  word
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("equal", "-h"): (0, """\
+usage: brauer equal [-h] [--json] u v
+
+positional arguments:
+  u
+  v
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("length", "-h"): (0, """\
+usage: brauer length [-h] [--json] [--force] [--cache-dir PATH] diagram
+
+positional arguments:
+  diagram
+
+options:
+  -h, --help        show this help message and exit
+  --json            emit a single JSON object
+  --force           lift the rank limit
+  --cache-dir PATH  geodesic table cache
+""", ""),
+    ("longest", "-h"): (0, """\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+
+positional arguments:
+  n
+
+options:
+  -h, --help        show this help message and exit
+  --json            emit a single JSON object
+  --force           lift the rank limit
+  --cache-dir PATH  geodesic table cache
+""", ""),
+    ("classes", "-h"): (0, """\
+usage: brauer classes [-h] [--json] [--force] [--dot] n
+
+positional arguments:
+  n
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+  --force     lift the rank limit
+  --dot       print the pair graph in DOT form instead
+""", ""),
+    ("paths", "-h"): (0, """\
+usage: brauer paths [-h] [--json] [--force] n from to
+
+positional arguments:
+  n
+  from        first pair, e.g. 1,2
+  to          last pair, e.g. 3,4
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+  --force     lift the rank limit
+""", ""),
+    ("seq-equal", "-h"): (0, """\
+usage: brauer seq-equal [-h] [--json] n a b
+
+positional arguments:
+  n
+  a
+  b
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+""", ""),
+    ("verify", "-h"): (0, """\
+usage: brauer verify [-h] [--json] [--force] n [suites ...]
+
+positional arguments:
+  n
+  suites      subset of ['counts', 'generation', 'hclasses', 'irreducible',
+              'lengths', 'relations'] (default: all)
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+  --force     lift the rank limit
+""", ""),
+    ("enumerate", "-h"): (0, """\
+usage: brauer enumerate [-h] [--json] [--force] n
+
+positional arguments:
+  n
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a single JSON object
+  --force     lift the rank limit
+""", ""),
+    ("frobnicate",): (2, "", """\
+usage: brauer [-h] COMMAND ...
+brauer: error: argument COMMAND: invalid choice: 'frobnicate' (choose from 'mult', 'corank', 'green', 'decompose', 'normalize', 'phi', 'equal', 'length', 'longest', 'classes', 'paths', 'seq-equal', 'verify', 'enumerate')
+"""),
+    ("--json", "corank", "X"): (2, "", """\
+usage: brauer [-h] COMMAND ...
+brauer: error: unrecognized arguments: --json
+"""),
+    ("mult", ATOM12_N3): (2, "", """\
+usage: brauer mult [-h] [--json] a b
+brauer mult: error: the following arguments are required: b
+"""),
+    ("corank",): (2, "", """\
+usage: brauer corank [-h] [--json] diagram
+brauer corank: error: the following arguments are required: diagram
+"""),
+    ("green", ATOM12_N3, ATOM12_N3): (2, "", """\
+usage: brauer green [-h] [--json] a b {R,L,H,D}
+brauer green: error: the following arguments are required: relation
+"""),
+    ("decompose",): (2, "", """\
+usage: brauer decompose [-h] [--json] diagram
+brauer decompose: error: the following arguments are required: diagram
+"""),
+    ("normalize",): (2, "", """\
+usage: brauer normalize [-h] [--json] word
+brauer normalize: error: the following arguments are required: word
+"""),
+    ("phi",): (2, "", """\
+usage: brauer phi [-h] [--json] word
+brauer phi: error: the following arguments are required: word
+"""),
+    ("equal", WORD_N3): (2, "", """\
+usage: brauer equal [-h] [--json] u v
+brauer equal: error: the following arguments are required: v
+"""),
+    ("length",): (2, "", """\
+usage: brauer length [-h] [--json] [--force] [--cache-dir PATH] diagram
+brauer length: error: the following arguments are required: diagram
+"""),
+    ("longest",): (2, "", """\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+brauer longest: error: the following arguments are required: n
+"""),
+    ("classes",): (2, "", """\
+usage: brauer classes [-h] [--json] [--force] [--dot] n
+brauer classes: error: the following arguments are required: n
+"""),
+    ("paths", "5", "1,2"): (2, "", """\
+usage: brauer paths [-h] [--json] [--force] n from to
+brauer paths: error: the following arguments are required: to
+"""),
+    ("seq-equal", "3", "(1,2)"): (2, "", """\
+usage: brauer seq-equal [-h] [--json] n a b
+brauer seq-equal: error: the following arguments are required: b
+"""),
+    ("verify",): (2, "", """\
+usage: brauer verify [-h] [--json] [--force] n [suites ...]
+brauer verify: error: the following arguments are required: n, suites
+"""),
+    ("enumerate",): (2, "", """\
+usage: brauer enumerate [-h] [--json] [--force] n
+brauer enumerate: error: the following arguments are required: n
+"""),
+    ("longest", "x"): (2, "", """\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+brauer longest: error: argument n: invalid int value: 'x'
+"""),
+    ("green", ATOM12_N3, ATOM12_N3, "Q"): (2, "", """\
+usage: brauer green [-h] [--json] a b {R,L,H,D}
+brauer green: error: argument relation: invalid choice: 'Q' (choose from 'R', 'L', 'H', 'D')
+"""),
+    ("mult", ATOM12_N3, ATOM12_N3, "--force"): (2, "", """\
+usage: brauer [-h] COMMAND ...
+brauer: error: unrecognized arguments: --force
+"""),
+    ("phi", WORD_N3, "--cache-dir", "X"): (2, "", """\
+usage: brauer [-h] COMMAND ...
+brauer: error: unrecognized arguments: --cache-dir X
+"""),
+    ("verify", "3", "--json", "lengths"): (2, "", """\
+usage: brauer [-h] COMMAND ...
+brauer: error: unrecognized arguments: lengths
+"""),
+}
+
+
+class TestParserGolden:
+    @pytest.mark.parametrize("argv", list(GOLDEN_PARSER), ids=lambda a: " ".join(a) or "(none)")
+    def test_output_is_byte_exact(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        assert run(capsys, *argv) == GOLDEN_PARSER[argv]
