@@ -7,6 +7,12 @@ output with a single JSON object (schema in docs/cli-schema.json).
 The rank limits live here alone, in ``RANK_LIMITS``; ``--force`` lifts
 them and exists only on the commands that have one.
 
+``main`` builds the subparser of the command it runs and no other when
+the first argument names a command; any other first argument (``-h``, an
+option, an unknown name, none at all) builds every subparser, so the
+top-level help and the list of valid commands are complete.  The
+top-level usage line names no commands, so both print the same.
+
 Exit codes: 0 on success, 2 on a domain error (bad diagram or word,
 violated precondition, rank over its limit) or a usage error (help on
 stderr), 1 on an internal failure, a failed verification or a closed
@@ -235,103 +241,69 @@ def _cmd_verify(args):
     return obj, [c.line() for c in claims], 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a single JSON object")
-    limited = argparse.ArgumentParser(add_help=False, parents=[common])
-    limited.add_argument("--force", action="store_true", help="lift the rank limit")
-    cached = argparse.ArgumentParser(add_help=False, parents=[limited])
-    cached.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="geodesic table cache")
+_FORCE = ("--force", {"action": "store_true", "help": "lift the rank limit"})
+_CACHE_DIR = ("--cache-dir", {"metavar": "PATH", "default": None, "help": "geodesic table cache"})
+_N = ("n", {"type": int})
 
+# name -> (handler, help line, arguments after --json in the order help lists
+# them); a bare string is a positional argument with no options
+_COMMANDS = {
+    "mult": (_cmd_mult, "multiply two diagrams", ["a", "b"]),
+    "corank": (_cmd_corank, "corank of a diagram", ["diagram"]),
+    "green": (_cmd_green, "test a Green's relation",
+              ["a", "b", ("relation", {"choices": ["R", "L", "H", "D"]})]),
+    "decompose": (_cmd_decompose, "factor a singular diagram into atoms", ["diagram"]),
+    "normalize": (_cmd_normalize, "rewrite a word into connected-prefix/disjoint-tail form",
+                  ["word"]),
+    "phi": (_cmd_phi, "evaluate a word to a diagram", ["word"]),
+    "equal": (_cmd_equal, "decide equality of two words", ["u", "v"]),
+    "length": (_cmd_length, "geodesic length of a diagram",
+               [_FORCE, _CACHE_DIR, "diagram"]),
+    "longest": (_cmd_longest, "maximal geodesic length at rank n, with witness",
+                [_FORCE, _CACHE_DIR, _N]),
+    "classes": (_cmd_classes, "number of connected-sequence classes at rank n",
+                [_FORCE, _N, ("--dot", {"action": "store_true",
+                                        "help": "print the pair graph in DOT form instead"})]),
+    "paths": (_cmd_paths, "classes of sequences between two endpoint pairs",
+              [_FORCE, _N, ("frm", {"metavar": "from", "help": "first pair, e.g. 1,2"}),
+               ("to", {"help": "last pair, e.g. 3,4"})]),
+    "seq-equal": (_cmd_seq_equal, "decide equivalence of two connected sequences",
+                  [_N, "a", "b"]),
+    "verify": (_cmd_verify, "run exhaustive verification suites",
+               [_FORCE, _N, ("suites", {"nargs": "*",
+                                        "help": f"subset of {sorted(SUITES)} (default: all)"})]),
+    "enumerate": (_cmd_enumerate, "stream every diagram of rank n", [_FORCE, _N]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``brauer`` parser with the subparser of ``command`` alone, or of
+    every command when ``command`` is None (module docstring)."""
     parser = argparse.ArgumentParser(
         prog="brauer",
         description="Brauer monoid diagrams, their idempotent presentation, "
                     "factorizations, geodesic lengths, and counting checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("mult", parents=[common], help="multiply two diagrams")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_mult)
-
-    p = sub.add_parser("corank", parents=[common], help="corank of a diagram")
-    p.add_argument("diagram")
-    p.set_defaults(handler=_cmd_corank)
-
-    p = sub.add_parser("green", parents=[common], help="test a Green's relation")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("relation", choices=["R", "L", "H", "D"])
-    p.set_defaults(handler=_cmd_green)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="factor a singular diagram into atoms")
-    p.add_argument("diagram")
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("normalize", parents=[common],
-                       help="rewrite a word into connected-prefix/disjoint-tail form")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_normalize)
-
-    p = sub.add_parser("phi", parents=[common], help="evaluate a word to a diagram")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_phi)
-
-    p = sub.add_parser("equal", parents=[common], help="decide equality of two words")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.set_defaults(handler=_cmd_equal)
-
-    p = sub.add_parser("length", parents=[cached], help="geodesic length of a diagram")
-    p.add_argument("diagram")
-    p.set_defaults(handler=_cmd_length)
-
-    p = sub.add_parser("longest", parents=[cached],
-                       help="maximal geodesic length at rank n, with witness")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_longest)
-
-    p = sub.add_parser("classes", parents=[limited],
-                       help="number of connected-sequence classes at rank n")
-    p.add_argument("n", type=int)
-    p.add_argument("--dot", action="store_true",
-                   help="print the pair graph in DOT form instead")
-    p.set_defaults(handler=_cmd_classes)
-
-    p = sub.add_parser("paths", parents=[limited],
-                       help="classes of sequences between two endpoint pairs")
-    p.add_argument("n", type=int)
-    p.add_argument("frm", metavar="from", help="first pair, e.g. 1,2")
-    p.add_argument("to", help="last pair, e.g. 3,4")
-    p.set_defaults(handler=_cmd_paths)
-
-    p = sub.add_parser("seq-equal", parents=[common],
-                       help="decide equivalence of two connected sequences")
-    p.add_argument("n", type=int)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_seq_equal)
-
-    p = sub.add_parser("verify", parents=[limited],
-                       help="run exhaustive verification suites")
-    p.add_argument("n", type=int)
-    p.add_argument("suites", nargs="*",
-                   help=f"subset of {sorted(SUITES)} (default: all)")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("enumerate", parents=[limited],
-                       help="stream every diagram of rank n")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_enumerate)
-
+    for name in _COMMANDS if command is None else [command]:
+        handler, help_line, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--json", action="store_true", help="emit a single JSON object")
+        for argument in arguments:
+            arg, options = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(arg, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one ``brauer`` command line and return its exit code.  A first
+    argument that names a command builds that command's parser alone; any
+    other (an option, an unknown name, none) builds them all, for the full
+    help and the list of choices."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -416,6 +416,9 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
         counts[0] = 1  # the one matching is a line
     else:
         walk(tuple(range(size)), 0)
+        # walk's closure holds walk itself, and with it counts: unbind it so
+        # that counts dies with its caller, not at the next full collection
+        del walk
     return counts, ends
 
 

@@ -138,13 +138,19 @@ def _orbit_key(
     return tuple(words)
 
 
-def _orbit_size(key: _OrbitKey) -> int:
+def _orbit_size(key: _OrbitKey, symmetries: dict[tuple[int, ...], int] | None = None) -> int:
     """n!/|Aut|: the stabilizer permutes equal cycles and maps each cycle
-    onto itself by every reading that gives its word again."""
+    onto itself by every reading that gives its word again.
+    ``symmetries`` maps cycle words to their counts of such readings; a
+    caller that sizes many keys passes one to share it across calls."""
+    if symmetries is None:
+        symmetries = {}
     aut = 1
     for word, copies in Counter(key).items():
-        symmetries = sum(reading == word for reading in _readings(word))
-        aut *= math.factorial(copies) * symmetries ** copies
+        count = symmetries.get(word)
+        if count is None:
+            count = symmetries[word] = sum(reading == word for reading in _readings(word))
+        aut *= math.factorial(copies) * count ** copies
     return math.factorial(sum(map(len, key))) // aut
 
 
@@ -337,7 +343,9 @@ class GeodesicTable:
         orbits = {_orbit_key(d.partner, least): v for d, v in rows}
         # distinct orbits partition the singular part: they are all there
         # exactly when their sizes add up to it
-        covered, expected = sum(map(_orbit_size, orbits)), count_all(n) - math.factorial(n)
+        symmetries: dict[tuple[int, ...], int] = {}  # for this load only
+        covered = sum(_orbit_size(key, symmetries) for key in orbits)
+        expected = count_all(n) - math.factorial(n)
         if len(orbits) != len(rows) or covered != expected:
             raise DomainError(f"cache {path} has {len(rows)} rows on {len(orbits)} orbits "
                               f"covering {covered} diagrams, expected {expected}")

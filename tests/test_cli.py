@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -1223,3 +1224,42 @@ class TestParserGolden:
     def test_output_is_byte_exact(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
         assert run(capsys, *argv) == GOLDEN_PARSER[argv]
+
+
+COMMAND_NAMES = ["mult", "corank", "green", "decompose", "normalize", "phi", "equal", "length",
+                 "longest", "classes", "paths", "seq-equal", "verify", "enumerate"]
+
+
+class TestParserNarrowing:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The name of each subparser built, in order."""
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(action, name, **kwargs):
+            names.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        return names
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_named_command_builds_its_subparser_alone(self, capsys, built, command):
+        code, _, _ = run(capsys, command, "-h")
+        assert (code, built) == (0, [command])
+
+    def test_command_run_builds_one_subparser(self, capsys, built):
+        code, out, _ = run(capsys, "length", ATOM12_N3)
+        assert (code, out, built) == (0, "1\n", ["length"])
+
+    @pytest.mark.parametrize("argv", [(), ("-h",), ("frobnicate",), ("--json", "corank", "X")],
+                             ids=lambda a: " ".join(a) or "(none)")
+    def test_other_first_argument_builds_every_subparser(self, capsys, built, argv):
+        code, _, _ = run(capsys, *argv)
+        assert (code, built) == (0 if argv == ("-h",) else 2, COMMAND_NAMES)
+
+    def test_build_parser_has_every_command(self, built):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == built == COMMAND_NAMES

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -337,6 +338,16 @@ class TestBracketWalk:
     def test_rejects_rank_0(self):
         with pytest.raises(DomainError):
             _bracket_walk(0)
+
+    def test_leaves_no_garbage_cycle(self):
+        # a cycle would keep the counts dict alive until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            _bracket_walk(5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def from_permutation(perm):
