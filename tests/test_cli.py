@@ -797,6 +797,170 @@ class TestLongestGolden:
         assert digest == CACHE_SHA256[n]
 
 
+# Factorizations, byte for byte, copied from the output of the three-step
+# factorization (peel the left brackets, rebuild a corank-2 element, then
+# bridge it into a group) before the one-pass ``decompose`` replaced it.
+# The bridged cases name the labels (u, v, f, g) of the bridge: lines that
+# reach v are redirected to f when u == g and to g otherwise, and a bridge
+# atom equal to the letter before it is left out.
+GOLDEN_DECOMPOSE = {
+    "atom": (
+        "n=5;{1,1'}{2,4}{3,3'}{5,5'}{2',4'}",
+        "n=5: (2,4)",
+    ),
+    "group, cycles (3 4)(5 6 7)": (
+        "n=7;{1,2}{3,4'}{4,3'}{5,6'}{6,7'}{7,5'}{1',2'}",
+        "n=7: (1,2)(1,3)(1,4)(1,2)(1,5)(1,7)(1,6)(1,2)",
+    ),
+    "bridged, u == g": (
+        "n=4;{1,3}{2,1'}{4,4'}{2',3'}",
+        "n=4: (1,3)(1,2)(2,3)",
+    ),
+    "bridged, u != g": (
+        "n=5;{1,2}{3,1'}{4,2'}{5,3'}{4',5'}",
+        "n=5: (1,2)(1,3)(1,5)(1,2)(1,4)(4,5)",
+    ),
+    "bridged, first bridge atom skipped": (
+        "n=4;{1,2}{3,1'}{4,4'}{2',3'}",
+        "n=4: (1,2)(2,3)",
+    ),
+    "FIG1": (
+        "n=6;{1,5}{2,1'}{3,6'}{4,6}{2',4'}{3',5'}",
+        "n=6: (1,5)(4,6)(1,5)(1,2)(1,6)(1,3)(1,4)(1,5)(1,2)(2,4)",
+    ),
+    "corank 6": (
+        "n=8;{1,5}{2,8}{3,6}{4,5'}{7,8'}{1',7'}{2',3'}{4',6'}",
+        "n=8: (1,5)(2,8)(3,6)(1,5)(1,3)(1,8)(1,7)(1,4)(1,5)(1,7)",
+    ),
+    "random_diagram(8, Random(8))": (
+        "n=8;{1,4}{2,5'}{3,7}{5,2'}{6,8}{1',8'}{3',7'}{4',6'}",
+        "n=8: (1,4)(3,7)(6,8)(1,4)(1,2)(1,5)(1,4)(1,6)(1,8)(1,4)(1,8)",
+    ),
+    "random_diagram(16, Random(16))": (
+        "n=16;{1,15}{2,4'}{3,12}{4,3'}{5,1'}{6,7}{8,14}{9,11'}{10,15'}{11,14'}{13,10'}{16,8'}{2',13'}{5',9'}{6',12'}{7',16'}",
+        "n=16: (1,15)(3,12)(6,7)(8,14)(1,15)(1,2)(1,10)(1,13)(1,5)(1,3)(1,4)(1,15)(1,7)(1,8)(1,16)(1,14)(1,11)(1,9)(1,12)(1,15)(1,2)(2,13)",
+    ),
+    "random_diagram(32, Random(32))": (
+        "n=32;{1,3'}{2,32}{3,15'}{4,2'}{5,9'}{6,11}{7,21}{8,12}{9,22'}{10,28'}{13,19}{14,32'}{15,6'}{16,26'}{17,30}{18,19'}{20,13'}{22,1'}{23,29'}{24,7'}{25,28}{26,21'}{27,11'}{29,4'}{31,27'}{5',12'}{8',17'}{10',24'}{14',25'}{16',23'}{18',30'}{20',31'}",
+        "n=32: (2,32)(6,11)(7,21)(8,12)(13,19)(17,30)(25,28)(2,32)(1,2)(2,22)(2,9)(2,5)(2,14)(2,8)(2,6)(2,15)(2,3)(2,32)(2,4)(2,29)(2,23)(2,19)(2,18)(2,17)(2,11)(2,27)(2,31)(2,28)(2,10)(2,7)(2,24)(2,21)(2,26)(2,16)(2,13)(2,20)(2,25)(2,12)(2,32)(2,5)(5,12)",
+    ),
+}
+
+
+def _decompose_json(word):
+    return f'{{\n  "command": "decompose",\n  "word": "{word}",\n  "verified": true\n}}\n'
+
+
+# ``verify N irreducible`` up to its rank limit, copied from the output of
+# the per-atom closure check before the single-closure check replaced it
+GOLDEN_IRREDUCIBLE = {
+    ("verify", "2", "irreducible"): """\
+PASS reducible atoms (n=2): expected 0, computed 0 (1 atoms checked)
+""",
+    ("verify", "2", "irreducible", "--json"): """\
+{
+  "command": "verify",
+  "n": 2,
+  "suites": [
+    "irreducible"
+  ],
+  "claims": [
+    {
+      "suite": "irreducible",
+      "name": "reducible atoms (n=2)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "1 atoms checked",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "3", "irreducible"): """\
+PASS reducible atoms (n=3): expected 0, computed 0 (3 atoms checked)
+""",
+    ("verify", "3", "irreducible", "--json"): """\
+{
+  "command": "verify",
+  "n": 3,
+  "suites": [
+    "irreducible"
+  ],
+  "claims": [
+    {
+      "suite": "irreducible",
+      "name": "reducible atoms (n=3)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "3 atoms checked",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "4", "irreducible"): """\
+PASS reducible atoms (n=4): expected 0, computed 0 (6 atoms checked)
+""",
+    ("verify", "4", "irreducible", "--json"): """\
+{
+  "command": "verify",
+  "n": 4,
+  "suites": [
+    "irreducible"
+  ],
+  "claims": [
+    {
+      "suite": "irreducible",
+      "name": "reducible atoms (n=4)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "6 atoms checked",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "5", "irreducible"): """\
+PASS reducible atoms (n=5): expected 0, computed 0 (10 atoms checked)
+""",
+    ("verify", "5", "irreducible", "--json"): """\
+{
+  "command": "verify",
+  "n": 5,
+  "suites": [
+    "irreducible"
+  ],
+  "claims": [
+    {
+      "suite": "irreducible",
+      "name": "reducible atoms (n=5)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "10 atoms checked",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+}
+
+
+class TestDecompositionGolden:
+    @pytest.mark.parametrize("case", list(GOLDEN_DECOMPOSE))
+    def test_decompose_is_byte_exact(self, capsys, case):
+        text, word = GOLDEN_DECOMPOSE[case]
+        assert run(capsys, "decompose", text) == (0, f"{word}\nverified: true\n", "")
+        assert run(capsys, "decompose", text, "--json") == (0, _decompose_json(word), "")
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_IRREDUCIBLE), ids=" ".join)
+    def test_irreducible_is_byte_exact(self, capsys, argv):
+        assert run(capsys, *argv) == (0, GOLDEN_IRREDUCIBLE[argv], "")
+
+
 class TestVerify:
     def test_relations_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "4", "relations")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,9 +19,27 @@ from brauer.diagram import (
     make_diagram,
     random_diagram,
 )
-from brauer.presentation import Quark, phi, word
+from brauer.presentation import Quark, phi, word, word_to_text
 
 FIG1 = make_diagram(6, [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)])
+
+
+# SHA-256 of the factorization of every singular diagram of rank n, one
+# word per line in enumeration order, copied from the three-step
+# factorization before the one-pass ``decompose`` replaced it
+DECOMPOSE_SHA256 = {
+    2: "ad687a067bed044919f0680ca345147cc0511b91755fcd50a8d37c5bba95ea0a",
+    3: "1573d2807b856949c9fe76813489ab33fb9805322fea96d5529df256263d9935",
+    4: "ce291bd00f9e86898c223b5467033ef48d313ee7496cd15066cc19268dbfd560",
+    5: "860f3741bdcd7f4596d6844e95fc4c3c9dd0b09f5f9d73ca88099f888dc40dc9",
+    6: "def3077c2838d6712b830e3b2e8bf2a255af458e53015b5cd1b2d9230767f206",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))
+def test_every_factorization_is_byte_exact(n):
+    text = "".join(word_to_text(decompose(d)) + "\n" for d in enumerate_all(n) if d.corank >= 2)
+    assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_SHA256[n]
 
 
 class TestGroupCorank2:
