@@ -7,7 +7,6 @@ from brauer.diagram import (
     DomainError,
     GreenRelation,
     atom,
-    atoms,
     count_all,
     enumerate_all,
     green_related,
@@ -23,7 +22,6 @@ __all__ = [
     "DomainError",
     "GreenRelation",
     "atom",
-    "atoms",
     "count_all",
     "enumerate_all",
     "green_related",

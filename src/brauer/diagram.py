@@ -42,7 +42,6 @@ __all__ = [
     "make_diagram",
     "identity",
     "atom",
-    "atoms",
     "multiply",
     "green_related",
     "enumerate_all",
@@ -208,11 +207,6 @@ def atom(n: int, i: int, j: int) -> BrauerDiagram:
 def _atom_pairs(n: int) -> list[tuple[int, int]]:
     """The brackets (i, j), i < j, of the C(n,2) atoms of rank n, in order."""
     return list(itertools.combinations(range(1, n + 1), 2))
-
-
-def atoms(n: int) -> list[BrauerDiagram]:
-    """All C(n,2) atoms of rank n, ordered by (i, j)."""
-    return [atom(n, i, j) for i, j in _atom_pairs(n)]
 
 
 def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -33,8 +33,7 @@ text one block at a time, so its work grows with the orbit, not with n!.
 Elements whose left and right bracket are both {1,2} carry a permutation
 of {3..n}; ``ls_via_cycles`` reads the closed form ls = (n-2) - s + c + 1
 (s trivial, c nontrivial cycles) off its cycle structure, and
-``decompose_group_corank2`` builds a word of exactly that length from
-the same cycles.
+``decompose`` builds a word of exactly that length from the same cycles.
 
 Length is undefined on invertible elements; tables exclude them.
 Tables can be cached as CSV, format 2: one row per orbit, holding a

@@ -293,7 +293,9 @@ WORD_RANK_LIMIT = 10**4
 _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
-def _parse_pairs(body: str) -> list[tuple[int, int]]:
+def parse_pair_list(body: str) -> list[tuple[int, int]]:
+    """Parse a bare pair list ``(1,2)(2,3)``, the body of a word or a
+    sequence."""
     pairs = []
     pos = 0
     for m in _PAIR_RE.finditer(body):
@@ -322,13 +324,8 @@ def parse_word(text: str) -> Word:
         raise DomainError(f"word must start with 'n=<rank>: ': {text!r}")
     n = int(m.group(1))
     check_word_rank(n)
-    return word(n, _parse_pairs(text[m.end():]))
+    return word(n, parse_pair_list(text[m.end():]))
 
 
 def word_to_text(w: Word) -> str:
     return f"n={w.n}: " + "".join(repr(q) for q in w.quarks)
-
-
-def parse_pair_list(text: str) -> list[tuple[int, int]]:
-    """Parse a bare pair list ``(1,2)(2,3)`` (used for sequences)."""
-    return _parse_pairs(text)

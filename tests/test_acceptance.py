@@ -16,7 +16,6 @@ import pytest
 
 from brauer.decomposition import atom_closure, decompose, is_irreducible_generator_check
 from brauer.diagram import (
-    atoms,
     count_all,
     enumerate_all,
     identity,

@@ -3,15 +3,11 @@ import random
 
 import pytest
 
-from brauer.decomposition import (
-    atom_closure,
-    decompose,
-    decompose_corank2,
-    decompose_group_corank2,
-    is_irreducible_generator_check,
-)
+from brauer.decomposition import atom_closure, decompose, is_irreducible_generator_check
 from brauer.diagram import (
     DomainError,
+    _atom_pairs,
+    _bfs_levels,
     atom,
     count_all,
     enumerate_all,
@@ -44,38 +40,36 @@ def test_every_factorization_is_byte_exact(n):
 
 class TestGroupCorank2:
     def test_atom_is_its_own_factorization(self):
-        assert decompose_group_corank2(atom(4, 1, 2)) == word(4, [(1, 2)])
+        assert decompose(atom(4, 1, 2)) == word(4, [(1, 2)])
 
     def test_single_transposition(self):
         pi = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
-        got = decompose_group_corank2(pi)
+        got = decompose(pi)
         assert got == word(4, [(1, 2), (1, 3), (1, 4), (1, 2)])
         assert phi(got) == pi
 
     def test_three_cycle_round_trip(self):
         pi = make_diagram(5, [(1, 2), (-1, -2), (3, -4), (4, -5), (5, -3)])
-        assert phi(decompose_group_corank2(pi)) == pi
+        assert phi(decompose(pi)) == pi
 
     def test_exhaustive_round_trip_n5(self):
         for d in enumerate_all(5):
             if d.corank == 2 and d.left_brackets() == d.right_brackets():
-                assert phi(decompose_group_corank2(d)) == d
+                assert phi(decompose(d)) == d
 
     def test_preconditions(self):
+        swap = make_diagram(3, [(1, -2), (2, -1), (3, -3)])
         with pytest.raises(DomainError):
-            decompose_group_corank2(identity(4))
-        nongroup = make_diagram(3, [(1, 2), (-2, -3), (3, -1)])
-        with pytest.raises(DomainError):
-            decompose_group_corank2(nongroup)
+            decompose(swap)
 
 
 class TestCorank2:
     def test_atom(self):
-        assert decompose_corank2(atom(5, 2, 4)) == word(5, [(2, 4)])
+        assert decompose(atom(5, 2, 4)) == word(5, [(2, 4)])
 
     def test_bridged_example(self):
         pi = make_diagram(3, [(1, 2), (-2, -3), (3, -1)])
-        got = decompose_corank2(pi)
+        got = decompose(pi)
         assert phi(got) == pi
         assert got.quarks[0] == Quark(1, 2)
 
@@ -85,22 +79,14 @@ class TestCorank2:
         for d in enumerate_all(5):
             if d.corank != 2:
                 continue
-            got = decompose_corank2(d)
+            got = decompose(d)
             assert phi(got) == d
             assert got.quarks[0].points() in d.left_brackets()
             count += 1
         assert count == 600
 
-    def test_rejects_other_coranks(self):
-        with pytest.raises(DomainError):
-            decompose_corank2(FIG1)
-
 
 class TestDecompose:
-    def test_corank2_passthrough(self):
-        pi = make_diagram(3, [(1, 2), (-2, -3), (3, -1)])
-        assert decompose(pi) == decompose_corank2(pi)
-
     def test_fig_element_round_trip(self):
         got = decompose(FIG1)
         assert phi(got) == FIG1
@@ -148,12 +134,11 @@ class TestClosure:
     def test_atoms_irreducible(self, n):
         assert is_irreducible_generator_check(n) == []
 
-    def test_rejects_non_atom_generators(self):
-        with pytest.raises(DomainError, match="not an atom"):
-            atom_closure(3, [identity(3)])
-        # corank 2 with equal brackets, but the lines are crossed
-        crossed = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
-        with pytest.raises(DomainError, match="not an atom"):
-            atom_closure(4, [atom(4, 1, 2), crossed])
-        with pytest.raises(DomainError, match="rank mismatch"):
-            atom_closure(4, [atom(3, 1, 2)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_single_closure_agrees_with_per_atom_closures(self, n):
+        pairs = _atom_pairs(n)
+        reducible = [
+            p for p in pairs
+            if atom(n, *p).partner in _bfs_levels(n, [q for q in pairs if q != p])
+        ]
+        assert is_irreducible_generator_check(n) == reducible

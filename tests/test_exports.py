@@ -11,7 +11,7 @@ MODULES = sorted(
     f"brauer.{info.name}" for info in pkgutil.iter_modules(brauer.__path__)
 ) + ["brauer"]
 
-# exported names that no program code references, each with its claim
+# names that no program code references, each with its claim
 NO_CALLER_NEEDED = {
     "identity": "the monoid unit",
     "random_diagram": "the seeded random-diagram fixture",
@@ -58,20 +58,29 @@ def test_no_rank_policy_outside_cli(name):
     assert params == []
 
 
-def _program_references() -> set[str]:
-    """Every name the package modules (not __init__) and the benchmark
-    scripts reference, as a bare name or as an attribute."""
+def _program_statements() -> list[tuple[Path, int, set[str]]]:
+    """Each top-level statement of the package modules (not __init__) and
+    the benchmark scripts, as (file, line, names it references as a bare
+    name or as an attribute)."""
     package = Path(brauer.__file__).parent
     files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     files += (package.parents[1] / "perfbench").glob("*.py")
-    names = set()
+    statements = []
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            statements.append((path, stmt.lineno, names))
+    return statements
+
+
+def _program_references() -> set[str]:
+    """Every name the package modules and the benchmark scripts reference."""
+    return set().union(*(names for _, _, names in _program_statements()))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -83,5 +92,25 @@ def test_exports_have_program_callers(name):
     unreached = [
         attr for attr in getattr(module, "__all__", ())
         if attr not in referenced and attr not in NO_CALLER_NEEDED
+    ]
+    assert unreached == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_definitions_have_program_callers(name):
+    """Every module-level def and class, public or private, is referenced
+    by the program or the benchmark outside its own definition, unless
+    NO_CALLER_NEEDED gives it a claim."""
+    path = Path(importlib.import_module(name).__file__)
+    statements = _program_statements()
+    unreached = [
+        stmt.name for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name not in NO_CALLER_NEEDED
+        and not any(
+            stmt.name in names
+            for where, line, names in statements
+            if (where, line) != (path, stmt.lineno)
+        )
     ]
     assert unreached == []

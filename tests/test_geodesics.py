@@ -7,14 +7,13 @@ from collections import Counter
 import pytest
 
 from brauer.cli import main
-from brauer.decomposition import decompose_group_corank2
+from brauer.decomposition import decompose
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
     _atom_pairs,
     _bfs_levels,
     atom,
-    atoms,
     count_all,
     enumerate_all,
     identity,
@@ -49,10 +48,15 @@ def h1_elements(n):
     return out
 
 
+def all_atoms(n):
+    """All C(n,2) atoms of rank n, ordered by (i, j)."""
+    return [atom(n, i, j) for i, j in _atom_pairs(n)]
+
+
 def brute_force_lengths(n, max_len):
     """Independent oracle: expand every word over the atoms up to max_len
     and record the first length at which each diagram appears."""
-    gens = atoms(n)
+    gens = all_atoms(n)
     best = {}
     layer = {g: None for g in gens}
     for length in range(1, max_len + 1):
@@ -238,7 +242,7 @@ class TestLeastText:
 class TestBfs:
     def test_atoms_have_distance_one(self):
         table = bfs_lengths(4)
-        for a in atoms(4):
+        for a in all_atoms(4):
             assert table[a] == 1
 
     def test_two_step_product(self):
@@ -291,13 +295,13 @@ class TestCyclicDecomposition:
     def test_atom_case(self):
         # no cycles, three fixed points: (5-2) - 3 + 0 + 1
         assert ls_via_cycles(atom(5, 1, 2)) == 1
-        assert decompose_group_corank2(atom(5, 1, 2)) == word(5, [(1, 2)])
+        assert decompose(atom(5, 1, 2)) == word(5, [(1, 2)])
         assert ls_via_cycles(atom(6, 1, 2)) == 1
 
     def test_single_transposition(self):
         pi = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
         # the one cycle (3 4): base atom, a run through 3 and 4, base atom
-        assert decompose_group_corank2(pi) == word(4, [(1, 2), (1, 3), (1, 4), (1, 2)])
+        assert decompose(pi) == word(4, [(1, 2), (1, 3), (1, 4), (1, 2)])
         assert ls_via_cycles(pi) == 4
         assert bfs_lengths(4)[pi] == 4
 
@@ -309,14 +313,14 @@ class TestCyclicDecomposition:
         pi = make_diagram(
             6, [(1, 2), (-1, -2), (3, -4), (4, -3), (5, -6), (6, -5)]
         )
-        w = decompose_group_corank2(pi)
+        w = decompose(pi)
         assert len(w) == 7 == ls_via_cycles(pi) == expected_max_length(6)
         assert phi(w) == pi
 
     def test_word_evaluates_back(self):
         for n in (4, 5):
             for pi in h1_elements(n):
-                w = decompose_group_corank2(pi)
+                w = decompose(pi)
                 assert phi(w) == pi
                 assert len(w) == ls_via_cycles(pi)
 
