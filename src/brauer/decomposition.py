@@ -97,10 +97,11 @@ def decompose(pi: BrauerDiagram) -> Word:
         lines = {i: moved.get(image, image) for i, image in lines.items()}
         bridge = [Quark(v, f), Quark(f, g)]
     a, b = lefts[0]
-    quarks.append(Quark(a, b))
+    base = Quark(a, b)
+    quarks.append(base)
     for cycle in _theta_cycles(lines):
         quarks += [Quark(a, point) for point in (cycle[0],) + cycle[:0:-1]]
-        quarks.append(Quark(a, b))
+        quarks.append(base)
     for q in bridge:
         if quarks[-1] != q:
             quarks.append(q)

@@ -136,6 +136,7 @@ class TestClosure:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_closure_agrees_with_per_atom_closures(self, n):
+        """Reference: test each atom against the closure of the others."""
         pairs = _atom_pairs(n)
         reducible = [
             p for p in pairs
