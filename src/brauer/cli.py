@@ -300,12 +300,19 @@ def main(argv=None) -> int:
     """Run one ``brauer`` command line and return its exit code.  A first
     argument that names a command builds that command's parser alone; any
     other (an option, an unknown name, none) builds them all, for the full
-    help and the list of choices."""
+    help and the list of choices.  argparse does not resume the ``verify``
+    suites after an option, so the suite names it leaves over join them;
+    any other leftover is an unrecognized argument."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if args.command == "verify":
+            args.suites += [arg for arg in extra if not arg.startswith("-")]
+            extra = [arg for arg in extra if arg.startswith("-")]
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

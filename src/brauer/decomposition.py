@@ -108,10 +108,10 @@ def decompose(pi: BrauerDiagram) -> Word:
     return Word(pi.n, tuple(quarks))
 
 
-def atom_closure(n: int) -> set[BrauerDiagram]:
-    """Multiplicative closure of the rank-n atoms, computed by
-    breadth-first right multiplication."""
-    return {BrauerDiagram(p) for p in _bfs_levels(n, _atom_pairs(n))}
+def atom_closure(n: int) -> set[tuple[int, ...]]:
+    """Multiplicative closure of the rank-n atoms, as partner arrays,
+    computed by breadth-first right multiplication."""
+    return set(_bfs_levels(n, _atom_pairs(n)))
 
 
 def is_irreducible_generator_check(n: int) -> list[tuple[int, int]]:

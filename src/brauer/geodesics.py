@@ -23,7 +23,11 @@ up to relabelling.  The orbit has n!/|Aut| elements, where the
 stabilizer Aut permutes equal cycles and maps each cycle onto itself by
 the rotations and reflections that keep its word.
 
-``GeodesicTable.dist`` is a read-only mapping over the whole singular
+A cycle word's least reading and its count of self-readings are
+memoised once per word for the process (``_least_reading``,
+``_symmetries``); the memo holds only the words searches and loads meet.
+
+``GeodesicTable`` is itself a read-only mapping over the whole singular
 part: a lookup finds its diagram's orbit, its length is the sum of the
 orbit sizes, and iterating it enumerates the singular diagrams.  The
 witness of ``max_entry`` is the smallest text over all relabellings of
@@ -31,9 +35,10 @@ the maximal orbits, found by a branch-and-bound search that builds the
 text one block at a time, so its work grows with the orbit, not with n!.
 
 Elements whose left and right bracket are both {1,2} carry a permutation
-of {3..n}; ``ls_via_cycles`` reads the closed form ls = (n-2) - s + c + 1
-(s trivial, c nontrivial cycles) off its cycle structure, and
-``decompose`` builds a word of exactly that length from the same cycles.
+of {3..n}; ``ls_via_cycles`` reads the closed form ls = n - s + c - b
+off their cycle words (s identity lines, c permutation cycles, b = 1
+cycle through the bracket), and ``decompose`` builds a word of exactly
+that length from the same cycles.
 
 Length is undefined on invertible elements; tables exclude them.
 Tables can be cached as CSV, format 2: one row per orbit, holding a
@@ -47,6 +52,7 @@ cannot be written costs only a warning on stderr.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import sys
@@ -55,7 +61,6 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from brauer.decomposition import _theta_cycles
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
@@ -119,37 +124,29 @@ def _cycles(p: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
     return words, cycle_of
 
 
-def _orbit_key(
-    p: tuple[int, ...], least: dict[tuple[int, ...], tuple[int, ...]] | None = None
-) -> _OrbitKey:
-    """The conjugation-orbit key of a partner array (module docstring).
-    ``least`` maps cycle words to their least readings; a caller that
-    keys many arrays passes one to share it across calls."""
-    if least is None:
-        least = {}
-    words = []
-    for word in _cycles(p)[0]:
-        reading = least.get(word)
-        if reading is None:
-            reading = least[word] = min(_readings(word))
-        words.append(reading)
-    words.sort()
-    return tuple(words)
+@functools.lru_cache(maxsize=None)
+def _least_reading(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The least reading of a cycle word, its canonical form."""
+    return min(_readings(word))
 
 
-def _orbit_size(key: _OrbitKey, symmetries: dict[tuple[int, ...], int] | None = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _symmetries(word: tuple[int, ...]) -> int:
+    """How many readings of a cycle word give the word again."""
+    return sum(reading == word for reading in _readings(word))
+
+
+def _orbit_key(p: tuple[int, ...]) -> _OrbitKey:
+    """The conjugation-orbit key of a partner array (module docstring)."""
+    return tuple(sorted(map(_least_reading, _cycles(p)[0])))
+
+
+def _orbit_size(key: _OrbitKey) -> int:
     """n!/|Aut|: the stabilizer permutes equal cycles and maps each cycle
-    onto itself by every reading that gives its word again.
-    ``symmetries`` maps cycle words to their counts of such readings; a
-    caller that sizes many keys passes one to share it across calls."""
-    if symmetries is None:
-        symmetries = {}
+    onto itself by every reading that gives its word again."""
     aut = 1
     for word, copies in Counter(key).items():
-        count = symmetries.get(word)
-        if count is None:
-            count = symmetries[word] = sum(reading == word for reading in _readings(word))
-        aut *= math.factorial(copies) * count ** copies
+        aut *= math.factorial(copies) * _symmetries(word) ** copies
     return math.factorial(sum(map(len, key))) // aut
 
 
@@ -189,7 +186,7 @@ def _least_text(p: tuple[int, ...]) -> str:
     # free labels, best first, for a partner at the top and at the bottom
     order = [sorted(range(n), key=lambda k: label[k + off] + "}") for off in (0, n)]
     words, cycle_of = _cycles(p)
-    words = [min(_readings(word)) for word in words]
+    words = list(map(_least_reading, words))
     best: list[str] | None = None  # the blocks of the best text so far
 
     def partner(new: list[int], old: list[int], x: int) -> int:
@@ -236,13 +233,25 @@ def _least_text(p: tuple[int, ...]) -> str:
     return f"n={n};" + "".join(best)
 
 
-class _SingularLengths(Mapping):
-    """ls on every singular diagram of rank n, read off an orbit table."""
+@dataclass(eq=False)
+class GeodesicTable(Mapping):
+    """Exact geodesic distances on the singular part of rank n, one per
+    conjugation orbit, read as a mapping over the singular diagrams."""
 
-    def __init__(self, n: int, orbits: dict[_OrbitKey, int]):
-        self.n, self.orbits = n, orbits
+    n: int
+    orbits: dict[_OrbitKey, int]
+
+    @property
+    def dist(self) -> GeodesicTable:
+        """The table itself.  It stays only because ``perfbench/`` reads
+        ``len(table.dist)``; ROADMAP item 3 drops it."""
+        return self
 
     def __getitem__(self, d: BrauerDiagram) -> int:
+        if d.n != self.n:
+            raise DomainError(f"rank mismatch: {d.n} != {self.n}")
+        if d.corank == 0:
+            raise DomainError("length is undefined on invertible elements")
         return self.orbits[_orbit_key(d.partner)]
 
     def __len__(self) -> int:
@@ -250,27 +259,6 @@ class _SingularLengths(Mapping):
 
     def __iter__(self) -> Iterator[BrauerDiagram]:
         return (d for d in enumerate_all(self.n) if d.corank)
-
-
-@dataclass
-class GeodesicTable:
-    """Exact geodesic distances on the singular part of rank n, one per
-    conjugation orbit."""
-
-    n: int
-    orbits: dict[_OrbitKey, int]
-
-    @property
-    def dist(self) -> Mapping[BrauerDiagram, int]:
-        """The distance of every singular diagram of rank n."""
-        return _SingularLengths(self.n, self.orbits)
-
-    def __getitem__(self, d: BrauerDiagram) -> int:
-        if d.n != self.n:
-            raise DomainError(f"rank mismatch: {d.n} != {self.n}")
-        if d.corank == 0:
-            raise DomainError("length is undefined on invertible elements")
-        return self.dist[d]
 
     def max_entry(self) -> tuple[int, BrauerDiagram]:
         """Maximal distance and its lexicographically smallest witness,
@@ -338,12 +326,10 @@ class GeodesicTable:
         if not all(1 <= v <= expected_max_length(n) for _, v in rows):
             raise DomainError(f"cache {path} has a distance outside "
                               f"1..{expected_max_length(n)}")
-        least: dict[tuple[int, ...], tuple[int, ...]] = {}  # for this load only
-        orbits = {_orbit_key(d.partner, least): v for d, v in rows}
+        orbits = {_orbit_key(d.partner): v for d, v in rows}
         # distinct orbits partition the singular part: they are all there
         # exactly when their sizes add up to it
-        symmetries: dict[tuple[int, ...], int] = {}  # for this load only
-        covered = sum(_orbit_size(key, symmetries) for key in orbits)
+        covered = sum(map(_orbit_size, orbits))
         expected = count_all(n) - math.factorial(n)
         if len(orbits) != len(rows) or covered != expected:
             raise DomainError(f"cache {path} has {len(rows)} rows on {len(orbits)} orbits "
@@ -357,8 +343,7 @@ def bfs_lengths(n: int) -> GeodesicTable:
     values."""
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
-    least: dict[tuple[int, ...], tuple[int, ...]] = {}  # for this search only
-    return GeodesicTable(n, _bfs_levels(n, _atom_pairs(n), key=lambda p: _orbit_key(p, least)))
+    return GeodesicTable(n, _bfs_levels(n, _atom_pairs(n), key=_orbit_key))
 
 
 def expected_max_length(n: int) -> int:
@@ -376,15 +361,16 @@ def max_length(n: int, table: GeodesicTable | None = None) -> tuple[int, BrauerD
 
 
 def ls_via_cycles(pi: BrauerDiagram) -> int:
-    """Closed-form geodesic length on the H-class of the {1,2} atom:
-    (n-2) - s + c + 1, with s fixed points and c nontrivial cycles of the
-    permutation the element's lines induce on {3..n}."""
+    """Closed-form geodesic length on the H-class of the {1,2} atom,
+    n - s + c - b over its ``_cycles`` words: s identity lines ``(0,)``,
+    b cycles through a bracket (words holding a 1; here b = 1), c others."""
     base = frozenset({frozenset((1, 2))})
     if pi.left_brackets() != base or pi.right_brackets() != base:
         raise DomainError("element must have left and right bracket {1,2}")
-    theta = pi.lines()
-    fixed = sum(1 for p, image in theta.items() if p == image)
-    return (pi.n - 2) - fixed + len(_theta_cycles(theta)) + 1
+    words = _cycles(pi.partner)[0]
+    s = words.count((0,))
+    b = sum(1 in word for word in words)
+    return pi.n - s + (len(words) - s - b) - b
 
 
 def load_or_compute_table(n: int, cache_dir: str | Path | None = None) -> GeodesicTable:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from brauer.diagram import BrauerDiagram, DomainError, atom, multiply
@@ -44,7 +44,6 @@ __all__ = [
     "is_normal_form",
     "gamma",
     "check_all_relations",
-    "RelationReport",
     "parse_word",
     "word_to_text",
     "WORD_RANK_LIMIT",
@@ -154,10 +153,6 @@ RELATION_RULES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-def _instantiate(pattern: tuple[str, ...], bound: dict[str, int]) -> tuple[Quark, ...]:
-    return tuple(Quark(bound[a], bound[b]) for a, b in pattern)
-
-
 # --- normal form ----------------------------------------------------------
 
 def normalize(w: Word) -> Word:
@@ -245,45 +240,24 @@ def gamma(n: int, i: int) -> Word:
 
 # --- checking the relations under phi --------------------------------------
 
-@dataclass
-class RelationReport:
-    """Outcome of verifying the relation families over all index tuples."""
-
-    n: int
-    checked: dict[str, int] = field(default_factory=dict)
-    violations: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _relation_words(rule: str, n: int, bound: dict[str, int]) -> tuple[Word, Word]:
-    lhs, rhs = RELATION_RULES[rule]
-    return (
-        Word(n, _instantiate(lhs, bound)),
-        Word(n, _instantiate(rhs, bound)),
-    )
-
-
-def check_all_relations(n: int) -> RelationReport:
+def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[int, ...]]]]:
     """Verify every relation family under phi for every admissible tuple
-    of pairwise distinct indices; families needing more indices than n
-    offers are skipped (reported as 0 tuples)."""
+    of pairwise distinct indices.  Returns the number of tuples checked
+    per family (0 for a family needing more indices than n offers) and
+    the violations as (family, tuple)."""
     if n < 2:
         raise DomainError("relations need n >= 2")
-    report = RelationReport(n)
+    checked, violations = {}, []
     for rule, (lhs, rhs) in RELATION_RULES.items():
         variables = sorted(set("".join(lhs + rhs)))
-        count = 0
+        checked[rule] = 0
         for values in itertools.permutations(range(1, n + 1), len(variables)):
             bound = dict(zip(variables, values))
-            u, v = _relation_words(rule, n, bound)
-            if phi(u) != phi(v):
-                report.violations.append((rule, values))
-            count += 1
-        report.checked[rule] = count
-    return report
+            u, v = (phi(word(n, [(bound[a], bound[b]) for a, b in side])) for side in (lhs, rhs))
+            if u != v:
+                violations.append((rule, values))
+            checked[rule] += 1
+    return checked, violations
 
 
 # --- text format ------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_01_cardinality():
 
 
 def test_criterion_02_relations():
-    violations = {n: len(check_all_relations(n).violations) for n in (4, 5, 6)}
+    violations = {n: len(check_all_relations(n)[1]) for n in (4, 5, 6)}
     ok = all(v == 0 for v in violations.values())
     report(2, ok, f"relation violations for n=4,5,6: {list(violations.values())}")
 
@@ -98,7 +98,7 @@ def test_criterion_03_generation():
     for n in expected:
         closure = atom_closure(n)
         sizes[n] = len(closure)
-        exact &= closure == {d for d in enumerate_all(n) if d.corank >= 2}
+        exact &= closure == {d.partner for d in enumerate_all(n) if d.corank >= 2}
     ok = sizes == expected and exact
     report(3, ok, f"atom closures for n=3,4,5 have sizes {list(sizes.values())}")
 
@@ -158,7 +158,7 @@ def test_criterion_06_maximal_length(tables):
 def test_level_census_n7(tables):
     # elements of each geodesic length 1..8; reads the criterion-06 table
     census = [21, 315, 2835, 15330, 44415, 53550, 12579, 1050]
-    counts = Counter(tables(7).dist.values())
+    counts = Counter(tables(7).values())
     ok = sorted(counts.items()) == list(enumerate(census, 1))
     report(6, ok, f"rank-7 elements per length = {dict(sorted(counts.items()))}")
 

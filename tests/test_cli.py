@@ -162,7 +162,7 @@ class TestLengths:
             rows.append([swapped, value])
         else:  # format 1: one row per element
             rows = [["format", "1"], *rows[1:3],
-                    *sorted([d.to_text(), str(v)] for d, v in table.dist.items())]
+                    *sorted([d.to_text(), str(v)] for d, v in table.items())]
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         code, out, _ = run(capsys, "length", last.to_text(), "--cache-dir", str(tmp_path))
@@ -961,6 +961,340 @@ class TestDecompositionGolden:
         assert run(capsys, *argv) == (0, GOLDEN_IRREDUCIBLE[argv], "")
 
 
+
+# ``verify N relations`` (N = 2..8) and ``verify N generation`` (N = 2..6),
+# copied from the output of the report-class relation check and the
+# diagram-set atom closure before the tuple forms replaced them
+GOLDEN_VERIFY = {
+    ("verify", "2", "relations"): """\
+PASS relation violations (n=2): expected 0, computed 0 (R1:2 R2:2 R3:0 R4:0 R5:0 R6:0 R7:0)
+""",
+    ("verify", "2", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 2,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=2)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:2 R2:2 R3:0 R4:0 R5:0 R6:0 R7:0",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "3", "relations"): """\
+PASS relation violations (n=3): expected 0, computed 0 (R1:6 R2:6 R3:0 R4:6 R5:6 R6:0 R7:0)
+""",
+    ("verify", "3", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 3,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=3)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:6 R2:6 R3:0 R4:6 R5:6 R6:0 R7:0",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "4", "relations"): """\
+PASS relation violations (n=4): expected 0, computed 0 (R1:12 R2:12 R3:24 R4:24 R5:24 R6:24 R7:24)
+""",
+    ("verify", "4", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 4,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=4)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:12 R2:12 R3:24 R4:24 R5:24 R6:24 R7:24",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "5", "relations"): """\
+PASS relation violations (n=5): expected 0, computed 0 (R1:20 R2:20 R3:120 R4:60 R5:60 R6:120 R7:120)
+""",
+    ("verify", "5", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 5,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=5)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:20 R2:20 R3:120 R4:60 R5:60 R6:120 R7:120",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "6", "relations"): """\
+PASS relation violations (n=6): expected 0, computed 0 (R1:30 R2:30 R3:360 R4:120 R5:120 R6:360 R7:360)
+""",
+    ("verify", "6", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 6,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=6)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:30 R2:30 R3:360 R4:120 R5:120 R6:360 R7:360",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "7", "relations"): """\
+PASS relation violations (n=7): expected 0, computed 0 (R1:42 R2:42 R3:840 R4:210 R5:210 R6:840 R7:840)
+""",
+    ("verify", "7", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 7,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=7)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:42 R2:42 R3:840 R4:210 R5:210 R6:840 R7:840",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "8", "relations"): """\
+PASS relation violations (n=8): expected 0, computed 0 (R1:56 R2:56 R3:1680 R4:336 R5:336 R6:1680 R7:1680)
+""",
+    ("verify", "8", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 8,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=8)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:56 R2:56 R3:1680 R4:336 R5:336 R6:1680 R7:1680",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "2", "generation"): """\
+PASS atom-closure size (n=2): expected 1, computed 1 ((2n-1)!! - n! = 3 - 2)
+PASS closure equals corank>=2 set (n=2): expected True, computed True
+""",
+    ("verify", "2", "generation", "--json"): """\
+{
+  "command": "verify",
+  "n": 2,
+  "suites": [
+    "generation"
+  ],
+  "claims": [
+    {
+      "suite": "generation",
+      "name": "atom-closure size (n=2)",
+      "expected": 1,
+      "computed": 1,
+      "detail": "(2n-1)!! - n! = 3 - 2",
+      "ok": true
+    },
+    {
+      "suite": "generation",
+      "name": "closure equals corank>=2 set (n=2)",
+      "expected": true,
+      "computed": true,
+      "detail": "",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "3", "generation"): """\
+PASS atom-closure size (n=3): expected 9, computed 9 ((2n-1)!! - n! = 15 - 6)
+PASS closure equals corank>=2 set (n=3): expected True, computed True
+""",
+    ("verify", "3", "generation", "--json"): """\
+{
+  "command": "verify",
+  "n": 3,
+  "suites": [
+    "generation"
+  ],
+  "claims": [
+    {
+      "suite": "generation",
+      "name": "atom-closure size (n=3)",
+      "expected": 9,
+      "computed": 9,
+      "detail": "(2n-1)!! - n! = 15 - 6",
+      "ok": true
+    },
+    {
+      "suite": "generation",
+      "name": "closure equals corank>=2 set (n=3)",
+      "expected": true,
+      "computed": true,
+      "detail": "",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "4", "generation"): """\
+PASS atom-closure size (n=4): expected 81, computed 81 ((2n-1)!! - n! = 105 - 24)
+PASS closure equals corank>=2 set (n=4): expected True, computed True
+""",
+    ("verify", "4", "generation", "--json"): """\
+{
+  "command": "verify",
+  "n": 4,
+  "suites": [
+    "generation"
+  ],
+  "claims": [
+    {
+      "suite": "generation",
+      "name": "atom-closure size (n=4)",
+      "expected": 81,
+      "computed": 81,
+      "detail": "(2n-1)!! - n! = 105 - 24",
+      "ok": true
+    },
+    {
+      "suite": "generation",
+      "name": "closure equals corank>=2 set (n=4)",
+      "expected": true,
+      "computed": true,
+      "detail": "",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "5", "generation"): """\
+PASS atom-closure size (n=5): expected 825, computed 825 ((2n-1)!! - n! = 945 - 120)
+PASS closure equals corank>=2 set (n=5): expected True, computed True
+""",
+    ("verify", "5", "generation", "--json"): """\
+{
+  "command": "verify",
+  "n": 5,
+  "suites": [
+    "generation"
+  ],
+  "claims": [
+    {
+      "suite": "generation",
+      "name": "atom-closure size (n=5)",
+      "expected": 825,
+      "computed": 825,
+      "detail": "(2n-1)!! - n! = 945 - 120",
+      "ok": true
+    },
+    {
+      "suite": "generation",
+      "name": "closure equals corank>=2 set (n=5)",
+      "expected": true,
+      "computed": true,
+      "detail": "",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "6", "generation"): """\
+PASS atom-closure size (n=6): expected 9675, computed 9675 ((2n-1)!! - n! = 10395 - 720)
+PASS closure equals corank>=2 set (n=6): expected True, computed True
+""",
+    ("verify", "6", "generation", "--json"): """\
+{
+  "command": "verify",
+  "n": 6,
+  "suites": [
+    "generation"
+  ],
+  "claims": [
+    {
+      "suite": "generation",
+      "name": "atom-closure size (n=6)",
+      "expected": 9675,
+      "computed": 9675,
+      "detail": "(2n-1)!! - n! = 10395 - 720",
+      "ok": true
+    },
+    {
+      "suite": "generation",
+      "name": "closure equals corank>=2 set (n=6)",
+      "expected": true,
+      "computed": true,
+      "detail": "",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+}
+
+
+class TestVerifyGolden:
+    @pytest.mark.parametrize("argv", list(GOLDEN_VERIFY), ids=" ".join)
+    def test_output_is_byte_exact(self, capsys, argv):
+        assert run(capsys, *argv) == (0, GOLDEN_VERIFY[argv], "")
+
 class TestVerify:
     def test_relations_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "4", "relations")
@@ -988,6 +1322,16 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "4", "nonsense")
         assert code == 2 and "unknown suite" in err
+
+    def test_suites_after_an_option(self, capsys):
+        after = run(capsys, "verify", "3", "--json", "lengths")
+        assert after == run(capsys, "verify", "3", "lengths", "--json")
+        assert after[0] == 0
+
+    def test_unknown_option_after_suites_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "3", "--json", "lengths", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.endswith("brauer: error: unrecognized arguments: --bogus\n")
 
 
 class TestRankLimits:
@@ -1095,8 +1439,7 @@ class TestErrorHandling:
 # columns: the help pages, the usage errors and the unrecognized-argument
 # errors, with their exit codes.  Copied from the output of the parser that
 # built every subcommand on each call, so a parser built for one command
-# must print the same.  ``verify 3 --json lengths`` is refused: argparse
-# does not resume the ``nargs="*"`` suites after an option.
+# must print the same.
 WORD_N3 = "n=3: (1,2)"
 
 HELP_BRAUER = """\
@@ -1376,10 +1719,35 @@ brauer: error: unrecognized arguments: --force
 usage: brauer [-h] COMMAND ...
 brauer: error: unrecognized arguments: --cache-dir X
 """),
-    ("verify", "3", "--json", "lengths"): (2, "", """\
-usage: brauer [-h] COMMAND ...
-brauer: error: unrecognized arguments: lengths
-"""),
+    # suite names after an option join the suites (``cli.main``)
+    ("verify", "3", "--json", "lengths"): (0, """\
+{
+  "command": "verify",
+  "n": 3,
+  "suites": [
+    "lengths"
+  ],
+  "claims": [
+    {
+      "suite": "lengths",
+      "name": "maximal length (n=3)",
+      "expected": 2,
+      "computed": 2,
+      "detail": "witness n=3;{1,2'}{2,3}{1',3'}",
+      "ok": true
+    },
+    {
+      "suite": "lengths",
+      "name": "cycle-formula mismatches on the {1,2} class (n=3)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""", ""),
 }
 
 

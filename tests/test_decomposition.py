@@ -128,7 +128,7 @@ class TestClosure:
 
         closure = atom_closure(n)
         assert len(closure) == count_all(n) - math.factorial(n)
-        assert closure == {d for d in enumerate_all(n) if d.corank >= 2}
+        assert closure == {d.partner for d in enumerate_all(n) if d.corank >= 2}
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_atoms_irreducible(self, n):

@@ -114,3 +114,19 @@ def test_definitions_have_program_callers(name):
         )
     ]
     assert unreached == []
+
+
+def test_private_names_come_only_from_the_kernel():
+    """Inside the package a private name is imported only from
+    ``brauer.diagram``, the kernel every other module builds on; any
+    other module's private helper stays its own."""
+    package = Path(brauer.__file__).parent
+    coupled = [
+        f"{path.name}: from {node.module} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module != "brauer.diagram"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert coupled == []

@@ -218,17 +218,17 @@ class TestGamma:
 
 class TestCheckAllRelations:
     def test_n4_all_pass(self):
-        report = check_all_relations(4)
-        assert report.ok
-        assert all(report.checked[r] > 0 for r in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"))
+        checked, violations = check_all_relations(4)
+        assert violations == []
+        assert all(checked[r] > 0 for r in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"))
 
     def test_n3_applicable_subset(self):
-        report = check_all_relations(3)
-        assert report.ok
-        assert report.checked["R1"] == 6 and report.checked["R2"] == 6
-        assert report.checked["R4"] == 6 and report.checked["R5"] == 6
-        assert report.checked["R3"] == 0  # needs four distinct indices
-        assert report.checked["R6"] == 0 and report.checked["R7"] == 0
+        checked, violations = check_all_relations(3)
+        assert violations == []
+        assert checked["R1"] == 6 and checked["R2"] == 6
+        assert checked["R4"] == 6 and checked["R5"] == 6
+        assert checked["R3"] == 0  # needs four distinct indices
+        assert checked["R6"] == 0 and checked["R7"] == 0
 
 
 class TestWordText:

@@ -9,7 +9,6 @@ from brauer.presentation import (
     RELATION_RULES,
     Quark,
     Word,
-    _relation_words,
     is_connected,
     word,
     word_to_text,
@@ -46,7 +45,8 @@ def move_instances(rule, n=4):
     lhs, rhs = RELATION_RULES[rule]
     variables = sorted(set("".join(lhs + rhs)))
     for values in itertools.permutations(range(1, n + 1), len(variables)):
-        yield _relation_words(rule, n, dict(zip(variables, values)))
+        bound = dict(zip(variables, values))
+        yield tuple(word(n, [(bound[a], bound[b]) for a, b in side]) for side in (lhs, rhs))
 
 
 def dot_vertices(dot):
