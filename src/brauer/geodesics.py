@@ -34,19 +34,20 @@ witness of ``max_entry`` is the smallest text over all relabellings of
 the maximal orbits, found by a branch-and-bound search that builds the
 text one block at a time, so its work grows with the orbit, not with n!.
 
-Elements whose left and right bracket are both {1,2} carry a permutation
-of {3..n}; ``ls_via_cycles`` reads the closed form ls = n - s + c - b
-off their cycle words (s identity lines, c permutation cycles, b = 1
-cycle through the bracket), and ``decompose`` builds a word of exactly
-that length from the same cycles.
+A singular diagram's length has the closed form ls = n - s + c - b over
+its cycle words: s identity lines ``(0,)``, b cycles through a bracket
+(words holding a 1), c others.  ``ls_via_cycles`` computes it; it agrees
+with the search on every orbit for n = 2..14.  On the {1,2} H-class
+``decompose`` builds a word of exactly that length from the same cycles.
 
 Length is undefined on invertible elements; tables exclude them.
 Tables can be cached as CSV, format 2: one row per orbit, holding a
 representative's text and its distance.  A cache file that is not a
-complete table of the requested rank (another format, a row of another
-rank or an invertible row, a distance out of range, an orbit listed
-twice or missing) counts as stale and is recomputed, and a cache that
-cannot be written costs only a warning on stderr.
+complete table of the requested rank (another format, a rank below 2, a
+row of another rank or an invertible row, a distance other than the
+closed form's, an orbit listed twice or missing) counts as stale and is
+recomputed by the search, so a cache never changes an answer, and a
+cache that cannot be written costs only a warning on stderr.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import math
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -248,10 +249,8 @@ class GeodesicTable(Mapping):
         return self
 
     def __getitem__(self, d: BrauerDiagram) -> int:
-        if d.n != self.n:
-            raise DomainError(f"rank mismatch: {d.n} != {self.n}")
-        if d.corank == 0:
-            raise DomainError("length is undefined on invertible elements")
+        # the key's words add up to its rank and a singular key holds a 1,
+        # so another rank or an invertible diagram raises KeyError
         return self.orbits[_orbit_key(d.partner)]
 
     def __len__(self) -> int:
@@ -297,10 +296,10 @@ class GeodesicTable(Mapping):
 
     @classmethod
     def load(cls, path: str | Path, n: int) -> GeodesicTable:
-        """Read a cache file.  A wrong format version or rank, an
-        unparsable row, a row outside the rank-n singular part or the
-        distance range, or rows that name an orbit twice or miss one
-        raise DomainError."""
+        """Read a cache file.  A rank below 2, a wrong format version or
+        rank, an unparsable row, a row outside the rank-n singular part,
+        a distance other than the closed form's, or rows that name an
+        orbit twice or miss one raise DomainError."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -313,7 +312,7 @@ class GeodesicTable(Mapping):
                 raise DomainError(f"unreadable cache file {path}: {exc}") from exc
             if fmt != ["format", CACHE_FORMAT_VERSION]:
                 raise DomainError(f"cache {path} has unsupported format {fmt}")
-            if rank != ["n", str(n)] or header != ["diagram", "distance"]:
+            if n < 2 or rank != ["n", str(n)] or header != ["diagram", "distance"]:
                 raise DomainError(f"cache {path} does not match n={n}")
             try:
                 rows = [(parse_diagram(text), int(value)) for text, value in reader]
@@ -323,10 +322,9 @@ class GeodesicTable(Mapping):
         if not all(len(d.partner) == 2 * n and min(d.partner[:n]) < n for d, _ in rows):
             raise DomainError(f"cache {path} lists a diagram outside the rank-{n} "
                               "singular part")
-        if not all(1 <= v <= expected_max_length(n) for _, v in rows):
-            raise DomainError(f"cache {path} has a distance outside "
-                              f"1..{expected_max_length(n)}")
         orbits = {_orbit_key(d.partner): v for d, v in rows}
+        if any(v != _ls_formula(key) for key, v in orbits.items()):
+            raise DomainError(f"cache {path} has a distance other than the closed form's")
         # distinct orbits partition the singular part: they are all there
         # exactly when their sizes add up to it
         covered = sum(map(_orbit_size, orbits))
@@ -353,24 +351,24 @@ def expected_max_length(n: int) -> int:
 
 def max_length(n: int, table: GeodesicTable | None = None) -> tuple[int, BrauerDiagram]:
     """Maximum geodesic length plus one witness attaining it."""
-    if n < 2:
-        raise DomainError("maximal length needs n >= 2")
     if table is None:
         table = bfs_lengths(n)
     return table.max_entry()
 
 
-def ls_via_cycles(pi: BrauerDiagram) -> int:
-    """Closed-form geodesic length on the H-class of the {1,2} atom,
-    n - s + c - b over its ``_cycles`` words: s identity lines ``(0,)``,
-    b cycles through a bracket (words holding a 1; here b = 1), c others."""
-    base = frozenset({frozenset((1, 2))})
-    if pi.left_brackets() != base or pi.right_brackets() != base:
-        raise DomainError("element must have left and right bracket {1,2}")
-    words = _cycles(pi.partner)[0]
+def _ls_formula(words: Sequence[tuple[int, ...]]) -> int:
+    """The closed form n - s + c - b (module docstring) over a singular
+    diagram's cycle words or their least readings, its orbit key."""
     s = words.count((0,))
     b = sum(1 in word for word in words)
-    return pi.n - s + (len(words) - s - b) - b
+    return sum(map(len, words)) - s + (len(words) - s - b) - b
+
+
+def ls_via_cycles(pi: BrauerDiagram) -> int:
+    """Geodesic length of a singular diagram by the closed form."""
+    if pi.corank == 0:
+        raise DomainError("length is undefined on invertible elements")
+    return _ls_formula(_cycles(pi.partner)[0])
 
 
 def load_or_compute_table(n: int, cache_dir: str | Path | None = None) -> GeodesicTable:

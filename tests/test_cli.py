@@ -113,7 +113,7 @@ class TestLengths:
 
     def test_length_rejects_invertible(self, capsys):
         code, _, err = run(capsys, "length", "n=2;{1,1'}{2,2'}")
-        assert code == 2 and "error:" in err
+        assert code == 2 and err == "error: length is undefined on invertible elements\n"
 
     def test_longest_n4(self, capsys):
         code, obj, _ = run_json(capsys, "longest", "4")
@@ -141,7 +141,7 @@ class TestLengths:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("damage", ["truncated", "extra_field", "same_orbit_twice",
-                                        "v1_file"])
+                                        "v1_file", "distance_off_formula"])
     def test_damaged_cache_recomputed(self, capsys, tmp_path, damage):
         table = bfs_lengths(4)
         run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
@@ -160,6 +160,11 @@ class TestLengths:
             swapped = text.translate(str.maketrans("12", "21"))
             assert parse_diagram(swapped) != last
             rows.append([swapped, value])
+        elif damage == "distance_off_formula":
+            # the atom orbit, the only row at distance 1, at 2: in range 1..4
+            [i] = [i for i, row in enumerate(rows) if row[1:] == ["1"]]
+            last = parse_diagram(rows[i][0])
+            rows[i][1] = "2"
         else:  # format 1: one row per element
             rows = [["format", "1"], *rows[1:3],
                     *sorted([d.to_text(), str(v)] for d, v in table.items())]
@@ -168,6 +173,27 @@ class TestLengths:
         code, out, _ = run(capsys, "length", last.to_text(), "--cache-dir", str(tmp_path))
         assert code == 0 and out.strip() == str(table[last])
         assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("old,new", [("1", "2"), ("4", "3")])
+    def test_distance_off_formula_changes_no_answer(self, capsys, tmp_path, old, new):
+        # an in-range distance on the atom orbit or the maximal one
+        run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
+        path = tmp_path / "geodesics-n4.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        [row] = [row for row in rows[3:] if row[1:] == [old]]
+        row[1] = new
+        for argv in (["longest", "4"], ["length", row[0]]):
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == run(capsys, *argv)
+
+    def test_rank_one_cache_changes_no_answer(self, capsys, tmp_path):
+        # an empty rank-1 table would be complete, so the loader must reject it
+        (tmp_path / "geodesics-n1.csv").write_text("format,2\nn,1\ndiagram,distance\n")
+        expected = run(capsys, "longest", "1")
+        assert expected == (2, "", "error: the singular part needs n >= 2\n")
+        assert run(capsys, "longest", "1", "--cache-dir", str(tmp_path)) == expected
 
     def test_unwritable_cache_keeps_answer(self, capsys, tmp_path):
         _, expected, _ = run(capsys, "longest", "3")
