@@ -141,7 +141,8 @@ class TestLengths:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("damage", ["truncated", "extra_field", "same_orbit_twice",
-                                        "v1_file", "distance_off_formula"])
+                                        "v1_file", "distance_off_formula", "stray_text",
+                                        "point_twice", "rank_n_plus_1"])
     def test_damaged_cache_recomputed(self, capsys, tmp_path, damage):
         table = bfs_lengths(4)
         run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
@@ -165,6 +166,22 @@ class TestLengths:
             [i] = [i for i, row in enumerate(rows) if row[1:] == ["1"]]
             last = parse_diagram(rows[i][0])
             rows[i][1] = "2"
+        elif damage == "stray_text":
+            rows[-1][0] = text.replace("}{", "} x {", 1)
+            with pytest.raises(DomainError, match="unexpected text in diagram: ' x '"):
+                parse_diagram(rows[-1][0])
+        elif damage == "point_twice":
+            # the first block's smaller point becomes the second block's
+            head, _, body = text.partition(";")
+            blocks = body[1:-1].split("}{")
+            blocks[0] = blocks[1].split(",")[0] + "," + blocks[0].split(",")[1]
+            rows[-1][0] = head + ";{" + "}{".join(blocks) + "}"
+            with pytest.raises(DomainError, match="appears twice"):
+                parse_diagram(rows[-1][0])
+        elif damage == "rank_n_plus_1":
+            # the last row's diagram with an identity line added at rank 5
+            rows[-1][0] = text.replace("n=4;", "n=5;", 1) + "{5,5'}"
+            assert parse_diagram(rows[-1][0]).n == 5
         else:  # format 1: one row per element
             rows = [["format", "1"], *rows[1:3],
                     *sorted([d.to_text(), str(v)] for d, v in table.items())]

@@ -418,6 +418,60 @@ class TestEnumerate:
             enumerate_all(0)
 
 
+# each rejected text with the exact message it raises, in the order the
+# checks run: header, stray text (the first non-blank gap), rank, block
+# count, then block by block range, repeat within a block, reuse
+PARSE_ERRORS = {
+    "empty": ("", "diagram must start with 'n=<rank>;': ''"),
+    "no header": ("{1,2}{1',2'}", "diagram must start with 'n=<rank>;': \"{1,2}{1',2'}\""),
+    "header without body": ("n=3", "diagram must start with 'n=<rank>;': 'n=3'"),
+    "text before header": ("x n=2;{1,2}{1',2'}",
+                           "diagram must start with 'n=<rank>;': \"x n=2;{1,2}{1',2'}\""),
+    "text before blocks": ("n=2; x {1,2}{1',2'}", "unexpected text in diagram: ' x '"),
+    "text between blocks": ("n=2;{1,2} x {1',2'}", "unexpected text in diagram: ' x '"),
+    "text after blocks": ("n=2;{1,2}{1',2'} x", "unexpected text in diagram: ' x'"),
+    "first gap wins": ("n=2;a{1,2}b{1',2'}c", "unexpected text in diagram: 'a'"),
+    "trailing separator": ("n=2;{1,2}{1',2'};", "unexpected text in diagram: ';'"),
+    "comma between blocks": ("n=2;{1,2},{1',2'}", "unexpected text in diagram: ','"),
+    "round block": ("n=2;{1,2}(1',2')", "unexpected text in diagram: \"(1',2')\""),
+    "double prime": ("n=2;{1,2}{1',2''}", "unexpected text in diagram: \"{1',2''}\""),
+    "minus sign": ("n=2;{-1,2}{1',2'}", "unexpected text in diagram: '{-1,2}'"),
+    "stray brace": ("n=2;{1,2}{1',2'}}", "unexpected text in diagram: '}'"),
+    "rank zero": ("n=0;", "rank n must be a positive integer"),
+    "empty body": ("n=2;", "expected 2 blocks, got 0"),
+    "too few blocks": ("n=3;{1,2}", "expected 3 blocks, got 1"),
+    "too many blocks": ("n=2;{1,2}{1',2'}{1,1'}", "expected 2 blocks, got 3"),
+    "point 0": ("n=2;{0,1}{2,1'}", "point 0 out of range for n=2"),
+    "unprimed out of range": ("n=3;{1,4}{2,3}{1',2'}", "point 4 out of range for n=3"),
+    "primed out of range": ("n=3;{1,2}{4',1'}{3,3'}", "point -4 out of range for n=3"),
+    "first point checked first": ("n=2;{3,3'}{1,2}", "point 3 out of range for n=2"),
+    "repeat in block": ("n=2;{1,1}{2,1'}", "block (1, 1) repeats a point"),
+    "primed repeat in block": ("n=2;{1,2}{2',2'}", "block (-2, -2) repeats a point"),
+    "unprimed twice": ("n=2;{1,2'}{2,1}", "point 1 appears twice"),
+    "unprimed twice, second slot": ("n=2;{1,2}{2',1}", "point 1 appears twice"),
+    "primed twice": ("n=2;{1',2}{1',2'}", "point -1 appears twice"),
+}
+
+# accepted spellings and the canonical text each parses to
+PARSE_VARIANTS = {
+    "spaced": ("n = 3 ; { 1 , 2 } { 3 , 1' } { 2' , 3' }", "n=3;{1,2}{3,1'}{2',3'}"),
+    "padded": ("  n=2;{1,2}{1',2'}\n", "n=2;{1,2}{1',2'}"),
+    "newline between blocks": ("n=2;{1,2}\n{1',2'}", "n=2;{1,2}{1',2'}"),
+    "space before prime block": ("n=2 ;{1,2}{ 1',2'}", "n=2;{1,2}{1',2'}"),
+    "leading zeros": ("n=02;{1,02}{1',2'}", "n=2;{1,2}{1',2'}"),
+    "any block order": ("n=3;{2',3'}{3,1'}{1,2}", "n=3;{1,2}{3,1'}{2',3'}"),
+}
+
+# make_diagram inputs that parse_diagram cannot produce
+MAKE_ERRORS = {
+    "rank zero": (0, [], "rank n must be a positive integer"),
+    "negative rank": (-1, [(1, 2)], "rank n must be a positive integer"),
+    "three points": (2, [(1, 2, -1), (-2,)], "block (1, 2, -1) does not have two points"),
+    "one point": (2, [(1,), (2, -2)], "block (1,) does not have two points"),
+    "list block": (2, [[1, 1], [2, -2]], "block (1, 1) repeats a point"),
+}
+
+
 class TestSerialization:
     def test_canonical_text(self):
         d = multiply(atom(3, 1, 3), atom(3, 1, 2))
@@ -450,6 +504,22 @@ class TestSerialization:
         for bad in ["", "n=3", "n=3;{1,2}", "n=2;{1,2}{1',2'} x", "n=2;{1,2}(1',2')"]:
             with pytest.raises(DomainError):
                 parse_diagram(bad)
+
+    @pytest.mark.parametrize("text,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(DomainError) as exc:
+            parse_diagram(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,canonical", PARSE_VARIANTS.values(), ids=PARSE_VARIANTS)
+    def test_parse_accepts_whitespace_and_order(self, text, canonical):
+        assert parse_diagram(text).to_text() == canonical
+
+    @pytest.mark.parametrize("n,blocks,message", MAKE_ERRORS.values(), ids=MAKE_ERRORS)
+    def test_make_error_message(self, n, blocks, message):
+        with pytest.raises(DomainError) as exc:
+            make_diagram(n, blocks)
+        assert str(exc.value) == message
 
     def test_transpose_is_involution(self):
         rng = random.Random(9)
