@@ -151,12 +151,6 @@ def _point_labels(n: int) -> tuple[str, ...]:
     return tuple(str(k) for k in range(1, n + 1)) + tuple(f"{k}'" for k in range(1, n + 1))
 
 
-def _signed_to_index(point: int, n: int) -> int:
-    if point == 0 or abs(point) > n:
-        raise DomainError(f"point {point} out of range for n={n}")
-    return point - 1 if point > 0 else n - point - 1
-
-
 def make_diagram(n: int, blocks: Iterable[Sequence[int]]) -> BrauerDiagram:
     """Validate and build a diagram from signed-point blocks.
 
@@ -173,12 +167,20 @@ def make_diagram(n: int, blocks: Iterable[Sequence[int]]) -> BrauerDiagram:
     for block in blocks:
         if len(block) != 2:
             raise DomainError(f"block {tuple(block)} does not have two points")
-        p, q = (_signed_to_index(x, n) for x in block)
+        x, y = block
+        if x == 0 or abs(x) > n:
+            raise DomainError(f"point {x} out of range for n={n}")
+        if y == 0 or abs(y) > n:
+            raise DomainError(f"point {y} out of range for n={n}")
+        # unprimed i at index i-1, primed i' (signed -i) at index n+i-1
+        p = x - 1 if x > 0 else n - x - 1
+        q = y - 1 if y > 0 else n - y - 1
         if p == q:
             raise DomainError(f"block {tuple(block)} repeats a point")
-        for x in (p, q):
-            if partner[x] != -1:
-                raise DomainError(f"point {block[0] if x == p else block[1]} appears twice")
+        if partner[p] != -1:
+            raise DomainError(f"point {x} appears twice")
+        if partner[q] != -1:
+            raise DomainError(f"point {y} appears twice")
         partner[p], partner[q] = q, p
     # n blocks of 2 distinct points with no reuse cover all 2n points
     return BrauerDiagram(tuple(partner))
@@ -432,27 +434,24 @@ def random_diagram(n: int, rng) -> BrauerDiagram:
     return BrauerDiagram(tuple(partner))
 
 
+_HEADER_RE = re.compile(r"n\s*=\s*(\d+)\s*;")
 _BLOCK_RE = re.compile(r"\{\s*(\d+)(')?\s*,\s*(\d+)(')?\s*\}")
 
 
 def parse_diagram(text: str) -> BrauerDiagram:
     """Parse the text format; blocks may appear in any order."""
     text = text.strip()
-    m = re.match(r"n\s*=\s*(\d+)\s*;", text)
+    m = _HEADER_RE.match(text)
     if not m:
         raise DomainError(f"diagram must start with 'n=<rank>;': {text!r}")
     n = int(m.group(1))
-    body = text[m.end():]
-    blocks = []
-    pos = 0
-    for bm in _BLOCK_RE.finditer(body):
-        if body[pos:bm.start()].strip():
-            raise DomainError(f"unexpected text in diagram: {body[pos:bm.start()]!r}")
-        x = int(bm.group(1)) * (-1 if bm.group(2) else 1)
-        y = int(bm.group(3)) * (-1 if bm.group(4) else 1)
-        blocks.append((x, y))
-        pos = bm.end()
-    if body[pos:].strip():
-        raise DomainError(f"unexpected text in diagram: {body[pos:]!r}")
+    # the text before each block, the block's four groups, ..., the text after
+    parts = _BLOCK_RE.split(text[m.end():])
+    gaps = parts[::5]
+    if "".join(gaps).strip():
+        raise DomainError(f"unexpected text in diagram: {next(g for g in gaps if g.strip())!r}")
+    blocks = [
+        (-int(x) if xp else int(x), -int(y) if yp else int(y))
+        for x, xp, y, yp in zip(parts[1::5], parts[2::5], parts[3::5], parts[4::5])
+    ]
     return make_diagram(n, blocks)
-

@@ -36,9 +36,10 @@ text one block at a time, so its work grows with the orbit, not with n!.
 
 A singular diagram's length has the closed form ls = n - s + c - b over
 its cycle words: s identity lines ``(0,)``, b cycles through a bracket
-(words holding a 1), c others.  ``ls_via_cycles`` computes it; it agrees
-with the search on every orbit for n = 2..14.  On the {1,2} H-class
-``decompose`` builds a word of exactly that length from the same cycles.
+(words holding a 1), c others.  ``ls_via_cycles`` computes it; the tests
+check that it agrees with the search on every orbit for n = 2..10.  On
+the {1,2} H-class ``decompose`` builds a word of exactly that length
+from the same cycles.
 
 Length is undefined on invertible elements; tables exclude them.
 Tables can be cached as CSV, format 2: one row per orbit, holding a
@@ -54,10 +55,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
-from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,9 +145,11 @@ def _orbit_key(p: tuple[int, ...]) -> _OrbitKey:
 
 def _orbit_size(key: _OrbitKey) -> int:
     """n!/|Aut|: the stabilizer permutes equal cycles and maps each cycle
-    onto itself by every reading that gives its word again."""
+    onto itself by every reading that gives its word again.  The key is
+    sorted, so equal cycle words sit in one run."""
     aut = 1
-    for word, copies in Counter(key).items():
+    for word, run in itertools.groupby(key):
+        copies = sum(1 for _ in run)
         aut *= math.factorial(copies) * _symmetries(word) ** copies
     return math.factorial(sum(map(len, key))) // aut
 
@@ -245,7 +248,7 @@ class GeodesicTable(Mapping):
     @property
     def dist(self) -> GeodesicTable:
         """The table itself.  It stays only because ``perfbench/`` reads
-        ``len(table.dist)``; ROADMAP item 3 drops it."""
+        ``len(table.dist)``; ROADMAP item 5 drops it."""
         return self
 
     def __getitem__(self, d: BrauerDiagram) -> int:
