@@ -171,11 +171,8 @@ class TestLengths:
             with pytest.raises(DomainError, match="unexpected text in diagram: ' x '"):
                 parse_diagram(rows[-1][0])
         elif damage == "point_twice":
-            # the first block's smaller point becomes the second block's
-            head, _, body = text.partition(";")
-            blocks = body[1:-1].split("}{")
-            blocks[0] = blocks[1].split(",")[0] + "," + blocks[0].split(",")[1]
-            rows[-1][0] = head + ";{" + "}{".join(blocks) + "}"
+            # point 2 takes point 1's place, next to its own block
+            rows[-1][0] = text.replace("{1,", "{2,", 1)
             with pytest.raises(DomainError, match="appears twice"):
                 parse_diagram(rows[-1][0])
         elif damage == "rank_n_plus_1":

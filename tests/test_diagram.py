@@ -105,19 +105,19 @@ class TestMakeDiagram:
         assert d == identity(3)
 
     def test_repeated_point_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^point 1 appears twice$"):
             make_diagram(2, [(1, 2), (1, -1)])
 
     def test_wrong_block_count_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^expected 3 blocks, got 2$"):
             make_diagram(3, [(1, 2), (3, -1)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^point 3 out of range for n=2$"):
             make_diagram(2, [(1, 3), (2, -1)])
 
     def test_singleton_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^block \(1, 1\) repeats a point$"):
             make_diagram(2, [(1, 1), (2, -1)])
 
 
