@@ -38,6 +38,19 @@ def test_every_factorization_is_byte_exact(n):
     assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_SHA256[n]
 
 
+# SHA-256 of the factorizations of the singular diagrams among 2,000
+# seeded random diagrams of rank 7..32, one word per line; past rank 6
+# the permutation left after the brackets has long cycles
+RANDOM_DECOMPOSE_SHA256 = "4f9c540779fe7499a06ecfb718ddc76782e3967e20f7fda27077d9ebb2fab93e"
+
+
+def test_random_factorizations_are_byte_exact():
+    rng = random.Random(732)
+    diagrams = [random_diagram(rng.randint(7, 32), rng) for _ in range(2000)]
+    text = "".join(word_to_text(decompose(d)) + "\n" for d in diagrams if d.corank >= 2)
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DECOMPOSE_SHA256
+
+
 class TestGroupCorank2:
     def test_atom_is_its_own_factorization(self):
         assert decompose(atom(4, 1, 2)) == word(4, [(1, 2)])

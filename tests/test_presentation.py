@@ -5,6 +5,7 @@ import pytest
 
 from brauer.diagram import DomainError, atom, enumerate_all, multiply
 from brauer.presentation import (
+    WORD_RANK_LIMIT,
     Quark,
     Word,
     check_all_relations,
@@ -29,6 +30,29 @@ def random_word(rng, n=None, max_len=12):
         i, j = rng.sample(range(1, n + 1), 2)
         quarks.append(Quark(i, j))
     return Word(n, tuple(quarks))
+
+
+# bad word texts and the exact message each raises
+PARSE_ERRORS = {
+    "empty": ("", "word must start with 'n=<rank>: ': ''"),
+    "no header": ("(1,2)", "word must start with 'n=<rank>: ': '(1,2)'"),
+    "header without colon": ("n=3 (1,2)", "word must start with 'n=<rank>: ': 'n=3 (1,2)'"),
+    "text before header": ("x n=3: (1,2)", "word must start with 'n=<rank>: ': 'x n=3: (1,2)'"),
+    "text before pairs": ("n=3: x (1,2)", "unexpected text in word: 'x '"),
+    "text between pairs": ("n=3: (1,2) x (2,3)", "unexpected text in word: ' x '"),
+    "text after pairs": ("n=3: (1,2)(2,3) x", "unexpected text in word: ' x'"),
+    "separator": ("n=3: (1,2);(2,3)", "unexpected text in word: ';'"),
+    "minus sign": ("n=3: (1,-2)", "unexpected text in word: '(1,-2)'"),
+    "triple": ("n=3: (1,2,3)", "unexpected text in word: '(1,2,3)'"),
+    "empty body": ("n=3: ", "a word must contain at least one quark"),
+    "index 0": ("n=3: (0,2)", "quark indices must be >= 1"),
+    "repeated index": ("n=3: (1,1)", "quark indices must be distinct"),
+    "index over rank": ("n=3: (1,4)", "quark (1,4) exceeds rank n=3"),
+    "rank 0": ("n=0: (1,2)", "quark (1,2) exceeds rank n=0"),
+    "rank over limit": (f"n={WORD_RANK_LIMIT + 1}: (1,2)",
+                        f"rank n={WORD_RANK_LIMIT + 1} exceeds the word rank limit "
+                        f"{WORD_RANK_LIMIT}"),
+}
 
 
 class TestQuarkAndWord:
@@ -241,3 +265,9 @@ class TestWordText:
         for bad in ["", "n=3 (1,2)", "n=3: ", "n=3: (1,2) junk", "(1,2)"]:
             with pytest.raises(DomainError):
                 parse_word(bad)
+
+    @pytest.mark.parametrize("text,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(DomainError) as exc:
+            parse_word(text)
+        assert str(exc.value) == message

@@ -7,6 +7,7 @@ import pytest
 from brauer.diagram import DomainError, atom, enumerate_all
 from brauer.presentation import (
     RELATION_RULES,
+    WORD_RANK_LIMIT,
     Quark,
     Word,
     is_connected,
@@ -24,6 +25,25 @@ from brauer.sequences import (
     seq_equivalent,
     sequence,
 )
+
+
+# bad (rank, sequence text) inputs and the exact message each raises
+PARSE_ERRORS = {
+    "empty body": (4, "", "a word must contain at least one quark"),
+    "text before pairs": (4, "x(1,2)", "unexpected text in word: 'x'"),
+    "text between pairs": (4, "(1,2)x(2,3)", "unexpected text in word: 'x'"),
+    "text after pairs": (4, "(1,2)(2,3)x", "unexpected text in word: 'x'"),
+    "separator": (4, "(1,2);(2,3)", "unexpected text in word: ';'"),
+    "word header": (4, "n=4: (1,2)", "unexpected text in word: 'n=4: '"),
+    "index 0": (4, "(0,2)", "quark indices must be >= 1"),
+    "repeated index": (4, "(1,1)", "quark indices must be distinct"),
+    "index over rank": (4, "(1,5)", "pair (1,5) exceeds rank n=4"),
+    "rank 0": (0, "(1,2)", "pair (1,2) exceeds rank n=0"),
+    "disjoint pairs": (4, "(1,2)(3,4)", "consecutive pairs (1,2) and (3,4) are disjoint"),
+    "rank over limit": (WORD_RANK_LIMIT + 1, "(1,2)",
+                        f"rank n={WORD_RANK_LIMIT + 1} exceeds the word rank limit "
+                        f"{WORD_RANK_LIMIT}"),
+}
 
 
 def random_connected_sequence(rng, n, max_len=8):
@@ -268,3 +288,9 @@ class TestText:
             parse_sequence(4, "")
         with pytest.raises(DomainError):
             parse_sequence(4, "(1,2);(2,3)")
+
+    @pytest.mark.parametrize("n,text,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+    def test_parse_error_message(self, n, text, message):
+        with pytest.raises(DomainError) as exc:
+            parse_sequence(n, text)
+        assert str(exc.value) == message
