@@ -18,7 +18,7 @@ of pi.
 
 from __future__ import annotations
 
-from brauer.diagram import BrauerDiagram, DomainError, _atom_pairs, _bfs_levels, atom
+from brauer.diagram import BrauerDiagram, DomainError, _atom_pairs, _bfs_levels, _cycles, atom
 from brauer.presentation import Quark, Word
 
 __all__ = [
@@ -26,24 +26,6 @@ __all__ = [
     "atom_closure",
     "is_irreducible_generator_check",
 ]
-
-
-def _theta_cycles(theta: dict[int, int]) -> list[tuple[int, ...]]:
-    """Nontrivial cycles of a permutation given as a map, sorted by
-    smallest point, each starting there and following theta."""
-    cycles = []
-    seen: set[int] = set()
-    for start in sorted(theta):
-        if start in seen or theta[start] == start:
-            continue
-        cycle = [start]
-        x = theta[start]
-        while x != start:
-            cycle.append(x)
-            x = theta[x]
-        seen.update(cycle)
-        cycles.append(tuple(cycle))
-    return cycles
 
 
 def _bridge_labels(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -70,11 +52,12 @@ def decompose(pi: BrauerDiagram) -> Word:
     (u,v,f,g) from :func:`_bridge_labels` and xi in the group over
     {a,b}: xi's lines are the remaining lines with u' moved to f', and
     v' moved to f' if u == g and to g' otherwise.  The word for xi is
-    the bracket atom (a,b), then for each nontrivial cycle of xi's
-    permutation of the other points a run of atoms (a,point), walking
-    the cycle against the permutation from its smallest point, and the
-    bracket atom again.  The bridge atoms follow, each unless it repeats
-    the last letter.
+    the bracket atom (a,b), then for each cycle of length >= 2 of xi's
+    permutation of the other points a run of atoms (a,point) and the
+    bracket atom again.  Cycles and points come in the walk order of
+    ``diagram._cycles`` on xi's lines, with a and b as identity lines:
+    cycles by smallest point, each from there against the permutation.
+    The bridge atoms follow, each unless it repeats the last letter.
 
     On the {1,2} class the word has the length given by the cycle
     formula, so it is a geodesic there.  Output length is at most
@@ -82,30 +65,42 @@ def decompose(pi: BrauerDiagram) -> Word:
     """
     if pi.corank < 2:
         raise DomainError("invertible elements do not factor into atoms")
-    lefts = sorted(tuple(sorted(b)) for b in pi.left_brackets())
-    rights = sorted(tuple(sorted(b)) for b in pi.right_brackets())
-    lines = pi.lines()
+    p = pi.partner
+    n = len(p) // 2
+    # brackets as sorted 1-based pairs in order, and the 0-based end of the
+    # line from each point (overwritten below on the bracket points)
+    lefts = [(x + 1, y + 1) for x, y in enumerate(p[:n]) if x < y < n]
+    rights = [(x + 1, y - n + 1) for x, y in enumerate(p[n:]) if x + n < y]
+    line = [y - n for y in p[:n]]
     quarks = []
     if len(lefts) > 1:
         quarks = [Quark(u, v) for u, v in lefts]
         for (u, v), (f, g) in zip(lefts[1:], rights[1:]):
-            lines[u], lines[v] = f, g
+            line[u - 1], line[v - 1] = f - 1, g - 1
     bridge = []
     if lefts[0] != rights[0]:
         u, v, f, g = _bridge_labels(lefts[0], rights[0])
-        moved = {u: f, v: f if u == g else g}
-        lines = {i: moved.get(image, image) for i, image in lines.items()}
+        moved = {u - 1: f - 1, v - 1: f - 1 if u == g else g - 1}
+        line = [moved.get(y, y) for y in line]
         bridge = [Quark(v, f), Quark(f, g)]
     a, b = lefts[0]
+    line[a - 1], line[b - 1] = a - 1, b - 1
+    xi = [0] * (2 * n)
+    for x, y in enumerate(line):
+        xi[x], xi[y + n] = y + n, x
     base = Quark(a, b)
     quarks.append(base)
-    for cycle in _theta_cycles(lines):
-        quarks += [Quark(a, point) for point in (cycle[0],) + cycle[:0:-1]]
-        quarks.append(base)
+    words, nodes = _cycles(xi)
+    start = 0
+    for word in words:
+        if len(word) > 1:
+            quarks += [Quark(a, node + 1) for node in nodes[start:start + len(word)]]
+            quarks.append(base)
+        start += len(word)
     for q in bridge:
         if quarks[-1] != q:
             quarks.append(q)
-    return Word(pi.n, tuple(quarks))
+    return Word(n, tuple(quarks))
 
 
 def atom_closure(n: int) -> set[tuple[int, ...]]:

@@ -20,6 +20,11 @@ is the one general product, O(n).  The breadth-first search over the
 atoms steps in O(1) instead: right multiplication by the atom {i,j}
 changes at most four partner slots (see :func:`_bfs_levels`).
 
+Make each point k a node with a top port k and a bottom port k'; the
+blocks join ports, so the nodes fall into cycles, which :func:`_cycles`
+walks.  Geodesic lengths and orbit keys are read off the cycle words, and
+``decompose`` factors a permutation cycle by cycle in walk order.
+
 The counting claims need only how many matchings share each bracket set,
 so :func:`_bracket_walk` visits every matching and counts it under an int
 key of its brackets, building no partner tuple and no diagram.
@@ -95,15 +100,6 @@ class BrauerDiagram:
             for p, q in enumerate(self.partner)
             if n <= p < q
         )
-
-    def lines(self) -> dict[int, int]:
-        """Mixed blocks as a map: unprimed label -> primed label."""
-        n = self.n
-        return {
-            p + 1: q - n + 1
-            for p, q in enumerate(self.partner)
-            if p < n <= q
-        }
 
     @property
     def corank(self) -> int:
@@ -242,6 +238,37 @@ def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             continue
         out[start], out[p] = p, start
     return tuple(out)
+
+
+def _cycles(p: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The word of each cycle of partner array p's nodes (module
+    docstring), and every node in walk order, cycle after cycle.  A cycle
+    is entered at the top port of its smallest node; its word has a 0 for
+    a node passed top to bottom and a 1 for one passed bottom to top."""
+    n = len(p) // 2
+    seen = [False] * n
+    words = []
+    nodes = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        word = []
+        port = start
+        while True:
+            if port < n:  # in at the top, out at the bottom
+                node = port
+                word.append(0)
+                port = p[node + n]
+            else:
+                node = port - n
+                word.append(1)
+                port = p[node]
+            seen[node] = True
+            nodes.append(node)
+            if port == start:
+                break
+        words.append(tuple(word))
+    return words, nodes
 
 
 def _bfs_levels(

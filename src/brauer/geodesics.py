@@ -12,12 +12,9 @@ orbit of the atoms, extends one representative of each orbit by right
 multiplication, and records one exact distance per orbit (61 orbits
 where rank 7 has 130,095 singular elements).
 
-An orbit is named by its key.  Make each point k a node with a top port
-k and a bottom port k'; the blocks join ports, so the nodes fall into
-cycles.  Walking a cycle from its smallest node, write 0 for a node
-passed top to bottom and 1 for one passed bottom to top.  Each cycle's
-word, taken up to rotation and up to reversal with complement (the same
-cycle walked from another node or the other way), is invariant under
+An orbit is named by its key.  Each cycle word of ``diagram._cycles``,
+taken up to rotation and up to reversal with complement (the same cycle
+walked from another node or the other way), is invariant under
 relabelling, and the sorted tuple of these words determines the diagram
 up to relabelling.  The orbit has n!/|Aut| elements, where the
 stabilizer Aut permutes equal cycles and maps each cycle onto itself by
@@ -68,6 +65,7 @@ from brauer.diagram import (
     DomainError,
     _atom_pairs,
     _bfs_levels,
+    _cycles,
     _point_labels,
     count_all,
     enumerate_all,
@@ -97,33 +95,6 @@ def _readings(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     for w in (word, back):
         for i in range(len(word)):
             yield w[i:] + w[:i]
-
-
-def _cycles(p: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The word of each cycle of partner array p, walked from its
-    smallest node (module docstring), and the cycle of each node."""
-    n = len(p) // 2
-    cycle_of = [-1] * n
-    words = []
-    for start in range(n):
-        if cycle_of[start] >= 0:
-            continue
-        word = []
-        port = start  # enter the start node through its top port
-        while True:
-            if port < n:  # in at the top, out at the bottom
-                node = port
-                word.append(0)
-                port = p[node + n]
-            else:
-                node = port - n
-                word.append(1)
-                port = p[node]
-            cycle_of[node] = len(words)
-            if port == start:
-                break
-        words.append(tuple(word))
-    return words, cycle_of
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,12 +142,14 @@ def _orbit_representative(key: _OrbitKey) -> tuple[int, ...]:
     return tuple(partner)
 
 
-def _least_text(p: tuple[int, ...]) -> str:
-    """The smallest text of a conjugate of partner array p.
+def _least_text(key: _OrbitKey) -> str:
+    """The smallest text of a diagram in the orbit named by ``key``.
 
     The text, as ``BrauerDiagram.to_text`` writes it, lists blocks by
     their smaller index, and block strings are prefix-free (each ends in
-    its only ``}``), so texts compare block by block.  The search labels the nodes of p so that each block in turn,
+    its only ``}``), so texts compare block by block.  The search labels
+    the nodes of the orbit representative p, whose cycles lie on
+    consecutive nodes in key order, so that each block in turn,
     from the smallest index not yet in a block, is as small as possible.
     An unlabelled partner takes the free label that makes the block
     smallest, a unique choice; the only branching is which unlabelled
@@ -185,12 +158,12 @@ def _least_text(p: tuple[int, ...]) -> str:
     cycle word are tried, since an automorphism swaps the others onto
     them.  A branch stops once the best text found beats its prefix.
     """
+    p = _orbit_representative(key)
     n = len(p) // 2
     label = _point_labels(n)
     # free labels, best first, for a partner at the top and at the bottom
     order = [sorted(range(n), key=lambda k: label[k + off] + "}") for off in (0, n)]
-    words, cycle_of = _cycles(p)
-    words = list(map(_least_reading, words))
+    cycle_of = [c for c, word in enumerate(key) for _ in word]
     best: list[str] | None = None  # the blocks of the best text so far
 
     def partner(new: list[int], old: list[int], x: int) -> int:
@@ -216,7 +189,7 @@ def _least_text(p: tuple[int, ...]) -> str:
                 labelled = {cycle_of[u] for u in range(n) if new[u] >= 0}
                 for u in range(n):
                     c = cycle_of[u]
-                    if new[u] >= 0 or c not in labelled and kept.setdefault(words[c], c) != c:
+                    if new[u] >= 0 or c not in labelled and kept.setdefault(key[c], c) != c:
                         continue
                     new_u, old_u = new[:], old[:]
                     new_u[u], old_u[x] = x, u
@@ -266,9 +239,7 @@ class GeodesicTable(Mapping):
         """Maximal distance and its lexicographically smallest witness,
         the least of the maximal orbits' least texts (``_least_text``)."""
         best = max(self.orbits.values())
-        witness = min(
-            _least_text(_orbit_representative(key)) for key, v in self.orbits.items() if v == best
-        )
+        witness = min(_least_text(key) for key, v in self.orbits.items() if v == best)
         return best, parse_diagram(witness)
 
     def save(self, path: str | Path) -> None:

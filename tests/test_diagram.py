@@ -98,7 +98,7 @@ class TestMakeDiagram:
         d = make_diagram(6, FIG1_BLOCKS)
         assert d.n == 6
         assert frozenset((1, 5)) in d.left_brackets()
-        assert d.lines() == {2: 1, 3: 6}
+        assert d.to_text() == "n=6;{1,5}{2,1'}{3,6'}{4,6}{2',4'}{3',5'}"
 
     def test_identity_blocks(self):
         d = make_diagram(3, [(1, -1), (2, -2), (3, -3)])

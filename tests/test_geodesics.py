@@ -198,7 +198,7 @@ class TestLeastText:
     def test_every_orbit(self, n):
         for key in bfs_lengths(n).orbits:
             rep = _orbit_representative(key)
-            assert _least_text(rep) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
+            assert _least_text(key) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_maximal_orbits(self, n):
@@ -208,24 +208,26 @@ class TestLeastText:
         assert maximal == max_orbit_keys(n)
         for key in maximal:
             rep = _orbit_representative(key)
-            assert _least_text(rep) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
+            assert _least_text(key) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
 
     @pytest.mark.parametrize("n", [9, 10, 11])
     def test_same_text_on_the_whole_orbit(self, n):
-        # past brute force: any relabelling of the input gives the same text,
-        # on the maximal orbits (many equal cycles) and on random diagrams
+        # past brute force: the text names a diagram of the orbit and is no
+        # larger than the text of any sampled relabelling of the orbit's
+        # representative, on the maximal orbits (many equal cycles) and on
+        # the orbits of random diagrams
         rng = random.Random(n)
-        reps = [_orbit_representative(key) for key in max_orbit_keys(n)]
-        reps += [_orbit_representative(_orbit_key(random_partner(rng, n))) for _ in range(10)]
-        for rep in reps:
-            text = _least_text(rep)
-            assert _orbit_key(parse_diagram(text).partner) == _orbit_key(rep)
-            for _ in range(3):
-                assert _least_text(conjugate(rep, rng.sample(range(n), n))) == text
+        keys = max_orbit_keys(n) + [_orbit_key(random_partner(rng, n)) for _ in range(10)]
+        for key in keys:
+            text = _least_text(key)
+            assert _orbit_key(parse_diagram(text).partner) == key
+            rep = _orbit_representative(key)
+            for _ in range(20):
+                assert text <= BrauerDiagram(conjugate(rep, rng.sample(range(n), n))).to_text()
 
     def test_labels_compare_as_strings(self):
         # at n >= 10 the label 10 sorts before 2
-        assert _least_text(_orbit_representative(max_orbit_keys(10)[0])).startswith("n=10;{1,10'}")
+        assert _least_text(max_orbit_keys(10)[0]).startswith("n=10;{1,10'}")
 
 
 class TestBfs:
