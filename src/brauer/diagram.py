@@ -471,14 +471,17 @@ def parse_diagram(text: str) -> BrauerDiagram:
     m = _HEADER_RE.match(text)
     if not m:
         raise DomainError(f"diagram must start with 'n=<rank>;': {text!r}")
-    n = int(m.group(1))
     # the text before each block, the block's four groups, ..., the text after
     parts = _BLOCK_RE.split(text[m.end():])
     gaps = parts[::5]
     if "".join(gaps).strip():
         raise DomainError(f"unexpected text in diagram: {next(g for g in gaps if g.strip())!r}")
-    blocks = [
-        (-int(x) if xp else int(x), -int(y) if yp else int(y))
-        for x, xp, y, yp in zip(parts[1::5], parts[2::5], parts[3::5], parts[4::5])
-    ]
+    try:
+        n = int(m.group(1))
+        blocks = [
+            (-int(x) if xp else int(x), -int(y) if yp else int(y))
+            for x, xp, y, yp in zip(parts[1::5], parts[2::5], parts[3::5], parts[4::5])
+        ]
+    except ValueError as exc:  # int() refuses a digit run past the interpreter's limit
+        raise DomainError("a number in the diagram has too many digits") from exc
     return make_diagram(n, blocks)

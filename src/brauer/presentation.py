@@ -265,6 +265,7 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
 WORD_RANK_LIMIT = 10**4
 
 _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_TOO_MANY_DIGITS = "a number in the word has too many digits"
 
 
 def parse_pair_list(body: str) -> list[tuple[int, int]]:
@@ -275,13 +276,16 @@ def parse_pair_list(body: str) -> list[tuple[int, int]]:
     for m in _PAIR_RE.finditer(body):
         if body[pos:m.start()].strip():
             raise DomainError(f"unexpected text in word: {body[pos:m.start()]!r}")
-        pairs.append((int(m.group(1)), int(m.group(2))))
+        pairs.append(m.groups())
         pos = m.end()
     if body[pos:].strip():
         raise DomainError(f"unexpected text in word: {body[pos:]!r}")
     if not pairs:
         raise DomainError("a word must contain at least one quark")
-    return pairs
+    try:
+        return [(int(i), int(j)) for i, j in pairs]
+    except ValueError as exc:  # int() refuses a digit run past the interpreter's limit
+        raise DomainError(_TOO_MANY_DIGITS) from exc
 
 
 def check_word_rank(n: int) -> None:
@@ -296,7 +300,10 @@ def parse_word(text: str) -> Word:
     m = re.match(r"\s*n\s*=\s*(\d+)\s*:\s*", text)
     if not m:
         raise DomainError(f"word must start with 'n=<rank>: ': {text!r}")
-    n = int(m.group(1))
+    try:
+        n = int(m.group(1))
+    except ValueError as exc:
+        raise DomainError(_TOO_MANY_DIGITS) from exc
     check_word_rank(n)
     return word(n, parse_pair_list(text[m.end():]))
 

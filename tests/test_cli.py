@@ -24,6 +24,26 @@ SCHEMA = json.loads(
 )
 
 ATOM12_N3 = "n=3;{1,2}{1',2'}{3,3'}"
+WORD_N3 = "n=3: (1,2)"
+LONG = "1" * 5000  # a digit run longer than int() converts by default
+DIAGRAM_DIGITS = "a number in the diagram has too many digits"
+WORD_DIGITS = "a number in the word has too many digits"
+
+# command lines with a LONG number, and the one error line each prints
+LONG_DIGIT_RUNS = {
+    "length header": (("length", f"n={LONG};{{1,2}}{{1',2'}}"), DIAGRAM_DIGITS),
+    "length point": (("length", f"n=2;{{1,2}}{{1',{LONG}'}}"), DIAGRAM_DIGITS),
+    "corank header": (("corank", f"n={LONG};{{1,2}}"), DIAGRAM_DIGITS),
+    "corank point": (("corank", f"n=2;{{{LONG},2}}{{1',2'}}"), DIAGRAM_DIGITS),
+    "mult point": (("mult", ATOM12_N3, f"n=3;{{1,2}}{{1',2'}}{{3,{LONG}'}}"), DIAGRAM_DIGITS),
+    "phi header": (("phi", f"n={LONG}: (1,2)"), WORD_DIGITS),
+    "phi pair": (("phi", f"n=3: (1,{LONG})"), WORD_DIGITS),
+    "equal pair": (("equal", WORD_N3, f"n=3: ({LONG},2)"), WORD_DIGITS),
+    "seq-equal pair": (("seq-equal", "4", "(1,2)", f"(1,2)(2,{LONG})"), WORD_DIGITS),
+    # stray text is still reported first
+    "corank stray text": (("corank", f"n=2;{{1,{LONG}}} x"), "unexpected text in diagram: ' x'"),
+    "phi stray text": (("phi", f"n=3: ({LONG},2) x"), "unexpected text in word: ' x'"),
+}
 
 
 def _address_space():
@@ -1443,6 +1463,12 @@ class TestErrorHandling:
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         assert code == 2 and "rank limit" in err
 
+    @pytest.mark.parametrize("argv,message", LONG_DIGIT_RUNS.values(), ids=LONG_DIGIT_RUNS)
+    def test_long_digit_run_exits_2(self, capsys, argv, message):
+        # int() refuses a digit run past the interpreter's 4,300-digit limit
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("mult", ATOM12_N3, ATOM12_N3, "--force"),
         ("phi", "n=3: (1,2)", "--cache-dir", "X"),
@@ -1480,8 +1506,6 @@ class TestErrorHandling:
 # errors, with their exit codes.  Copied from the output of the parser that
 # built every subcommand on each call, so a parser built for one command
 # must print the same.
-WORD_N3 = "n=3: (1,2)"
-
 HELP_BRAUER = """\
 usage: brauer [-h] COMMAND ...
 

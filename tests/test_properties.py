@@ -6,6 +6,7 @@ text, with or without its output flags, with exit 0 or 2."""
 import argparse
 import contextlib
 import io
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,17 +107,35 @@ def _not_slow_rank(text):
         return True
 
 
+LONG = "1" * 5000  # a digit run longer than int() converts by default
+
+
+@st.composite
+def one_number_long(draw, texts):
+    """A text from ``texts`` with one of its numbers replaced by LONG."""
+    text = draw(texts)
+    start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"\d+", text)]))
+    return text[:start] + LONG + text[end:]
+
+
+DIAGRAM_TEXT = diagrams(max_rank=4).map(BrauerDiagram.to_text)
+WORD_TEXT = words(max_rank=5).map(word_to_text)
+PAIR_LIST = words(max_rank=5).map(lambda w: "".join(map(repr, w.quarks)))
+
 ARG = st.one_of(
     st.text(max_size=20),
     st.integers(-2, 5).map(str),
-    diagrams(max_rank=4).map(BrauerDiagram.to_text),
-    words(max_rank=5).map(word_to_text),
-    words(max_rank=5).map(lambda w: "".join(map(repr, w.quarks))),
+    DIAGRAM_TEXT,
+    WORD_TEXT,
+    PAIR_LIST,
     st.sampled_from(["1,2", "3,4", "H", "D", "relations", "lengths"]),
+    one_number_long(DIAGRAM_TEXT),
+    one_number_long(WORD_TEXT),
+    one_number_long(PAIR_LIST),
 ).filter(_not_slow_rank)
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(PROPERTY, max_examples=300)
 @given(st.data())
 def test_cli_positional_text_exits_0_or_2(data):
     command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
