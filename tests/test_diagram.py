@@ -335,6 +335,22 @@ class TestBracketWalk:
             (k & (1 << left) - 1).bit_count() == (k >> left).bit_count() for k in counts
         )
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_visits_in_enumeration_order(self, n):
+        # each key is inserted when the walk meets its first matching, so
+        # the walk visits the matchings in the order of enumerate_all
+        counts, ends = _bracket_walk(n)
+        left = math.comb(n, 2)
+        bit = {}
+        for b, (i, j) in enumerate(ends):
+            lo = 0 if b < left else n
+            bit[i - 1 + lo, j - 1 + lo] = 1 << b
+        keys = [
+            sum(bit.get((p, q), 0) for p, q in enumerate(d.partner) if p < q)
+            for d in enumerate_all(n)
+        ]
+        assert list(counts.items()) == list(Counter(keys).items())
+
     def test_rejects_rank_0(self):
         with pytest.raises(DomainError):
             _bracket_walk(0)
@@ -402,7 +418,7 @@ class TestEnumerate:
         first = next(iter(enumerate_all(3)))
         assert first == make_diagram(3, [(1, 2), (3, -1), (-2, -3)])
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_order_matches_recursive_reference(self, n):
         assert [d.partner for d in enumerate_all(n)] == list(enumerate_recursive(n))
 
