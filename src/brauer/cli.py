@@ -57,9 +57,9 @@ from brauer.verify import SUITES
 # The largest n each command and each verify suite takes without --force;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
-# builds no diagram (2,027,025 matchings, about 1.4 s at n=8 on a 2-core VM);
+# builds no diagram (2,027,025 matchings, 0.7-1 s at n=8 on a 2-core VM);
 # ``counts`` stays at 7 because its (2n-1)!! claim streams ``enumerate_all``
-# through diagram objects, about 4 s at n=8.
+# through diagram objects, about 3.3 s at n=8.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
 # two, a branch-and-bound search for the smallest witness text, which grows

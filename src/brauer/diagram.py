@@ -27,7 +27,10 @@ walks.  Geodesic lengths and orbit keys are read off the cycle words, and
 
 The counting claims need only how many matchings share each bracket set,
 so :func:`_bracket_walk` visits every matching and counts it under an int
-key of its brackets, building no partner tuple and no diagram.
+key of its brackets, building no partner tuple and no diagram.  Both it
+and :func:`enumerate_all` pair points one at a time down to the last six
+free points, and finish from one table, ``_SIX_POINT_MATCHINGS``: the 15
+matchings of six points in enumeration order.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -354,6 +358,39 @@ def green_related(a: BrauerDiagram, b: BrauerDiagram, rel: GreenRelation | str) 
     return a.corank == b.corank
 
 
+# The 15 matchings of six points 0..5 as partner arrays, in the order of
+# enumerate_all: 0 is paired with 1, 2, 3, 4 and 5 in turn, and within
+# each, the smallest point left with each larger one.  Both walkers finish
+# their last six free points from it.  Its first three rows, read on points
+# 2..5, are the matchings of four points in order, and its first row, read
+# on points 4 and 5, the one matching of two.
+_SIX_POINT_MATCHINGS = (
+    (1, 0, 3, 2, 5, 4),
+    (1, 0, 4, 5, 2, 3),
+    (1, 0, 5, 4, 3, 2),
+    (2, 3, 0, 1, 5, 4),
+    (2, 4, 0, 5, 1, 3),
+    (2, 5, 0, 4, 3, 1),
+    (3, 2, 1, 0, 5, 4),
+    (3, 4, 5, 0, 1, 2),
+    (3, 5, 4, 0, 2, 1),
+    (4, 2, 1, 5, 0, 3),
+    (4, 3, 5, 1, 0, 2),
+    (4, 5, 3, 2, 0, 1),
+    (5, 2, 1, 4, 3, 0),
+    (5, 3, 4, 1, 2, 0),
+    (5, 4, 3, 2, 1, 0),
+)
+# pick k maps the six free points, in order, to their partners under row k
+_SIX_POINT_PICKS = tuple(operator.itemgetter(*row) for row in _SIX_POINT_MATCHINGS)
+
+
+def _small_matchings(n: int) -> list[tuple[int, ...]]:
+    """The rank-n partner arrays for n <= 3, in order, read off the table."""
+    skip = 6 - 2 * n
+    return [tuple([q - skip for q in row[skip:]]) for row in _SIX_POINT_MATCHINGS[:count_all(n)]]
+
+
 def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     """Yield every rank-n diagram exactly once ((2n-1)!! of them).
 
@@ -361,12 +398,19 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     free point in increasing order, so the first diagram pairs index 0
     with 1, 2 with 3, and so on.  The lazy generator backtracks on one
     partner list with an explicit stack of the smaller ends of the pairs
-    made.  Any n is taken; the command line bounds it.
+    made.  When three pairs are left, it fills the six free points from
+    ``_SIX_POINT_MATCHINGS`` and yields those 15 diagrams; ranks up to 3
+    are read off the table whole.  Any n is taken; the command line
+    bounds it.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
 
     def matchings() -> Iterator[BrauerDiagram]:
+        if n <= 3:
+            for partner in _small_matchings(n):
+                yield BrauerDiagram(partner)
+            return
         size = 2 * n
         partner = [-1] * size
         stack: list[int] = []
@@ -379,12 +423,20 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
             if q < size:
                 partner[p], partner[q] = q, p
                 stack.append(p)
-                if len(stack) < n:
-                    while partner[p] != -1:
-                        p += 1
+                while partner[p] != -1:
+                    p += 1
+                if len(stack) < n - 3:
                     q = p
                     continue
-                yield BrauerDiagram(tuple(partner))
+                # three pairs left: the table's 15 matchings of the six free points
+                free = [k for k in range(p, size) if partner[k] == -1]
+                a, b, c, d, e, f = free
+                for pick in _SIX_POINT_PICKS:
+                    partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] = (
+                        pick(free)
+                    )
+                    yield BrauerDiagram(tuple(partner))
+                partner[a] = partner[b] = partner[c] = partner[d] = partner[e] = partner[f] = -1
             if not stack:
                 return
             p = stack.pop()
@@ -405,8 +457,9 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
 
     Every one of the (2n-1)!! matchings is visited once, in the order of
     :func:`enumerate_all`: the smallest free point is paired with each
-    larger one in turn, a line adding no bit, and the three matchings of
-    the last four points are written out.
+    larger one in turn, a line adding no bit, down to six free points,
+    whose 15 matchings are written out in the order of
+    ``_SIX_POINT_MATCHINGS``.  Ranks 1 and 2 are read off that table.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -421,27 +474,63 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     get = counts.get
 
     def walk(free: tuple[int, ...], key: int) -> None:
-        if len(free) > 4:
+        if len(free) > 6:
             row = bit[free[0]]
             for k in range(1, len(free)):
                 walk(free[1:k] + free[k + 1:], key | row[free[k]])
             return
-        a, b, c, d = free
-        ra, rb = bit[a], bit[b]
-        k = key | ra[b] | bit[c][d]
+        # the rows of _SIX_POINT_MATCHINGS, unrolled: a is paired with b..f
+        # in turn, and the four points left as in the table's rows (the test
+        # test_visits_in_enumeration_order pins this order to the table's)
+        a, b, c, d, e, f = free
+        ra, rb, rc, rd, r_e = bit[a], bit[b], bit[c], bit[d], bit[e]
+        bc, bd, be, bf = rb[c], rb[d], rb[e], rb[f]
+        cd, ce, cf, de, df, ef = rc[d], rc[e], rc[f], rd[e], rd[f], r_e[f]
+        first = key | ra[b]
+        k = first | cd | ef
         counts[k] = get(k, 0) + 1
-        k = key | ra[c] | rb[d]
+        k = first | ce | df
         counts[k] = get(k, 0) + 1
-        k = key | ra[d] | rb[c]
+        k = first | cf | de
+        counts[k] = get(k, 0) + 1
+        first = key | ra[c]
+        k = first | bd | ef
+        counts[k] = get(k, 0) + 1
+        k = first | be | df
+        counts[k] = get(k, 0) + 1
+        k = first | bf | de
+        counts[k] = get(k, 0) + 1
+        first = key | ra[d]
+        k = first | bc | ef
+        counts[k] = get(k, 0) + 1
+        k = first | be | cf
+        counts[k] = get(k, 0) + 1
+        k = first | bf | ce
+        counts[k] = get(k, 0) + 1
+        first = key | ra[e]
+        k = first | bc | df
+        counts[k] = get(k, 0) + 1
+        k = first | bd | cf
+        counts[k] = get(k, 0) + 1
+        k = first | bf | cd
+        counts[k] = get(k, 0) + 1
+        first = key | ra[f]
+        k = first | bc | de
+        counts[k] = get(k, 0) + 1
+        k = first | bd | ce
+        counts[k] = get(k, 0) + 1
+        k = first | be | cd
         counts[k] = get(k, 0) + 1
 
-    if n == 1:
-        counts[0] = 1  # the one matching is a line
+    if n < 3:
+        for partner in _small_matchings(n):
+            k = sum([bit[p][q] for p, q in enumerate(partner) if p < q])
+            counts[k] = get(k, 0) + 1
     else:
         walk(tuple(range(size)), 0)
-        # walk's closure holds walk itself, and with it counts: unbind it so
-        # that counts dies with its caller, not at the next full collection
-        del walk
+    # walk's closure holds walk itself, and with it counts: unbind it so
+    # that counts dies with its caller, not at the next full collection
+    del walk
     return counts, ends
 
 

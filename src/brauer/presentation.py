@@ -248,12 +248,16 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
     if n < 2:
         raise DomainError("relations need n >= 2")
     checked, violations = {}, []
+    quark = {(i, j): Quark(i, j) for i, j in itertools.permutations(range(1, n + 1), 2)}
     for rule, (lhs, rhs) in RELATION_RULES.items():
         variables = sorted(set("".join(lhs + rhs)))
         checked[rule] = 0
         for values in itertools.permutations(range(1, n + 1), len(variables)):
             bound = dict(zip(variables, values))
-            u, v = (phi(word(n, [(bound[a], bound[b]) for a, b in side])) for side in (lhs, rhs))
+            u, v = (
+                phi(Word(n, tuple([quark[bound[a], bound[b]] for a, b in side])))
+                for side in (lhs, rhs)
+            )
             if u != v:
                 violations.append((rule, values))
             checked[rule] += 1
