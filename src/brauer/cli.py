@@ -88,7 +88,8 @@ def _check_rank(args, name: str, n: int) -> None:
 
 def _parse_endpoint(text: str) -> tuple[int, int]:
     parts = text.strip().lstrip("(").rstrip(")").split(",")
-    if len(parts) != 2:
+    # int() also reads non-ASCII decimal digits; the text format is ASCII
+    if len(parts) != 2 or not all(p.strip().isascii() for p in parts):
         raise DomainError(f"expected a pair like 1,2 - got {text!r}")
     try:
         i, j = (int(p) for p in parts)

@@ -550,8 +550,8 @@ def random_diagram(n: int, rng) -> BrauerDiagram:
     return BrauerDiagram(tuple(partner))
 
 
-_HEADER_RE = re.compile(r"n\s*=\s*(\d+)\s*;")
-_BLOCK_RE = re.compile(r"\{\s*(\d+)(')?\s*,\s*(\d+)(')?\s*\}")
+_HEADER_RE = re.compile(r"n\s*=\s*([0-9]+)\s*;")
+_BLOCK_RE = re.compile(r"\{\s*([0-9]+)(')?\s*,\s*([0-9]+)(')?\s*\}")
 
 
 def parse_diagram(text: str) -> BrauerDiagram:

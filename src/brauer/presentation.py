@@ -268,7 +268,7 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
 
 WORD_RANK_LIMIT = 10**4
 
-_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_PAIR_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 _TOO_MANY_DIGITS = "a number in the word has too many digits"
 
 
@@ -301,7 +301,7 @@ def check_word_rank(n: int) -> None:
 
 def parse_word(text: str) -> Word:
     """Parse ``n=5: (1,2)(2,3)(1,2)``."""
-    m = re.match(r"\s*n\s*=\s*(\d+)\s*:\s*", text)
+    m = re.match(r"\s*n\s*=\s*([0-9]+)\s*:\s*", text)
     if not m:
         raise DomainError(f"word must start with 'n=<rank>: ': {text!r}")
     try:

@@ -46,6 +46,20 @@ LONG_DIGIT_RUNS = {
 }
 
 
+# the text formats take ASCII digits only, though int() reads any decimal digit
+NON_ASCII_DIGITS = {
+    "length header": (("length", "n=٢;{١,٢}{1',2'}"),
+                      "diagram must start with 'n=<rank>;': \"n=٢;{١,٢}{1',2'}\""),
+    "corank point": (("corank", "n=2;{1,2}{1',٢'}"), "unexpected text in diagram: \"{1',٢'}\""),
+    "phi header": (("phi", "n=٣: (١,2)"), "word must start with 'n=<rank>: ': 'n=٣: (١,2)'"),
+    "phi fullwidth pair": (("phi", "n=3: (１,2)"), "unexpected text in word: '(１,2)'"),
+    "seq-equal pair": (("seq-equal", "3", "(١,2)", "(1,2)"), "unexpected text in word: '(١,2)'"),
+    "paths endpoint": (("paths", "4", "١,2", "3,4"), "expected a pair like 1,2 - got '١,2'"),
+    "paths fullwidth endpoint": (("paths", "4", "1,2", "(3,４)"),
+                                 "expected a pair like 1,2 - got '(3,４)'"),
+}
+
+
 def _address_space():
     """This process's current virtual memory size in bytes."""
     with open("/proc/self/statm") as fh:
@@ -1466,6 +1480,11 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv,message", LONG_DIGIT_RUNS.values(), ids=LONG_DIGIT_RUNS)
     def test_long_digit_run_exits_2(self, capsys, argv, message):
         # int() refuses a digit run past the interpreter's 4,300-digit limit
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", NON_ASCII_DIGITS.values(), ids=NON_ASCII_DIGITS)
+    def test_non_ascii_digits_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
