@@ -483,9 +483,9 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
         # in turn, and the four points left as in the table's rows (the test
         # test_visits_in_enumeration_order pins this order to the table's)
         a, b, c, d, e, f = free
-        ra, rb, rc, rd, r_e = bit[a], bit[b], bit[c], bit[d], bit[e]
+        ra, rb, rc, rd = bit[a], bit[b], bit[c], bit[d]
         bc, bd, be, bf = rb[c], rb[d], rb[e], rb[f]
-        cd, ce, cf, de, df, ef = rc[d], rc[e], rc[f], rd[e], rd[f], r_e[f]
+        cd, ce, cf, de, df, ef = rc[d], rc[e], rc[f], rd[e], rd[f], bit[e][f]
         first = key | ra[b]
         k = first | cd | ef
         counts[k] = get(k, 0) + 1
