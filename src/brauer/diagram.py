@@ -30,7 +30,8 @@ so :func:`_bracket_walk` visits every matching and counts it under an int
 key of its brackets, building no partner tuple and no diagram.  Both it
 and :func:`enumerate_all` pair points one at a time down to the last six
 free points, and finish from one table, ``_SIX_POINT_MATCHINGS``: the 15
-matchings of six points in enumeration order.
+matchings of six points in enumeration order.  The walk reads it through
+``_SIX_POINT_PAIRS`` and keeps the 15 keys once per set of six free points.
 """
 
 from __future__ import annotations
@@ -383,6 +384,10 @@ _SIX_POINT_MATCHINGS = (
 )
 # pick k maps the six free points, in order, to their partners under row k
 _SIX_POINT_PICKS = tuple(operator.itemgetter(*row) for row in _SIX_POINT_MATCHINGS)
+# pairs k holds the three pairs (i, j), i < j, of row k as positions
+_SIX_POINT_PAIRS = tuple(
+    tuple((i, j) for i, j in enumerate(row) if i < j) for row in _SIX_POINT_MATCHINGS
+)
 
 
 def _small_matchings(n: int) -> list[tuple[int, ...]]:
@@ -458,8 +463,8 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     Every one of the (2n-1)!! matchings is visited once, in the order of
     :func:`enumerate_all`: the smallest free point is paired with each
     larger one in turn, a line adding no bit, down to six free points,
-    whose 15 matchings are written out in the order of
-    ``_SIX_POINT_MATCHINGS``.  Ranks 1 and 2 are read off that table.
+    which are finished from the table through ``_SIX_POINT_PAIRS``, their
+    15 keys kept once per set of six.  Ranks 1 and 2 are read off the table.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -472,6 +477,7 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
             ends.append((p - lo + 1, q - lo + 1))
     counts: dict[int, int] = {}
     get = counts.get
+    finishes: dict[tuple[int, ...], list[int]] = {}
 
     def walk(free: tuple[int, ...], key: int) -> None:
         if len(free) > 6:
@@ -479,48 +485,16 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
             for k in range(1, len(free)):
                 walk(free[1:k] + free[k + 1:], key | row[free[k]])
             return
-        # the rows of _SIX_POINT_MATCHINGS, unrolled: a is paired with b..f
-        # in turn, and the four points left as in the table's rows (the test
-        # test_visits_in_enumeration_order pins this order to the table's)
-        a, b, c, d, e, f = free
-        ra, rb, rc, rd = bit[a], bit[b], bit[c], bit[d]
-        bc, bd, be, bf = rb[c], rb[d], rb[e], rb[f]
-        cd, ce, cf, de, df, ef = rc[d], rc[e], rc[f], rd[e], rd[f], bit[e][f]
-        first = key | ra[b]
-        k = first | cd | ef
-        counts[k] = get(k, 0) + 1
-        k = first | ce | df
-        counts[k] = get(k, 0) + 1
-        k = first | cf | de
-        counts[k] = get(k, 0) + 1
-        first = key | ra[c]
-        k = first | bd | ef
-        counts[k] = get(k, 0) + 1
-        k = first | be | df
-        counts[k] = get(k, 0) + 1
-        k = first | bf | de
-        counts[k] = get(k, 0) + 1
-        first = key | ra[d]
-        k = first | bc | ef
-        counts[k] = get(k, 0) + 1
-        k = first | be | cf
-        counts[k] = get(k, 0) + 1
-        k = first | bf | ce
-        counts[k] = get(k, 0) + 1
-        first = key | ra[e]
-        k = first | bc | df
-        counts[k] = get(k, 0) + 1
-        k = first | bd | cf
-        counts[k] = get(k, 0) + 1
-        k = first | bf | cd
-        counts[k] = get(k, 0) + 1
-        first = key | ra[f]
-        k = first | bc | de
-        counts[k] = get(k, 0) + 1
-        k = first | bd | ce
-        counts[k] = get(k, 0) + 1
-        k = first | be | cd
-        counts[k] = get(k, 0) + 1
+        # the last six free points: one key per row of the table, built once
+        # per set of six and kept in finishes, as many leaves share a set
+        keys = finishes.get(free)
+        if keys is None:
+            rows = [bit[p] for p in free]
+            keys = finishes[free] = [rows[i][free[j]] | rows[k][free[l]] | rows[m][free[o]]
+                                     for (i, j), (k, l), (m, o) in _SIX_POINT_PAIRS]
+        for k in keys:
+            k |= key
+            counts[k] = get(k, 0) + 1
 
     if n < 3:
         for partner in _small_matchings(n):
