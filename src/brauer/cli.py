@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -57,7 +58,7 @@ from brauer.verify import SUITES
 # The largest n each command and each verify suite takes without --force;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
-# builds no diagram (2,027,025 matchings, 0.7-1 s at n=8 on a 2-core VM);
+# builds no diagram (2,027,025 matchings, 0.8-1.1 s at n=8 on a 2-core VM);
 # ``counts`` stays at 7 because its (2n-1)!! claim streams ``enumerate_all``
 # through diagram objects, about 3.3 s at n=8.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
@@ -80,22 +81,35 @@ RANK_LIMITS = {
 }
 
 
+_DIGITS_RE = re.compile("[0-9]+")
+
+
 def _check_rank(args, name: str, n: int) -> None:
     limit = RANK_LIMITS[name]
     if n > limit and not args.force:
         raise DomainError(f"n={n} exceeds the {name} limit {limit} (use --force)")
 
 
-def _parse_endpoint(text: str) -> tuple[int, int]:
-    parts = text.strip().lstrip("(").rstrip(")").split(",")
-    # int() also reads non-ASCII decimal digits; the text format is ASCII
-    if len(parts) != 2 or not all(p.strip().isascii() for p in parts):
-        raise DomainError(f"expected a pair like 1,2 - got {text!r}")
+def _rank(text: str) -> int:
+    # int() also reads non-ASCII decimal digits and underscores
     try:
-        i, j = (int(p) for p in parts)
-    except ValueError as exc:
-        raise DomainError(f"expected a pair like 1,2 - got {text!r}") from exc
-    return i, j
+        if text.isascii() and "_" not in text:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _parse_endpoint(text: str) -> tuple[int, int]:
+    parts = [p.strip() for p in text.strip().lstrip("(").rstrip(")").split(",")]
+    # int() also reads a sign, underscores and non-ASCII digits; the text
+    # format is ASCII digits, and int() refuses a run past its digit limit
+    try:
+        if len(parts) == 2 and all(_DIGITS_RE.fullmatch(p) for p in parts):
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise DomainError(f"expected a pair like 1,2 - got {text!r}")
 
 
 def _bool_text(value: bool) -> str:
@@ -244,7 +258,7 @@ def _cmd_verify(args):
 
 _FORCE = ("--force", {"action": "store_true", "help": "lift the rank limit"})
 _CACHE_DIR = ("--cache-dir", {"metavar": "PATH", "default": None, "help": "geodesic table cache"})
-_N = ("n", {"type": int})
+_N = ("n", {"type": _rank})
 
 # name -> (handler, help line, arguments after --json in the order help lists
 # them); a bare string is a positional argument with no options

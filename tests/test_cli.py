@@ -40,6 +40,8 @@ LONG_DIGIT_RUNS = {
     "phi pair": (("phi", f"n=3: (1,{LONG})"), WORD_DIGITS),
     "equal pair": (("equal", WORD_N3, f"n=3: ({LONG},2)"), WORD_DIGITS),
     "seq-equal pair": (("seq-equal", "4", "(1,2)", f"(1,2)(2,{LONG})"), WORD_DIGITS),
+    "paths endpoint": (("paths", "4", f"{LONG},2", "3,4"),
+                       f"expected a pair like 1,2 - got '{LONG},2'"),
     # stray text is still reported first
     "corank stray text": (("corank", f"n=2;{{1,{LONG}}} x"), "unexpected text in diagram: ' x'"),
     "phi stray text": (("phi", f"n=3: ({LONG},2) x"), "unexpected text in word: ' x'"),
@@ -57,6 +59,11 @@ NON_ASCII_DIGITS = {
     "paths endpoint": (("paths", "4", "١,2", "3,4"), "expected a pair like 1,2 - got '١,2'"),
     "paths fullwidth endpoint": (("paths", "4", "1,2", "(3,４)"),
                                  "expected a pair like 1,2 - got '(3,４)'"),
+    # nor a sign or an underscore, which int() also reads
+    "paths signed endpoint": (("paths", "4", " +1 , 2", "3,4"),
+                              "expected a pair like 1,2 - got ' +1 , 2'"),
+    "paths underscore endpoint": (("paths", "4", "1_1,2", "3,4"),
+                                  "expected a pair like 1,2 - got '1_1,2'"),
 }
 
 
@@ -1789,6 +1796,19 @@ brauer enumerate: error: the following arguments are required: n
     ("longest", "x"): (2, "", """\
 usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
 brauer longest: error: argument n: invalid int value: 'x'
+"""),
+    # a rank is ASCII digits, though int() also reads other digits and underscores
+    ("longest", "٣"): (2, "", """\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+brauer longest: error: argument n: invalid int value: '٣'
+"""),
+    ("longest", "3_0"): (2, "", """\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+brauer longest: error: argument n: invalid int value: '3_0'
+"""),
+    ("verify", "٢", "relations"): (2, "", """\
+usage: brauer verify [-h] [--json] [--force] n [suites ...]
+brauer verify: error: argument n: invalid int value: '٢'
 """),
     ("green", ATOM12_N3, ATOM12_N3, "Q"): (2, "", """\
 usage: brauer green [-h] [--json] a b {R,L,H,D}
