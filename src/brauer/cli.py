@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import traceback
 
@@ -81,9 +80,6 @@ RANK_LIMITS = {
 }
 
 
-_DIGITS_RE = re.compile("[0-9]+")
-
-
 def _check_rank(args, name: str, n: int) -> None:
     limit = RANK_LIMITS[name]
     if n > limit and not args.force:
@@ -105,7 +101,7 @@ def _parse_endpoint(text: str) -> tuple[int, int]:
     # int() also reads a sign, underscores and non-ASCII digits; the text
     # format is ASCII digits, and int() refuses a run past its digit limit
     try:
-        if len(parts) == 2 and all(_DIGITS_RE.fullmatch(p) for p in parts):
+        if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
