@@ -490,8 +490,8 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
         keys = finishes.get(free)
         if keys is None:
             rows = [bit[p] for p in free]
-            keys = finishes[free] = [rows[i][free[j]] | rows[k][free[l]] | rows[m][free[o]]
-                                     for (i, j), (k, l), (m, o) in _SIX_POINT_PAIRS]
+            keys = finishes[free] = [rows[a][free[b]] | rows[c][free[d]] | rows[e][free[f]]
+                                     for (a, b), (c, d), (e, f) in _SIX_POINT_PAIRS]
         for k in keys:
             k |= key
             counts[k] = get(k, 0) + 1

@@ -1797,7 +1797,7 @@ brauer enumerate: error: the following arguments are required: n
 usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
 brauer longest: error: argument n: invalid int value: 'x'
 """),
-    # a rank is ASCII digits, though int() also reads other digits and underscores
+    # a rank takes no non-ASCII digit and no underscore, though int() reads both
     ("longest", "٣"): (2, "", """\
 usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
 brauer longest: error: argument n: invalid int value: '٣'
