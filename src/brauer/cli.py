@@ -52,7 +52,7 @@ from brauer.sequences import (
     parse_sequence,
     seq_equivalent,
 )
-from brauer.verify import SUITES
+from brauer.verify import SUITES, run_suites
 
 # The largest n each command and each verify suite takes without --force;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
@@ -60,6 +60,9 @@ from brauer.verify import SUITES
 # builds no diagram (2,027,025 matchings, 0.8-1.1 s at n=8 on a 2-core VM);
 # ``counts`` stays at 7 because its (2n-1)!! claim streams ``enumerate_all``
 # through diagram objects, about 3.3 s at n=8.
+# ``relations`` grows as n^4 instead, one relation instance per tuple of
+# distinct indices, each side evaluated by the four-slot atom step with no
+# diagram object: about 25 ms at n=8, 40 ms at n=9 and 75 ms at n=10.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
 # two, a branch-and-bound search for the smallest witness text, which grows
@@ -71,7 +74,7 @@ RANK_LIMITS = {
     "classes --dot": 40,
     "paths": 8,
     "enumerate": 8,
-    "relations": 8,
+    "relations": 10,
     "generation": 6,
     "irreducible": 5,
     "lengths": 8,
@@ -240,7 +243,7 @@ def _cmd_verify(args):
         if args.n < 2:
             raise DomainError("verification suites need n >= 2")
         _check_rank(args, name, args.n)
-    claims = [c for name in suites for c in SUITES[name](args.n)]
+    claims = run_suites(args.n, suites)
     ok = all(c.ok for c in claims)
     obj = {
         "command": "verify",

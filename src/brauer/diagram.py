@@ -16,9 +16,10 @@ Products are computed by gluing the primed pins of the left factor to the
 unprimed pins of the right factor and tracing the maximal chains; closed
 loops formed in the middle are discarded, as in the monoid (only the
 Brauer algebra would weight a product by its loop count).  ``multiply``
-is the one general product, O(n).  The breadth-first search over the
-atoms steps in O(1) instead: right multiplication by the atom {i,j}
-changes at most four partner slots (see :func:`_bfs_levels`).
+is the one general product, O(n).  Products of atoms step in O(1)
+instead, in the breadth-first search and in :func:`_atom_product`: right
+multiplication by the atom {i,j} changes at most four partner slots (see
+:func:`_bfs_levels`).
 
 Make each point k a node with a top port k and a bottom port k'; the
 blocks join ports, so the nodes fall into cycles, which :func:`_cycles`
@@ -300,6 +301,8 @@ def _bfs_levels(
     closes into a middle loop and the product is p itself, which is
     skipped.  Otherwise a = p[pi] and b = p[pj] become one block, and
     {i',j'} becomes a right bracket; every other block of p stays.
+    :func:`_atom_product` takes the same step; it is inlined here, the
+    hot loop of the search.
     """
     dist: dict[Hashable, int] = {}
     frontier = []
@@ -329,6 +332,21 @@ def _bfs_levels(
                     new.append(q)
         frontier = new
     return dist
+
+
+def _atom_product(n: int, pairs: Iterable[Sequence[int]]) -> list[int]:
+    """The partner array of the product of the atoms {i,j} named by
+    ``pairs`` (1-based), left to right, from the unit (so no pairs give
+    the unit).  Each atom is one four-slot step, as in :func:`_bfs_levels`;
+    the result equals ``multiply`` applied letter by letter."""
+    p = [*range(n, 2 * n), *range(n)]
+    for i, j in pairs:
+        pi, pj = n + i - 1, n + j - 1
+        a = p[pi]
+        if a != pj:
+            b = p[pj]
+            p[a], p[b], p[pi], p[pj] = b, a, pj, pi
+    return p
 
 
 def multiply(a: BrauerDiagram, b: BrauerDiagram) -> BrauerDiagram:

@@ -104,15 +104,16 @@ def count_paths(n: int, frm: Sequence[int], to: Sequence[int]) -> int:
     return corank2_census(n)[(frm_q.i, frm_q.j), (to_q.i, to_q.j)]
 
 
-def corank2_census(n: int) -> dict:
+def corank2_census(n: int, walk: tuple[dict[int, int], list] | None = None) -> dict:
     """Counts of corank-2 diagrams keyed by (left bracket, right bracket),
     each bracket a sorted pair of 1-based labels.
 
     One walk over every matching counts the bracket sets; a corank-2 set
     has one left-bracket bit, and its one right-bracket bit is the
-    highest bit of the key.
+    highest bit of the key.  ``walk``, if given, is a finished
+    ``_bracket_walk(n)`` result, read instead of walking again.
     """
-    counts, ends = _bracket_walk(n)
+    counts, ends = _bracket_walk(n) if walk is None else walk
     left = (1 << math.comb(n, 2)) - 1
     return {
         (ends[(key & left).bit_length() - 1], ends[key.bit_length() - 1]): size

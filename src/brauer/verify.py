@@ -11,13 +11,22 @@ The ``counts`` suite checks the diagram total over ``enumerate_all``,
 the public enumerator; its class claims and the ``hclasses`` suite
 count bracket sets with ``diagram._bracket_walk``, which visits every
 matching as an int key and builds no diagram.
+
+``run_suites`` runs the suites of one ``verify`` call.  It hands each
+suite the rank and the call's one lazy bracket walk, a function of no
+arguments: the first suite that calls it starts the walk, a later one
+reads the same result, and the result dies with the call.  So
+``counts`` and ``hclasses`` together walk once, and a call with neither
+does not walk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from brauer.decomposition import atom_closure, is_irreducible_generator_check
 from brauer.diagram import _atom_pairs, _bracket_walk, count_all, enumerate_all, make_diagram
@@ -25,7 +34,10 @@ from brauer.geodesics import bfs_lengths, expected_max_length, ls_via_cycles
 from brauer.presentation import check_all_relations
 from brauer.sequences import corank2_census, expected_class_count
 
-__all__ = ["Claim", "SUITES"]
+__all__ = ["Claim", "SUITES", "run_suites"]
+
+# the call's shared bracket walk: returns _bracket_walk(n), walking on first use
+Walk = Callable[[], tuple[dict[int, int], list[tuple[int, int]]]]
 
 
 @dataclass(frozen=True)
@@ -58,13 +70,13 @@ class Claim:
         }
 
 
-def _suite_relations(n: int) -> list[Claim]:
+def _suite_relations(n: int, walk: Walk) -> list[Claim]:
     checked, violations = check_all_relations(n)
     detail = " ".join(f"{r}:{c}" for r, c in sorted(checked.items()))
     return [Claim("relations", f"relation violations (n={n})", 0, len(violations), detail)]
 
 
-def _suite_generation(n: int) -> list[Claim]:
+def _suite_generation(n: int, walk: Walk) -> list[Claim]:
     closure = atom_closure(n)
     expected = count_all(n) - math.factorial(n)
     claims = [
@@ -78,7 +90,7 @@ def _suite_generation(n: int) -> list[Claim]:
     return claims
 
 
-def _suite_irreducible(n: int) -> list[Claim]:
+def _suite_irreducible(n: int, walk: Walk) -> list[Claim]:
     reducible = is_irreducible_generator_check(n)
     return [
         Claim("irreducible", f"reducible atoms (n={n})", 0, len(reducible),
@@ -86,7 +98,7 @@ def _suite_irreducible(n: int) -> list[Claim]:
     ]
 
 
-def _suite_lengths(n: int) -> list[Claim]:
+def _suite_lengths(n: int, walk: Walk) -> list[Claim]:
     table = bfs_lengths(n)
     value, witness = table.max_entry()
     claims = [
@@ -107,9 +119,9 @@ def _suite_lengths(n: int) -> list[Claim]:
     return claims
 
 
-def _suite_counts(n: int) -> list[Claim]:
+def _suite_counts(n: int, walk: Walk) -> list[Claim]:
     total = sum(1 for _ in enumerate_all(n))
-    corank2 = corank2_census(n)
+    corank2 = corank2_census(n, walk())
     classes = sum(corank2.values())
     pairs = _atom_pairs(n)
     bad_paths = sum(
@@ -127,9 +139,9 @@ def _suite_counts(n: int) -> list[Claim]:
     ]
 
 
-def _suite_hclasses(n: int) -> list[Claim]:
+def _suite_hclasses(n: int, walk: Walk) -> list[Claim]:
     # one key per H-class; its left-bracket bits cover 2k points, leaving n - 2k lines
-    sizes, _ = _bracket_walk(n)
+    sizes, _ = walk()
     left = (1 << math.comb(n, 2)) - 1
     classes = [(n - 2 * (key & left).bit_count(), size) for key, size in sizes.items()]
     bad = sum(1 for lines, size in classes if size != math.factorial(lines))
@@ -146,3 +158,10 @@ SUITES = {
     "counts": _suite_counts,
     "hclasses": _suite_hclasses,
 }
+
+
+def run_suites(n: int, names: list[str]) -> list[Claim]:
+    """The claims of the named suites at rank n, suite by suite, all
+    sharing one lazy bracket walk (module docstring)."""
+    walk = functools.cache(functools.partial(_bracket_walk, n))
+    return [c for name in names for c in SUITES[name](n, walk)]

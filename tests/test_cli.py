@@ -12,9 +12,9 @@ import jsonschema
 import pytest
 
 import brauer
-from brauer import cli
+from brauer import cli, sequences, verify
 from brauer.cli import RANK_LIMITS, main
-from brauer.diagram import DomainError, atom, parse_diagram
+from brauer.diagram import DomainError, _bracket_walk, atom, parse_diagram
 from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import parse_word, phi
 from brauer.verify import SUITES
@@ -1045,7 +1045,9 @@ class TestDecompositionGolden:
 
 # ``verify N relations`` (N = 2..8) and ``verify N generation`` (N = 2..6),
 # copied from the output of the report-class relation check and the
-# diagram-set atom closure before the tuple forms replaced them
+# diagram-set atom closure before the tuple forms replaced them; N = 9 and
+# 10 relations copied from the phi-based check (run with --force) before
+# the atom-step check replaced it
 GOLDEN_VERIFY = {
     ("verify", "2", "relations"): """\
 PASS relation violations (n=2): expected 0, computed 0 (R1:2 R2:2 R3:0 R4:0 R5:0 R6:0 R7:0)
@@ -1202,6 +1204,52 @@ PASS relation violations (n=8): expected 0, computed 0 (R1:56 R2:56 R3:1680 R4:3
       "expected": 0,
       "computed": 0,
       "detail": "R1:56 R2:56 R3:1680 R4:336 R5:336 R6:1680 R7:1680",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "9", "relations"): """\
+PASS relation violations (n=9): expected 0, computed 0 (R1:72 R2:72 R3:3024 R4:504 R5:504 R6:3024 R7:3024)
+""",
+    ("verify", "9", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 9,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=9)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:72 R2:72 R3:3024 R4:504 R5:504 R6:3024 R7:3024",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "10", "relations"): """\
+PASS relation violations (n=10): expected 0, computed 0 (R1:90 R2:90 R3:5040 R4:720 R5:720 R6:5040 R7:5040)
+""",
+    ("verify", "10", "relations", "--json"): """\
+{
+  "command": "verify",
+  "n": 10,
+  "suites": [
+    "relations"
+  ],
+  "claims": [
+    {
+      "suite": "relations",
+      "name": "relation violations (n=10)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "R1:90 R2:90 R3:5040 R4:720 R5:720 R6:5040 R7:5040",
       "ok": true
     }
   ],
@@ -1413,6 +1461,39 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "3", "--json", "lengths", "--bogus")
         assert (code, out) == (2, "")
         assert err.endswith("brauer: error: unrecognized arguments: --bogus\n")
+
+
+class TestOneWalkPerCall:
+    """The ``counts`` and ``hclasses`` suites of one ``verify`` call share
+    one bracket walk, and no walk outlives its call."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The rank of every bracket walk started, through verify or sequences."""
+        started = []
+
+        def counted(n):
+            started.append(n)
+            return _bracket_walk(n)
+
+        monkeypatch.setattr(verify, "_bracket_walk", counted)
+        monkeypatch.setattr(sequences, "_bracket_walk", counted)
+        return started
+
+    @pytest.mark.parametrize("suites", [("counts", "hclasses"), ("hclasses", "counts")])
+    def test_both_suites_walk_once(self, capsys, walks, suites):
+        code, out, _ = run(capsys, "verify", "7", *suites)
+        assert (code, walks) == (0, [7])
+        assert out.count("PASS") == 4
+
+    def test_each_call_walks_again(self, capsys, walks):
+        for _ in range(2):
+            assert run(capsys, "verify", "6", "counts", "hclasses")[0] == 0
+        assert walks == [6, 6]
+
+    def test_a_call_with_neither_suite_does_not_walk(self, capsys, walks):
+        assert run(capsys, "verify", "6", "relations")[0] == 0
+        assert walks == []
 
 
 class TestRankLimits:

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from brauer.diagram import DomainError, atom, enumerate_all, multiply
+from brauer.diagram import DomainError, _atom_product, atom, enumerate_all, identity, multiply
 from brauer.presentation import (
+    RELATION_RULES,
     WORD_RANK_LIMIT,
     Quark,
     Word,
@@ -253,6 +254,36 @@ class TestCheckAllRelations:
         assert checked["R4"] == 6 and checked["R5"] == 6
         assert checked["R3"] == 0  # needs four distinct indices
         assert checked["R6"] == 0 and checked["R7"] == 0
+
+    def test_a_false_rule_is_reported_with_its_tuples(self, monkeypatch):
+        # tau_ij tau_jk and tau_jk tau_ij have different left brackets
+        monkeypatch.setitem(RELATION_RULES, "RX", (("ij", "jk"), ("jk", "ij")))
+        checked, violations = check_all_relations(3)
+        assert checked["RX"] == 6
+        assert violations == [("RX", values) for values in itertools.permutations((1, 2, 3))]
+
+
+class TestAtomProduct:
+    """``diagram._atom_product``, which evaluates both sides of every
+    relation instance, against phi, the reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_word_up_to_three_letters(self, n):
+        # ordered pairs, so (j,i) as R1 writes it is covered too
+        pairs = list(itertools.permutations(range(1, n + 1), 2))
+        for length in (1, 2, 3):
+            for w in itertools.product(pairs, repeat=length):
+                assert _atom_product(n, w) == list(phi(word(n, w)).partner)
+
+    def test_seeded_random_words(self):
+        rng = random.Random(2006)
+        for _ in range(2000):
+            n = rng.randint(2, 10)
+            w = [rng.sample(range(1, n + 1), 2) for _ in range(rng.randint(1, 12))]
+            assert _atom_product(n, w) == list(phi(word(n, w)).partner)
+
+    def test_no_atoms_give_the_unit(self):
+        assert _atom_product(4, []) == list(identity(4).partner)
 
 
 class TestWordText:
