@@ -100,7 +100,11 @@ def _rank(text: str) -> int:
 
 
 def _parse_endpoint(text: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.strip().lstrip("(").rstrip(")").split(",")]
+    """Read ``i,j`` or ``(i,j)``: one pair of parentheses, enclosing it all."""
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    parts = [p.strip() for p in body.split(",")]
     # int() also reads a sign, underscores and non-ASCII digits; the text
     # format is ASCII digits, and int() refuses a run past its digit limit
     try:

@@ -28,10 +28,11 @@ walks.  Geodesic lengths and orbit keys are read off the cycle words, and
 
 The counting claims need only how many matchings share each bracket set,
 so :func:`_bracket_walk` visits every matching and counts it under an int
-key of its brackets, building no partner tuple and no diagram.  Both it
-and :func:`enumerate_all` pair points one at a time down to the last six
-free points, and finish from one table, ``_SIX_POINT_MATCHINGS``: the 15
-matchings of six points in enumeration order.  The walk reads it through
+key of its brackets, building no partner tuple and no diagram.  It and
+:func:`enumerate_all` share one pairing walk, :func:`_pairings`, down to
+the last six free points (its stack holds about n**2 point slots), and
+finish from one table, ``_SIX_POINT_MATCHINGS``: the 15 matchings of six
+points in enumeration order.  The bracket walk reads it through
 ``_SIX_POINT_PAIRS`` and keeps the 15 keys once per set of six free points.
 """
 
@@ -414,57 +415,63 @@ def _small_matchings(n: int) -> list[tuple[int, ...]]:
     return [tuple([q - skip for q in row[skip:]]) for row in _SIX_POINT_MATCHINGS[:count_all(n)]]
 
 
+def _pairings(
+    size: int, partner: list[int], bit: Sequence[Sequence[int]]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The one walk over the matchings of the points 0..size-1 (size even,
+    at least 6): pair the smallest free point with each larger one in turn,
+    writing each pair p, q into ``partner``, down to the last six free
+    points.  Yield those six and the sum of ``bit[p][q]`` over the pairs
+    made, in the order of :func:`enumerate_all`; slots of ``partner`` off
+    the pairs made are stale.  The frames ``(free, key, next k)`` sit on an
+    explicit stack, so any rank walks; they hold about size**2 / 4 slots.
+    """
+    stack = [(tuple(range(size)), 0, 1)]
+    while stack:
+        free, key, k = stack.pop()
+        p = free[0]
+        if len(free) > 8:
+            if k + 1 < len(free):
+                stack.append((free, key, k + 1))
+            q = free[k]
+            partner[p], partner[q] = q, p
+            stack.append((free[1:k] + free[k + 1:], key + bit[p][q], 1))
+        elif len(free) == 8:  # one pair before the table: its seven six-sets
+            row = bit[p]
+            for k in range(1, 8):
+                q = free[k]
+                partner[p], partner[q] = q, p
+                yield free[1:k] + free[k + 1:], key + row[q]
+        else:  # rank 3: six points from the start
+            yield free, key
+
+
 def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     """Yield every rank-n diagram exactly once ((2n-1)!! of them).
 
     Order: repeatedly match the smallest unmatched point with each larger
     free point in increasing order, so the first diagram pairs index 0
-    with 1, 2 with 3, and so on.  The lazy generator backtracks on one
-    partner list with an explicit stack of the smaller ends of the pairs
-    made.  When three pairs are left, it fills the six free points from
-    ``_SIX_POINT_MATCHINGS`` and yields those 15 diagrams; ranks up to 3
+    with 1, 2 with 3, and so on.  The lazy generator runs the pairing
+    walk :func:`_pairings` on one partner list, with every key 0; for
+    each set of six free points it leaves, it fills them from
+    ``_SIX_POINT_MATCHINGS`` and yields those 15 diagrams.  Ranks 1 and 2
     are read off the table whole.  Any n is taken; the command line
-    bounds it.
+    bounds it.  The walk's frames hold about n**2 point slots.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
+    if n < 3:
+        return map(BrauerDiagram, _small_matchings(n))
 
     def matchings() -> Iterator[BrauerDiagram]:
-        if n <= 3:
-            for partner in _small_matchings(n):
-                yield BrauerDiagram(partner)
-            return
         size = 2 * n
-        partner = [-1] * size
-        stack: list[int] = []
-        p = q = 0
-        while True:
-            # pair p with the next free point after q; with none left, undo the last pair
-            q += 1
-            while q < size and partner[q] != -1:
-                q += 1
-            if q < size:
-                partner[p], partner[q] = q, p
-                stack.append(p)
-                while partner[p] != -1:
-                    p += 1
-                if len(stack) < n - 3:
-                    q = p
-                    continue
-                # three pairs left: the table's 15 matchings of the six free points
-                free = [k for k in range(p, size) if partner[k] == -1]
-                a, b, c, d, e, f = free
-                for pick in _SIX_POINT_PICKS:
-                    partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] = (
-                        pick(free)
-                    )
-                    yield BrauerDiagram(tuple(partner))
-                partner[a] = partner[b] = partner[c] = partner[d] = partner[e] = partner[f] = -1
-            if not stack:
-                return
-            p = stack.pop()
-            q = partner[p]
-            partner[p] = partner[q] = -1
+        partner = [0] * size
+        # one shared zero row: every key is 0, in O(n) memory, not O(n**2)
+        for free, _ in _pairings(size, partner, [[0] * size] * size):
+            a, b, c, d, e, f = free
+            for pick in _SIX_POINT_PICKS:
+                partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] = pick(free)
+                yield BrauerDiagram(tuple(partner))
 
     return matchings()
 
@@ -479,10 +486,11 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     key is an H-class, so ``counts`` holds the H-class sizes.
 
     Every one of the (2n-1)!! matchings is visited once, in the order of
-    :func:`enumerate_all`: the smallest free point is paired with each
-    larger one in turn, a line adding no bit, down to six free points,
-    which are finished from the table through ``_SIX_POINT_PAIRS``, their
-    15 keys kept once per set of six.  Ranks 1 and 2 are read off the table.
+    :func:`enumerate_all`, by the same pairing walk :func:`_pairings`: the
+    smallest free point is paired with each larger one in turn, a line
+    adding no bit, down to six free points, which are finished from the
+    table through ``_SIX_POINT_PAIRS``, their 15 keys kept once per set of
+    six.  Ranks 1 and 2 are read off the table.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -495,16 +503,14 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
             ends.append((p - lo + 1, q - lo + 1))
     counts: dict[int, int] = {}
     get = counts.get
+    if n < 3:
+        for partner in _small_matchings(n):
+            k = sum([bit[p][q] for p, q in enumerate(partner) if p < q])
+            counts[k] = get(k, 0) + 1
+        return counts, ends
     finishes: dict[tuple[int, ...], list[int]] = {}
-
-    def walk(free: tuple[int, ...], key: int) -> None:
-        if len(free) > 6:
-            row = bit[free[0]]
-            for k in range(1, len(free)):
-                walk(free[1:k] + free[k + 1:], key | row[free[k]])
-            return
-        # the last six free points: one key per row of the table, built once
-        # per set of six and kept in finishes, as many leaves share a set
+    for free, key in _pairings(size, [0] * size, bit):
+        # one key per row of the table, built once per set of six free points
         keys = finishes.get(free)
         if keys is None:
             rows = [bit[p] for p in free]
@@ -513,16 +519,6 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
         for k in keys:
             k |= key
             counts[k] = get(k, 0) + 1
-
-    if n < 3:
-        for partner in _small_matchings(n):
-            k = sum([bit[p][q] for p, q in enumerate(partner) if p < q])
-            counts[k] = get(k, 0) + 1
-    else:
-        walk(tuple(range(size)), 0)
-    # walk's closure holds walk itself, and with it counts: unbind it so
-    # that counts dies with its caller, not at the next full collection
-    del walk
     return counts, ends
 
 

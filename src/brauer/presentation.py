@@ -280,19 +280,15 @@ _TOO_MANY_DIGITS = "a number in the word has too many digits"
 def parse_pair_list(body: str) -> list[tuple[int, int]]:
     """Parse a bare pair list ``(1,2)(2,3)``, the body of a word or a
     sequence."""
-    pairs = []
-    pos = 0
-    for m in _PAIR_RE.finditer(body):
-        if body[pos:m.start()].strip():
-            raise DomainError(f"unexpected text in word: {body[pos:m.start()]!r}")
-        pairs.append(m.groups())
-        pos = m.end()
-    if body[pos:].strip():
-        raise DomainError(f"unexpected text in word: {body[pos:]!r}")
-    if not pairs:
+    # the text before each pair, the pair's two groups, ..., the text after
+    parts = _PAIR_RE.split(body)
+    gaps = parts[::3]
+    if "".join(gaps).strip():
+        raise DomainError(f"unexpected text in word: {next(g for g in gaps if g.strip())!r}")
+    if len(parts) == 1:
         raise DomainError("a word must contain at least one quark")
     try:
-        return [(int(i), int(j)) for i, j in pairs]
+        return [(int(i), int(j)) for i, j in zip(parts[1::3], parts[2::3])]
     except ValueError as exc:  # int() refuses a digit run past the interpreter's limit
         raise DomainError(_TOO_MANY_DIGITS) from exc
 

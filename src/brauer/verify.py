@@ -22,10 +22,10 @@ does not walk.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from brauer.decomposition import atom_closure, is_irreducible_generator_check
@@ -40,7 +40,7 @@ __all__ = ["Claim", "SUITES", "run_suites"]
 Walk = Callable[[], tuple[dict[int, int], list[tuple[int, int]]]]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Claim:
     suite: str
     name: str
@@ -60,14 +60,7 @@ class Claim:
         return text
 
     def to_json_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "detail": self.detail,
-            "ok": self.ok,
-        }
+        return {**dataclasses.asdict(self), "ok": self.ok}
 
 
 def _suite_relations(n: int, walk: Walk) -> list[Claim]:

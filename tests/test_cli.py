@@ -64,6 +64,13 @@ NON_ASCII_DIGITS = {
                               "expected a pair like 1,2 - got ' +1 , 2'"),
     "paths underscore endpoint": (("paths", "4", "1_1,2", "3,4"),
                                   "expected a pair like 1,2 - got '1_1,2'"),
+    # an endpoint takes one pair of parentheses around the whole pair, or none
+    "paths unclosed endpoint": (("paths", "4", "((1,2", "3,4"),
+                                "expected a pair like 1,2 - got '((1,2'"),
+    "paths unopened endpoint": (("paths", "4", "1,2)", "3,4"),
+                                "expected a pair like 1,2 - got '1,2)'"),
+    "paths extra close endpoint": (("paths", "4", "(1,2))", "3,4"),
+                                   "expected a pair like 1,2 - got '(1,2))'"),
 }
 
 

@@ -426,8 +426,11 @@ class TestEnumerate:
         assert sum(1 for _ in enumerate_all(7)) == count_all(7) == 135135
 
     def test_lazy(self):
-        # 79!! rank-40 diagrams could never be listed: the first must come at once
-        assert next(enumerate_all(40)).partner == tuple(p ^ 1 for p in range(80))
+        # 79!! rank-40 diagrams could never be listed: the first must come at
+        # once; rank 1200 makes 1,197 pairs before its first diagram, past
+        # the default recursion limit, so the walk must keep its own stack
+        for n in (40, 1200):
+            assert next(enumerate_all(n)).partner == tuple(p ^ 1 for p in range(2 * n))
 
     def test_rejects_rank_below_one(self):
         with pytest.raises(DomainError):
