@@ -5,7 +5,6 @@ counting results, all cross-checked against brute-force enumeration."""
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
-    GreenRelation,
     atom,
     count_all,
     enumerate_all,
@@ -20,7 +19,6 @@ from brauer.diagram import (
 __all__ = [
     "BrauerDiagram",
     "DomainError",
-    "GreenRelation",
     "atom",
     "count_all",
     "enumerate_all",

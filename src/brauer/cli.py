@@ -4,6 +4,10 @@ Command-line front end.
 One subcommand per library operation, bit-exact text formats for all
 diagram and word I/O, and a ``--json`` switch that replaces the text
 output with a single JSON object (schema in docs/cli-schema.json).
+Each kind of input has one reader: ``parse_diagram``, ``parse_word``,
+``parse_sequence``, ``parse_pair_list`` for an endpoint (``_parse_endpoint``),
+``_rank`` for a rank (``[0-9]+``, as in the text formats) and argparse
+``choices`` from ``diagram.GREEN_RELATIONS`` for a relation letter.
 The rank limits live here alone, in ``RANK_LIMITS``; ``--force`` lifts
 them and exists only on the commands that have one.
 
@@ -29,6 +33,7 @@ import traceback
 
 from brauer.decomposition import decompose
 from brauer.diagram import (
+    GREEN_RELATIONS,
     DomainError,
     enumerate_all,
     green_related,
@@ -39,6 +44,7 @@ from brauer.geodesics import load_or_compute_table, max_length
 from brauer.presentation import (
     Quark,
     normalize,
+    parse_pair_list,
     parse_word,
     phi,
     word_to_text,
@@ -90,9 +96,9 @@ def _check_rank(args, name: str, n: int) -> None:
 
 
 def _rank(text: str) -> int:
-    # int() also reads non-ASCII decimal digits and underscores
+    # [0-9]+ as in every text format: int() also reads signs, spaces, _ and non-ASCII digits
     try:
-        if text.isascii() and "_" not in text:
+        if text.isascii() and text.isdigit():
             return int(text)
     except ValueError:
         pass
@@ -100,19 +106,13 @@ def _rank(text: str) -> int:
 
 
 def _parse_endpoint(text: str) -> tuple[int, int]:
-    """Read ``i,j`` or ``(i,j)``: one pair of parentheses, enclosing it all."""
+    """Read ``i,j`` or ``(i,j)`` as a list of exactly one pair."""
     body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    parts = [p.strip() for p in body.split(",")]
-    # int() also reads a sign, underscores and non-ASCII digits; the text
-    # format is ASCII digits, and int() refuses a run past its digit limit
-    try:
-        if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
-            return int(parts[0]), int(parts[1])
+    try:  # DomainError is a ValueError, as is unpacking other than one pair
+        (pair,) = parse_pair_list(body if "(" in body else f"({body})")
+        return pair
     except ValueError:
-        pass
-    raise DomainError(f"expected a pair like 1,2 - got {text!r}")
+        raise DomainError(f"expected a pair like 1,2 - got {text!r}") from None
 
 
 def _bool_text(value: bool) -> str:
@@ -269,7 +269,7 @@ _COMMANDS = {
     "mult": (_cmd_mult, "multiply two diagrams", ["a", "b"]),
     "corank": (_cmd_corank, "corank of a diagram", ["diagram"]),
     "green": (_cmd_green, "test a Green's relation",
-              ["a", "b", ("relation", {"choices": ["R", "L", "H", "D"]})]),
+              ["a", "b", ("relation", {"choices": GREEN_RELATIONS})]),
     "decompose": (_cmd_decompose, "factor a singular diagram into atoms", ["diagram"]),
     "normalize": (_cmd_normalize, "rewrite a word into connected-prefix/disjoint-tail form",
                   ["word"]),

@@ -44,12 +44,11 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DomainError",
-    "GreenRelation",
+    "GREEN_RELATIONS",
     "BrauerDiagram",
     "make_diagram",
     "identity",
@@ -66,11 +65,7 @@ class DomainError(ValueError):
     """Invalid input or violated precondition in a monoid operation."""
 
 
-class GreenRelation(str, Enum):
-    R = "R"
-    L = "L"
-    H = "H"
-    D = "D"  # D and J coincide in the Brauer monoid
+GREEN_RELATIONS = ("R", "L", "H", "D")  # D and J coincide in the Brauer monoid
 
 
 @dataclass(frozen=True)
@@ -124,11 +119,6 @@ class BrauerDiagram:
         for p, q in enumerate(self.partner):
             new[flip(p)] = flip(q)
         return BrauerDiagram(tuple(new))
-
-    def __mul__(self, other: BrauerDiagram) -> BrauerDiagram:
-        if not isinstance(other, BrauerDiagram):
-            return NotImplemented
-        return multiply(self, other)
 
     def to_text(self) -> str:
         """Bit-exact canonical text form, e.g. ``n=3;{1,3}{2,3'}{1',2'}``.
@@ -357,24 +347,22 @@ def multiply(a: BrauerDiagram, b: BrauerDiagram) -> BrauerDiagram:
     return BrauerDiagram(_compose(a.n, a.partner, b.partner))
 
 
-def green_related(a: BrauerDiagram, b: BrauerDiagram, rel: GreenRelation | str) -> bool:
-    """Decide Green's relations via bracket sets.
+def green_related(a: BrauerDiagram, b: BrauerDiagram, rel: str) -> bool:
+    """Decide the Green's relation ``rel``, a letter of GREEN_RELATIONS.
 
     R: same left brackets; L: same right brackets; H: both;
     D (= J): equal corank.
     """
     if a.n != b.n:
         raise DomainError(f"rank mismatch: {a.n} != {b.n}")
-    rel = GreenRelation(rel)
-    if rel is GreenRelation.R:
+    if rel not in GREEN_RELATIONS:
+        raise DomainError(f"unknown Green's relation {rel!r}; choose from {GREEN_RELATIONS}")
+    if rel == "R":
         return a.left_brackets() == b.left_brackets()
-    if rel is GreenRelation.L:
+    if rel == "L":
         return a.right_brackets() == b.right_brackets()
-    if rel is GreenRelation.H:
-        return (
-            a.left_brackets() == b.left_brackets()
-            and a.right_brackets() == b.right_brackets()
-        )
+    if rel == "H":
+        return green_related(a, b, "R") and green_related(a, b, "L")
     return a.corank == b.corank
 
 

@@ -71,6 +71,14 @@ NON_ASCII_DIGITS = {
                                 "expected a pair like 1,2 - got '1,2)'"),
     "paths extra close endpoint": (("paths", "4", "(1,2))", "3,4"),
                                    "expected a pair like 1,2 - got '(1,2))'"),
+    # and exactly one pair, of two numbers
+    "paths two-pair endpoint": (("paths", "4", "(1,2)(3,4)", "3,4"),
+                                "expected a pair like 1,2 - got '(1,2)(3,4)'"),
+    "paths three-number endpoint": (("paths", "4", "1,2,3", "3,4"),
+                                    "expected a pair like 1,2 - got '1,2,3'"),
+    "paths empty endpoint": (("paths", "4", "1,2", ""), "expected a pair like 1,2 - got ''"),
+    "paths commaless endpoint": (("paths", "4", "1 2", "3,4"),
+                                 "expected a pair like 1,2 - got '1 2'"),
 }
 
 
@@ -719,6 +727,17 @@ PASS H-classes off (n-2k)! (n=8): expected 0, computed 0 (corank 0: 40320 corank
   "from": "1,2",
   "to": "4,5",
   "paths": 120
+}
+""",
+    # spaces around the numbers and the parentheses are read as in a word
+    ("paths", "5", " 1 , 2 ", "( 2 , 1 )"): "6\n",
+    ("paths", "5", "( 2 , 1 )", " 3 , 4 ", "--json"): """\
+{
+  "command": "paths",
+  "n": 5,
+  "from": "1,2",
+  "to": "3,4",
+  "paths": 6
 }
 """,
 }
@@ -1897,6 +1916,23 @@ brauer longest: error: argument n: invalid int value: '3_0'
     ("verify", "٢", "relations"): (2, "", """\
 usage: brauer verify [-h] [--json] [--force] n [suites ...]
 brauer verify: error: argument n: invalid int value: '٢'
+"""),
+    # nor a sign or surrounding whitespace, as in every text format
+    ("longest", "+3"): (2, "", """\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+brauer longest: error: argument n: invalid int value: '+3'
+"""),
+    ("longest", " 3"): (2, "", """\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+brauer longest: error: argument n: invalid int value: ' 3'
+"""),
+    ("verify", "-3", "relations"): (2, "", """\
+usage: brauer verify [-h] [--json] [--force] n [suites ...]
+brauer verify: error: argument n: invalid int value: '-3'
+"""),
+    ("seq-equal", "-3", "(1,2)", "(1,2)"): (2, "", """\
+usage: brauer seq-equal [-h] [--json] n a b
+brauer seq-equal: error: argument n: invalid int value: '-3'
 """),
     ("green", ATOM12_N3, ATOM12_N3, "Q"): (2, "", """\
 usage: brauer green [-h] [--json] a b {R,L,H,D}

@@ -259,6 +259,11 @@ class TestGreen:
         with pytest.raises(DomainError):
             green_related(identity(2), identity(3), "R")
 
+    def test_unknown_letter(self):
+        d = identity(2)
+        with pytest.raises(DomainError, match=r"\('R', 'L', 'H', 'D'\)"):
+            green_related(d, d, "X")
+
     def test_h_classes_of_corank_2k_have_size_factorial(self):
         # |H-class| = (n-2k)! within each corank level, here n <= 5
         for n in (2, 3, 4, 5):
