@@ -8,8 +8,11 @@ Each kind of input has one reader: ``parse_diagram``, ``parse_word``,
 ``parse_sequence``, ``parse_pair_list`` for an endpoint (``_parse_endpoint``),
 ``_rank`` for a rank (``[0-9]+``, as in the text formats) and argparse
 ``choices`` from ``diagram.GREEN_RELATIONS`` for a relation letter.
-The rank limits live here alone, in ``RANK_LIMITS``; ``--force`` lifts
-them and exists only on the commands that have one.
+``RANK_LIMITS`` holds the work limits, here alone; ``--force`` lifts
+them and exists only on the commands that have one.  The parsers'
+``presentation.WORD_RANK_LIMIT`` bounds the rank of every word and
+sequence read; it is a memory guard on parser input, not a work limit,
+and ``--force`` does not lift it.
 
 ``main`` builds the subparser of the command it runs and no other when
 the first argument names a command; any other first argument (``-h``, an

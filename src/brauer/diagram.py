@@ -32,8 +32,10 @@ key of its brackets, building no partner tuple and no diagram.  It and
 :func:`enumerate_all` share one pairing walk, :func:`_pairings`, down to
 the last six free points (its stack holds about n**2 point slots), and
 finish from one table, ``_SIX_POINT_MATCHINGS``: the 15 matchings of six
-points in enumeration order.  The bracket walk reads it through
-``_SIX_POINT_PAIRS`` and keeps the 15 keys once per set of six free points.
+points, generated by :func:`_matchings`, the recursion that defines the
+enumeration order.  Ranks 1 to 3 are read whole from :func:`_matchings`.
+The bracket walk reads the table through ``_SIX_POINT_PAIRS`` and keeps
+the 15 keys once per set of six free points.
 """
 
 from __future__ import annotations
@@ -192,11 +194,7 @@ def atom(n: int, i: int, j: int) -> BrauerDiagram:
         raise DomainError(f"atom indices must lie in 1..{n}")
     if i == j:
         raise DomainError("atom indices must be distinct")
-    partner = list(range(n, 2 * n)) + list(range(n))
-    i0, j0 = i - 1, j - 1
-    partner[i0], partner[j0] = j0, i0
-    partner[n + i0], partner[n + j0] = n + j0, n + i0
-    return BrauerDiagram(tuple(partner))
+    return BrauerDiagram(tuple(_atom_product(n, [(i, j)])))
 
 
 def _atom_pairs(n: int) -> list[tuple[int, int]]:
@@ -366,29 +364,26 @@ def green_related(a: BrauerDiagram, b: BrauerDiagram, rel: str) -> bool:
     return a.corank == b.corank
 
 
-# The 15 matchings of six points 0..5 as partner arrays, in the order of
-# enumerate_all: 0 is paired with 1, 2, 3, 4 and 5 in turn, and within
-# each, the smallest point left with each larger one.  Both walkers finish
-# their last six free points from it.  Its first three rows, read on points
-# 2..5, are the matchings of four points in order, and its first row, read
-# on points 4 and 5, the one matching of two.
-_SIX_POINT_MATCHINGS = (
-    (1, 0, 3, 2, 5, 4),
-    (1, 0, 4, 5, 2, 3),
-    (1, 0, 5, 4, 3, 2),
-    (2, 3, 0, 1, 5, 4),
-    (2, 4, 0, 5, 1, 3),
-    (2, 5, 0, 4, 3, 1),
-    (3, 2, 1, 0, 5, 4),
-    (3, 4, 5, 0, 1, 2),
-    (3, 5, 4, 0, 2, 1),
-    (4, 2, 1, 5, 0, 3),
-    (4, 3, 5, 1, 0, 2),
-    (4, 5, 3, 2, 0, 1),
-    (5, 2, 1, 4, 3, 0),
-    (5, 3, 4, 1, 2, 0),
-    (5, 4, 3, 2, 1, 0),
-)
+def _matchings(size: int) -> Iterator[tuple[int, ...]]:
+    """Every matching of the points 0..size-1 (size even) as a partner
+    tuple, in the order of :func:`enumerate_all`: 0 is paired with each
+    larger point in turn, and the points left are matched the same way."""
+    if not size:
+        yield ()
+        return
+    for q in range(1, size):
+        rest = [*range(1, q), *range(q + 1, size)]
+        for sub in _matchings(size - 2):
+            partner = [0] * size
+            partner[0], partner[q] = q, 0
+            for p, r in zip(rest, sub):
+                partner[p] = rest[r]
+            yield tuple(partner)
+
+
+# The 15 matchings of six points; both walkers finish their last six free
+# points from it.
+_SIX_POINT_MATCHINGS = tuple(_matchings(6))
 # pick k maps the six free points, in order, to their partners under row k
 _SIX_POINT_PICKS = tuple(operator.itemgetter(*row) for row in _SIX_POINT_MATCHINGS)
 # pairs k holds the three pairs (i, j), i < j, of row k as positions
@@ -397,17 +392,11 @@ _SIX_POINT_PAIRS = tuple(
 )
 
 
-def _small_matchings(n: int) -> list[tuple[int, ...]]:
-    """The rank-n partner arrays for n <= 3, in order, read off the table."""
-    skip = 6 - 2 * n
-    return [tuple([q - skip for q in row[skip:]]) for row in _SIX_POINT_MATCHINGS[:count_all(n)]]
-
-
 def _pairings(
     size: int, partner: list[int], bit: Sequence[Sequence[int]]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """The one walk over the matchings of the points 0..size-1 (size even,
-    at least 6): pair the smallest free point with each larger one in turn,
+    at least 8): pair the smallest free point with each larger one in turn,
     writing each pair p, q into ``partner``, down to the last six free
     points.  Yield those six and the sum of ``bit[p][q]`` over the pairs
     made, in the order of :func:`enumerate_all`; slots of ``partner`` off
@@ -424,14 +413,12 @@ def _pairings(
             q = free[k]
             partner[p], partner[q] = q, p
             stack.append((free[1:k] + free[k + 1:], key + bit[p][q], 1))
-        elif len(free) == 8:  # one pair before the table: its seven six-sets
+        else:  # one pair before the table: its seven six-sets
             row = bit[p]
             for k in range(1, 8):
                 q = free[k]
                 partner[p], partner[q] = q, p
                 yield free[1:k] + free[k + 1:], key + row[q]
-        else:  # rank 3: six points from the start
-            yield free, key
 
 
 def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
@@ -442,14 +429,14 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     with 1, 2 with 3, and so on.  The lazy generator runs the pairing
     walk :func:`_pairings` on one partner list, with every key 0; for
     each set of six free points it leaves, it fills them from
-    ``_SIX_POINT_MATCHINGS`` and yields those 15 diagrams.  Ranks 1 and 2
-    are read off the table whole.  Any n is taken; the command line
-    bounds it.  The walk's frames hold about n**2 point slots.
+    ``_SIX_POINT_MATCHINGS`` and yields those 15 diagrams.  Ranks 1 to 3
+    are read whole from :func:`_matchings`.  Any n is taken; the command
+    line bounds it.  The walk's frames hold about n**2 point slots.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
-    if n < 3:
-        return map(BrauerDiagram, _small_matchings(n))
+    if n <= 3:
+        return map(BrauerDiagram, _matchings(2 * n))
 
     def matchings() -> Iterator[BrauerDiagram]:
         size = 2 * n
@@ -478,7 +465,7 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     smallest free point is paired with each larger one in turn, a line
     adding no bit, down to six free points, which are finished from the
     table through ``_SIX_POINT_PAIRS``, their 15 keys kept once per set of
-    six.  Ranks 1 and 2 are read off the table.
+    six.  Ranks 1 to 3 are read whole from :func:`_matchings`.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -491,8 +478,8 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
             ends.append((p - lo + 1, q - lo + 1))
     counts: dict[int, int] = {}
     get = counts.get
-    if n < 3:
-        for partner in _small_matchings(n):
+    if n <= 3:
+        for partner in _matchings(size):
             k = sum([bit[p][q] for p, q in enumerate(partner) if p < q])
             counts[k] = get(k, 0) + 1
         return counts, ends

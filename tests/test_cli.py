@@ -266,13 +266,19 @@ class TestLengths:
         assert run(capsys, "longest", "1", "--cache-dir", str(tmp_path)) == expected
 
     def test_unwritable_cache_keeps_answer(self, capsys, tmp_path):
-        _, expected, _ = run(capsys, "longest", "3")
         blocker = tmp_path / "blocker"  # a regular file where a directory should be
         blocker.write_text("")
-        code, out, err = run(capsys, "longest", "3", "--cache-dir", str(blocker))
-        assert code == 0 and out == expected
-        assert len(err.splitlines()) == 1 and str(blocker) in err
-        assert blocker.read_text() == ""
+        # the cache directory is the file itself, or lies below it
+        for argv, cache_dir in ((["longest", "3"], blocker),
+                                (["longest", "4"], blocker),
+                                (["length", "n=4;{1,3'}{2,4}{3,2'}{1',4'}"], blocker / "sub")):
+            code, expected, _ = run(capsys, *argv)
+            assert code == 0
+            code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+            assert code == 0 and out == expected
+            [line] = err.splitlines()
+            assert line.startswith(f"warning: cannot write cache {cache_dir}")
+            assert blocker.read_text() == ""
 
     def test_limit_holds_with_cache_file(self, capsys, tmp_path, monkeypatch):
         # the rank is checked before the cache: a rank-9 file is never read
