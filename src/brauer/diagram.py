@@ -19,7 +19,8 @@ Brauer algebra would weight a product by its loop count).  ``multiply``
 is the one general product, O(n).  Products of atoms step in O(1)
 instead, in the breadth-first search and in :func:`_atom_product`: right
 multiplication by the atom {i,j} changes at most four partner slots (see
-:func:`_bfs_levels`).
+:func:`_bfs_levels`).  Both start at the unit, the empty product, so the
+search meets the atoms as its level 1.
 
 Make each point k a node with a top port k and a bottom port k'; the
 blocks join ports, so the nodes fall into cycles, which :func:`_cycles`
@@ -89,20 +90,19 @@ class BrauerDiagram:
 
     def left_brackets(self) -> frozenset[frozenset[int]]:
         """Blocks lying entirely in {1..n}, as sets of unprimed labels."""
-        n = self.n
-        return frozenset(
-            frozenset((p + 1, q + 1))
-            for p, q in enumerate(self.partner)
-            if p < q < n
-        )
+        return self._half_brackets(0)
 
     def right_brackets(self) -> frozenset[frozenset[int]]:
         """Blocks lying entirely in {1'..n'}, as sets of unprimed labels."""
-        n = self.n
+        return self._half_brackets(self.n)
+
+    def _half_brackets(self, lo: int) -> frozenset[frozenset[int]]:
+        """Blocks inside the half at indices lo..lo+n-1 (lo is 0 or n), labelled 1..n."""
+        hi = lo + self.n
         return frozenset(
-            frozenset((p - n + 1, q - n + 1))
-            for p, q in enumerate(self.partner)
-            if n <= p < q
+            frozenset((p - lo + 1, q - lo + 1))
+            for p, q in enumerate(self.partner[lo:hi], lo)
+            if p < q < hi
         )
 
     @property
@@ -115,12 +115,9 @@ class BrauerDiagram:
 
     def transpose(self) -> BrauerDiagram:
         """Swap primed and unprimed points (the diagram-side anti-involution)."""
-        n = self.n
-        flip = lambda p: p + n if p < n else p - n
-        new = [0] * (2 * n)
-        for p, q in enumerate(self.partner):
-            new[flip(p)] = flip(q)
-        return BrauerDiagram(tuple(new))
+        p, n = self.partner, self.n
+        # index k of one half is index k of the other: k <-> (k + n) mod 2n
+        return BrauerDiagram(tuple([(q + n) % (2 * n) for q in p[n:] + p[:n]]))
 
     def to_text(self) -> str:
         """Bit-exact canonical text form, e.g. ``n=3;{1,3}{2,3'}{1',2'}``.
@@ -185,7 +182,7 @@ def identity(n: int) -> BrauerDiagram:
     """The unit element: every block is {k,k'}."""
     if n < 1:
         raise DomainError("rank n must be a positive integer")
-    return BrauerDiagram(tuple(range(n, 2 * n)) + tuple(range(n)))
+    return BrauerDiagram(tuple(_atom_product(n, ())))
 
 
 def atom(n: int, i: int, j: int) -> BrauerDiagram:
@@ -271,12 +268,10 @@ def _bfs_levels(
     pairs: list[tuple[int, int]],
     key: Callable[[tuple[int, ...]], Hashable] | None = None,
 ) -> dict[Hashable, int]:
-    """Multi-source breadth-first search from the atoms {i,j} named by
-    ``pairs`` (1-based), extending by right multiplication with them.
-
-    Maps the partner array of every element of the generated semigroup
-    to the least number of those atoms whose product it is (the atoms
-    themselves at 1).
+    """Breadth-first search from the unit by right multiplication with
+    the atoms {i,j} named by ``pairs`` (1-based): maps the partner array
+    of every product of them to its least number of factors.  The unit,
+    level 0, is not recorded; the atoms are level 1.
 
     With ``key``, the map is keyed by ``key(partner)`` instead, and only
     the first element reached with each key is expanded.  That is exact
@@ -294,15 +289,9 @@ def _bfs_levels(
     hot loop of the search.
     """
     dist: dict[Hashable, int] = {}
-    frontier = []
-    for i, j in pairs:
-        p = atom(n, i, j).partner
-        k = p if key is None else key(p)
-        if k not in dist:
-            dist[k] = 1
-            frontier.append(p)
+    frontier = [tuple(_atom_product(n, ()))]
     steps = [(n + i - 1, n + j - 1) for i, j in pairs]
-    level = 1
+    level = 0
     while frontier:
         level += 1
         new = []

@@ -217,16 +217,16 @@ def normalize(w: Word) -> Word:
 
 def is_normal_form(w: Word) -> bool:
     """Check the normal-form shape: some split point gives a connected
-    prefix-plus-first-tail-quark and a pairwise disjoint tail."""
+    prefix-plus-first-tail-quark and a pairwise disjoint tail.  A later
+    split only lengthens the prefix, so one backward pass finds t, the
+    earliest split with a disjoint tail, and its prefix is checked."""
     quarks = w.quarks
-    for split in range(len(quarks)):
-        tail = quarks[split:]
-        points = [t.points() for t in tail]
-        if any(a & b for a, b in itertools.combinations(points, 2)):
-            continue
-        if is_connected(Word(w.n, quarks[:split + 1])):
-            return True
-    return False
+    seen: set[int] = set()
+    t = len(quarks)
+    while t and seen.isdisjoint((quarks[t - 1].i, quarks[t - 1].j)):
+        t -= 1
+        seen.update((quarks[t].i, quarks[t].j))
+    return is_connected(Word(w.n, quarks[:t + 1]))
 
 
 # --- the gamma generators --------------------------------------------------

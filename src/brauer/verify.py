@@ -133,10 +133,9 @@ def _suite_counts(n: int, walk: Walk) -> list[Claim]:
 
 
 def _suite_hclasses(n: int, walk: Walk) -> list[Claim]:
-    # one key per H-class; its left-bracket bits cover 2k points, leaving n - 2k lines
+    # one key per H-class; its k left and k right brackets are 2k bits, leaving n - 2k lines
     sizes, _ = walk()
-    left = (1 << math.comb(n, 2)) - 1
-    classes = [(n - 2 * (key & left).bit_count(), size) for key, size in sizes.items()]
+    classes = [(n - key.bit_count(), size) for key, size in sizes.items()]
     bad = sum(1 for lines, size in classes if size != math.factorial(lines))
     by_corank = sorted({(n - lines, math.factorial(lines)) for lines, _ in classes})
     detail = " ".join(f"corank {c}: {s}" for c, s in by_corank)

@@ -9,6 +9,8 @@ import pytest
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
+    _atom_pairs,
+    _bfs_levels,
     _bracket_walk,
     atom,
     count_all,
@@ -552,3 +554,33 @@ class TestSerialization:
             assert d.transpose().transpose() == d
         s = atom(4, 1, 3)
         assert s.transpose() == s
+
+
+class TestHalves:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_right_brackets_are_left_brackets_of_transpose(self, n):
+        for d in enumerate_all(n):
+            assert d.right_brackets() == d.transpose().left_brackets()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_transpose_flips_every_index(self, n):
+        def flip(p):
+            return p + n if p < n else p - n
+
+        for d in enumerate_all(n):
+            flipped = [None] * (2 * n)
+            for p, q in enumerate(d.partner):
+                flipped[flip(p)] = flip(q)
+            assert d.transpose().partner == tuple(flipped)
+
+
+class TestBfsLevels:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_level_one_is_the_atoms_named(self, n):
+        # the subset the irreducibility check searches from
+        pairs = _atom_pairs(n)[1:]
+        levels = _bfs_levels(n, pairs)
+        assert [p for p, level in levels.items() if level == 1] == [
+            atom(n, i, j).partner for i, j in pairs
+        ]
+        assert identity(n).partner not in levels
