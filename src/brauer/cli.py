@@ -12,7 +12,9 @@ Each kind of input has one reader: ``parse_diagram``, ``parse_word``,
 them and exists only on the commands that have one.  The parsers'
 ``presentation.WORD_RANK_LIMIT`` bounds the rank of every word and
 sequence read; it is a memory guard on parser input, not a work limit,
-and ``--force`` does not lift it.
+and ``--force`` does not lift it, nor ``diagram.WALK_RANK_LIMIT``, past
+which the commands that walk every matching are refused before they
+allocate.
 
 ``main`` builds the subparser of the command it runs and no other when
 the first argument names a command; any other first argument (``-h``, an
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -38,6 +41,7 @@ from brauer.decomposition import decompose
 from brauer.diagram import (
     GREEN_RELATIONS,
     DomainError,
+    check_walk_rank,
     enumerate_all,
     green_related,
     multiply,
@@ -66,9 +70,9 @@ from brauer.verify import SUITES, run_suites
 # The largest n each command and each verify suite takes without --force;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
-# builds no diagram (2,027,025 matchings, 0.8-1.1 s at n=8 on a 2-core VM);
-# ``counts`` stays at 7 because its (2n-1)!! claim streams ``enumerate_all``
-# through diagram objects, about 3.3 s at n=8.
+# builds no diagram (2,027,025 matchings, 0.35-0.38 s a command at n=8 on a
+# 2-core VM); ``counts`` stays at 7 because its (2n-1)!! claim streams
+# ``enumerate_all`` through diagram objects, about 1.6 s at n=8.
 # ``relations`` grows as n^4 instead, one relation instance per tuple of
 # distinct indices, each side evaluated by the four-slot atom step with no
 # diagram object: about 25 ms at n=8, 40 ms at n=9 and 75 ms at n=10.
@@ -91,8 +95,13 @@ RANK_LIMITS = {
     "hclasses": 8,
 }
 
+# the commands and suites that walk every matching: past WALK_RANK_LIMIT even --force is refused
+_WALKS = ("classes", "paths", "counts", "hclasses")
+
 
 def _check_rank(args, name: str, n: int) -> None:
+    if name in _WALKS:
+        check_walk_rank(n)
     limit = RANK_LIMITS[name]
     if n > limit and not args.force:
         raise DomainError(f"n={n} exceeds the {name} limit {limit} (use --force)")
@@ -309,6 +318,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in _COMMANDS if command is None else [command]:
         handler, help_line, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
+        # argparse reads "-" text as an option unless it looks like a number;
+        # no option here starts "-<digit>" or "-(", so "-1,2" counts as one
+        p._negative_number_matcher = re.compile(r"^-\.?[\d(]")
         p.add_argument("--json", action="store_true", help="emit a single JSON object")
         for argument in arguments:
             arg, options = (argument, {}) if isinstance(argument, str) else argument

@@ -28,19 +28,20 @@ walks.  Geodesic lengths and orbit keys are read off the cycle words, and
 ``decompose`` factors a permutation cycle by cycle in walk order.
 
 The counting claims need only how many matchings share each bracket set,
-so :func:`_bracket_walk` visits every matching and counts it under an int
-key of its brackets, building no partner tuple and no diagram.  It and
+so :func:`_bracket_walk` counts every matching under an int key of its
+brackets, building no partner tuple and no diagram.  It and
 :func:`enumerate_all` share one pairing walk, :func:`_pairings`, down to
 the last six free points (its stack holds about n**2 point slots), and
 finish from one table, ``_SIX_POINT_MATCHINGS``: the 15 matchings of six
 points, generated by :func:`_matchings`, the recursion that defines the
 enumeration order.  Ranks 1 to 3 are read whole from :func:`_matchings`.
-The bracket walk reads the table through ``_SIX_POINT_PAIRS`` and keeps
-the 15 keys once per set of six free points.
+The bracket walk walks every prefix but finishes each distinct (six free
+points, prefix key) once through ``_SIX_POINT_PAIRS``, times its count.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -61,6 +62,7 @@ __all__ = [
     "enumerate_all",
     "random_diagram",
     "parse_diagram",
+    "WALK_RANK_LIMIT",
 ]
 
 
@@ -71,7 +73,7 @@ class DomainError(ValueError):
 GREEN_RELATIONS = ("R", "L", "H", "D")  # D and J coincide in the Brauer monoid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BrauerDiagram:
     """A fixed-point-free perfect matching of {1..n} u {1'..n'}.
 
@@ -440,6 +442,17 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     return matchings()
 
 
+# (2n-1)!! matchings is 25!!, about 7.9e12, at n=13: no walk finishes past
+# this rank, which --force does not lift; the bit table grows as n**4 anyway
+WALK_RANK_LIMIT = 12
+
+
+def check_walk_rank(n: int) -> None:
+    """Reject a rank past WALK_RANK_LIMIT, before the walk allocates."""
+    if n > WALK_RANK_LIMIT:
+        raise DomainError(f"rank n={n} exceeds the walk rank limit {WALK_RANK_LIMIT}")
+
+
 def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """Count the rank-n matchings by their bracket sets, building no diagram.
 
@@ -449,15 +462,16 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     left-bracket bits come first, then the C(n,2) right-bracket bits.  A
     key is an H-class, so ``counts`` holds the H-class sizes.
 
-    Every one of the (2n-1)!! matchings is visited once, in the order of
-    :func:`enumerate_all`, by the same pairing walk :func:`_pairings`: the
-    smallest free point is paired with each larger one in turn, a line
-    adding no bit, down to six free points, which are finished from the
-    table through ``_SIX_POINT_PAIRS``, their 15 keys kept once per set of
-    six.  Ranks 1 to 3 are read whole from :func:`_matchings`.
+    The pairing walk :func:`_pairings` walks every prefix, in the order of
+    :func:`enumerate_all`: the smallest free point is paired with each
+    larger one in turn, a line adding no bit, down to six free points.
+    Each distinct (six free points, prefix key) is finished once from the
+    table, its 15 keys counted times its count, in first-seen order, so
+    ``counts`` keeps that order.  Ranks 1 to 3 are read whole from :func:`_matchings`.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
+    check_walk_rank(n)
     size = 2 * n
     bit = [[0] * size for _ in range(size)]
     ends: list[tuple[int, int]] = []
@@ -472,17 +486,11 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
             k = sum([bit[p][q] for p, q in enumerate(partner) if p < q])
             counts[k] = get(k, 0) + 1
         return counts, ends
-    finishes: dict[tuple[int, ...], list[int]] = {}
-    for free, key in _pairings(size, [0] * size, bit):
-        # one key per row of the table, built once per set of six free points
-        keys = finishes.get(free)
-        if keys is None:
-            rows = [bit[p] for p in free]
-            keys = finishes[free] = [rows[a][free[b]] | rows[c][free[d]] | rows[e][free[f]]
-                                     for (a, b), (c, d), (e, f) in _SIX_POINT_PAIRS]
-        for k in keys:
-            k |= key
-            counts[k] = get(k, 0) + 1
+    for (free, key), times in collections.Counter(_pairings(size, [0] * size, bit)).items():
+        rows = [bit[p] for p in free]
+        for (a, b), (c, d), (e, f) in _SIX_POINT_PAIRS:
+            k = key | rows[a][free[b]] | rows[c][free[d]] | rows[e][free[f]]
+            counts[k] = get(k, 0) + times
     return counts, ends
 
 

@@ -9,8 +9,8 @@ enumeration and class counts, and H-class sizes.  A suite runs at any
 n >= 2; the command line bounds n per suite before it runs any.
 The ``counts`` suite checks the diagram total over ``enumerate_all``,
 the public enumerator; its class claims and the ``hclasses`` suite
-count bracket sets with ``diagram._bracket_walk``, which visits every
-matching as an int key and builds no diagram.
+count bracket sets with ``diagram._bracket_walk``, which counts every
+matching under an int key of its brackets and builds no diagram.
 
 ``run_suites`` runs the suites of one ``verify`` call.  It hands each
 suite the rank and the call's one lazy bracket walk, a function of no
@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from typing import Callable
 
 from brauer.decomposition import atom_closure, is_irreducible_generator_check
@@ -135,10 +136,10 @@ def _suite_counts(n: int, walk: Walk) -> list[Claim]:
 def _suite_hclasses(n: int, walk: Walk) -> list[Claim]:
     # one key per H-class; its k left and k right brackets are 2k bits, leaving n - 2k lines
     sizes, _ = walk()
-    classes = [(n - key.bit_count(), size) for key, size in sizes.items()]
-    bad = sum(1 for lines, size in classes if size != math.factorial(lines))
-    by_corank = sorted({(n - lines, math.factorial(lines)) for lines, _ in classes})
-    detail = " ".join(f"corank {c}: {s}" for c, s in by_corank)
+    expected = [math.factorial(n - bits) for bits in range(n + 1)]
+    coranks = list(map(int.bit_count, sizes))
+    bad = sum(map(operator.ne, sizes.values(), map(expected.__getitem__, coranks)))
+    detail = " ".join(f"corank {c}: {expected[c]}" for c in sorted(set(coranks)))
     return [Claim("hclasses", f"H-classes off (n-2k)! (n={n})", 0, bad, detail)]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -14,7 +15,7 @@ import pytest
 import brauer
 from brauer import cli, sequences, verify
 from brauer.cli import RANK_LIMITS, main
-from brauer.diagram import DomainError, _bracket_walk, atom, parse_diagram
+from brauer.diagram import WALK_RANK_LIMIT, DomainError, _bracket_walk, atom, parse_diagram
 from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import parse_word, phi
 from brauer.verify import SUITES
@@ -79,6 +80,15 @@ NON_ASCII_DIGITS = {
     "paths empty endpoint": (("paths", "4", "1,2", ""), "expected a pair like 1,2 - got ''"),
     "paths commaless endpoint": (("paths", "4", "1 2", "3,4"),
                                  "expected a pair like 1,2 - got '1 2'"),
+    # a leading "-" makes no option of an endpoint, with "--" before it or not
+    "paths dash endpoint": (("paths", "5", "3,4", "-1,2"),
+                            "expected a pair like 1,2 - got '-1,2'"),
+    "paths dash endpoint after --": (("paths", "5", "3,4", "--", "-1,2"),
+                                     "expected a pair like 1,2 - got '-1,2'"),
+    "paths dash first endpoint": (("paths", "5", "-1,2", "3,4", "--json"),
+                                  "expected a pair like 1,2 - got '-1,2'"),
+    "paths dash parenthesized endpoint": (("paths", "5", "3,4", "-(1,2)"),
+                                          "expected a pair like 1,2 - got '-(1,2)'"),
 }
 
 
@@ -86,6 +96,21 @@ def _address_space():
     """This process's current virtual memory size in bytes."""
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[0]) * resource.getpagesize()
+
+
+@contextlib.contextmanager
+def _capped_address_space():
+    """Cap this process's address space at 1 GiB over its current size, so a
+    command that starts allocating without bound fails fast."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = _address_space() + 2**30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def run(capsys, *argv):
@@ -1557,6 +1582,23 @@ class TestRankLimits:
         code, _, err = run(capsys, *over_limit(name), "--force")
         assert code == 2 and "work started" in err and len(work) == 1
 
+    @pytest.mark.parametrize("n", [WALK_RANK_LIMIT + 1, 10001])
+    @pytest.mark.parametrize("argv", [
+        ("classes", "{n}"),
+        ("paths", "{n}", "1,2", "3,4"),
+        ("verify", "{n}", "counts"),
+        ("verify", "{n}", "hclasses"),
+        ("verify", "{n}", "relations", "hclasses"),
+    ], ids=lambda argv: " ".join(argv[::2]))
+    def test_walk_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, n):
+        # --force does not lift the walk's limit: one rank past it the walk
+        # cannot finish, and at n=10001 its bit table alone would take
+        # tens of GB; either way one line, before any library call
+        with _capped_address_space():
+            code, out, err = run(capsys, *(a.format(n=n) for a in argv), "--force")
+        assert (code, out, work) == (2, "", [])
+        assert err == f"error: rank n={n} exceeds the walk rank limit {WALK_RANK_LIMIT}\n"
+
     def test_verify_checks_every_suite_before_running_any(self, capsys, work):
         # at n=6 only irreducible (limit 5) is over, and it sorts after
         # counts, generation and hclasses
@@ -1586,15 +1628,8 @@ class TestErrorHandling:
     def test_oversized_word_rank_exits_2(self, capsys, argv):
         # capped address space: without the rank limit these allocate
         # tens of GB, which must fail here rather than take the machine
-        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-        cap = _address_space() + 2**30
-        if hard != resource.RLIM_INFINITY:
-            cap = min(cap, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-        try:
+        with _capped_address_space():
             code, _, err = run(capsys, *argv)
-        finally:
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         assert code == 2 and "rank limit" in err
 
     @pytest.mark.parametrize("argv,message", LONG_DIGIT_RUNS.values(), ids=LONG_DIGIT_RUNS)

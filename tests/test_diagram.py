@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -7,6 +8,7 @@ from collections import Counter
 import pytest
 
 from brauer.diagram import (
+    WALK_RANK_LIMIT,
     BrauerDiagram,
     DomainError,
     _atom_pairs,
@@ -121,6 +123,15 @@ class TestMakeDiagram:
     def test_singleton_rejected(self):
         with pytest.raises(DomainError, match=r"^block \(1, 1\) repeats a point$"):
             make_diagram(2, [(1, 1), (2, -1)])
+
+    def test_frozen_and_slotted(self):
+        # enumerate_all streams (2n-1)!! of these, so each carries no __dict__
+        d = make_diagram(6, FIG1_BLOCKS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.partner = identity(6).partner
+        assert not hasattr(d, "__dict__")
+        assert BrauerDiagram.__slots__ == ("partner",)
+        assert hash(d) == hash(make_diagram(6, FIG1_BLOCKS))
 
 
 class TestIdentityAndAtom:
@@ -329,7 +340,8 @@ class TestBracketWalk:
             reference[skeleton_bracket_sets(skeleton)] += size
         assert walk_bracket_sets(n) == reference
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    # n=8 is where the walk merges the most repeated (six-set, key) prefixes
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_layout(self, n):
         counts, ends = _bracket_walk(n)
         assert sum(counts.values()) == count_all(n)
@@ -361,6 +373,10 @@ class TestBracketWalk:
     def test_rejects_rank_0(self):
         with pytest.raises(DomainError):
             _bracket_walk(0)
+
+    def test_rejects_rank_past_the_walk_limit(self):
+        with pytest.raises(DomainError, match=f"exceeds the walk rank limit {WALK_RANK_LIMIT}"):
+            _bracket_walk(WALK_RANK_LIMIT + 1)
 
     def test_leaves_no_garbage_cycle(self):
         # a cycle would keep the counts dict alive until a full collection
