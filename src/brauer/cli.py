@@ -13,8 +13,9 @@ them and exists only on the commands that have one.  The parsers'
 ``presentation.WORD_RANK_LIMIT`` bounds the rank of every word and
 sequence read; it is a memory guard on parser input, not a work limit,
 and ``--force`` does not lift it, nor ``diagram.WALK_RANK_LIMIT``, past
-which the commands that walk every matching are refused before they
-allocate.
+which the commands that walk every matching (``classes``, ``paths``,
+``enumerate`` and the ``counts`` and ``hclasses`` suites) are refused
+before they allocate.
 
 ``main`` builds the subparser of the command it runs and no other when
 the first argument names a command; any other first argument (``-h``, an
@@ -71,8 +72,8 @@ from brauer.verify import SUITES, run_suites
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
 # builds no diagram (2,027,025 matchings, 0.35-0.38 s a command at n=8 on a
-# 2-core VM); ``counts`` stays at 7 because its (2n-1)!! claim streams
-# ``enumerate_all`` through diagram objects, about 1.6 s at n=8.
+# 2-core VM); ``counts`` adds the (2n-1)!! claim, which streams
+# ``enumerate_all`` through diagram objects, about 1.3 s at n=8 in all.
 # ``relations`` grows as n^4 instead, one relation instance per tuple of
 # distinct indices, each side evaluated by the four-slot atom step with no
 # diagram object: about 25 ms at n=8, 40 ms at n=9 and 75 ms at n=10.
@@ -91,12 +92,12 @@ RANK_LIMITS = {
     "generation": 6,
     "irreducible": 5,
     "lengths": 8,
-    "counts": 7,
+    "counts": 8,
     "hclasses": 8,
 }
 
 # the commands and suites that walk every matching: past WALK_RANK_LIMIT even --force is refused
-_WALKS = ("classes", "paths", "counts", "hclasses")
+_WALKS = ("classes", "paths", "enumerate", "counts", "hclasses")
 
 
 def _check_rank(args, name: str, n: int) -> None:

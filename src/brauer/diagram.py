@@ -36,7 +36,10 @@ finish from one table, ``_SIX_POINT_MATCHINGS``: the 15 matchings of six
 points, generated by :func:`_matchings`, the recursion that defines the
 enumeration order.  Ranks 1 to 3 are read whole from :func:`_matchings`.
 The bracket walk walks every prefix but finishes each distinct (six free
-points, prefix key) once through ``_SIX_POINT_PAIRS``, times its count.
+points, prefix key) once, times its count, from the 15 bracket masks of
+those six points, which it builds from ``_SIX_POINT_PAIRS`` once per
+six-set.  ``enumerate_all`` writes the one slot of each diagram it yields
+directly, without the frozen dataclass ``__init__``.
 """
 
 from __future__ import annotations
@@ -423,6 +426,13 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     ``_SIX_POINT_MATCHINGS`` and yields those 15 diagrams.  Ranks 1 to 3
     are read whole from :func:`_matchings`.  Any n is taken; the command
     line bounds it.  The walk's frames hold about n**2 point slots.
+
+    Past rank 3 each diagram is made by ``object.__new__`` with its
+    ``partner`` slot written directly.  Every tuple the walk fills is a
+    matching, so the frozen ``__init__``, which sets the slot through
+    ``object.__setattr__``, would only add cost: over a third of each
+    diagram's.  The frozen ``__setattr__`` still refuses later writes, and
+    equality and hashing are the dataclass's.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -432,12 +442,15 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     def matchings() -> Iterator[BrauerDiagram]:
         size = 2 * n
         partner = [0] * size
+        new, put = object.__new__, BrauerDiagram.partner.__set__
         # one shared zero row: every key is 0, in O(n) memory, not O(n**2)
         for free, _ in _pairings(size, partner, [[0] * size] * size):
             a, b, c, d, e, f = free
             for pick in _SIX_POINT_PICKS:
                 partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] = pick(free)
-                yield BrauerDiagram(tuple(partner))
+                x = new(BrauerDiagram)
+                put(x, tuple(partner))
+                yield x
 
     return matchings()
 
@@ -465,9 +478,13 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     The pairing walk :func:`_pairings` walks every prefix, in the order of
     :func:`enumerate_all`: the smallest free point is paired with each
     larger one in turn, a line adding no bit, down to six free points.
-    Each distinct (six free points, prefix key) is finished once from the
-    table, its 15 keys counted times its count, in first-seen order, so
-    ``counts`` keeps that order.  Ranks 1 to 3 are read whole from :func:`_matchings`.
+    Each distinct (six free points, prefix key) is finished once, its 15
+    keys counted times its count, in first-seen order, so ``counts`` keeps
+    that order.  The 15 keys are the prefix key or'd with the bracket
+    masks of the six free points under each row of the table; those masks
+    are built once per six-set, when it first appears (210 six-sets at
+    n = 7, 462 at n = 8, against 3,227 and 24,661 distinct prefixes).
+    Ranks 1 to 3 are read whole from :func:`_matchings`.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -486,10 +503,17 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
             k = sum([bit[p][q] for p, q in enumerate(partner) if p < q])
             counts[k] = get(k, 0) + 1
         return counts, ends
+    finish: dict[tuple[int, ...], list[int]] = {}
     for (free, key), times in collections.Counter(_pairings(size, [0] * size, bit)).items():
-        rows = [bit[p] for p in free]
-        for (a, b), (c, d), (e, f) in _SIX_POINT_PAIRS:
-            k = key | rows[a][free[b]] | rows[c][free[d]] | rows[e][free[f]]
+        masks = finish.get(free)
+        if masks is None:
+            rows = [bit[p] for p in free]
+            masks = finish[free] = [
+                rows[a][free[b]] | rows[c][free[d]] | rows[e][free[f]]
+                for (a, b), (c, d), (e, f) in _SIX_POINT_PAIRS
+            ]
+        for m in masks:
+            k = key | m
             counts[k] = get(k, 0) + times
     return counts, ends
 

@@ -721,6 +721,11 @@ PASS H-classes off (n-2k)! (n=6): expected 0, computed 0 (corank 0: 720 corank 2
     ("verify", "8", "hclasses"): """\
 PASS H-classes off (n-2k)! (n=8): expected 0, computed 0 (corank 0: 40320 corank 2: 720 corank 4: 24 corank 6: 2 corank 8: 1)
 """,
+    ("verify", "8", "counts"): """\
+PASS diagram count (n=8): expected 2027025, computed 2027025 ((2n-1)!!)
+PASS class count (n=8): expected 564480, computed 564480 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=8): expected 0, computed 0 (784 endpoint pairs)
+""",
     ("paths", "5", "1,2", "3,4"): "6\n",
     ("paths", "5", "2,1", "1,3"): "6\n",
     ("paths", "5", "1,2", "1,2"): "6\n",
@@ -1586,6 +1591,7 @@ class TestRankLimits:
     @pytest.mark.parametrize("argv", [
         ("classes", "{n}"),
         ("paths", "{n}", "1,2", "3,4"),
+        ("enumerate", "{n}"),
         ("verify", "{n}", "counts"),
         ("verify", "{n}", "hclasses"),
         ("verify", "{n}", "relations", "hclasses"),

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -26,6 +27,11 @@ from brauer.diagram import (
 )
 
 FIG1_BLOCKS = [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)]
+
+# SHA-256 of repr((list(counts.items()), ends)) for _bracket_walk(8), taken
+# from the walk that finished each (six-set, key) prefix straight from the
+# six-point pairs, before the per-six-set mask table
+WALK_8_SHA256 = "d64aa8da910cd6508ed1f2202991fb3033e4dbe2c120bbcc9745ebf903f2a5bf"
 
 
 def enumerate_recursive(n):
@@ -125,13 +131,20 @@ class TestMakeDiagram:
             make_diagram(2, [(1, 1), (2, -1)])
 
     def test_frozen_and_slotted(self):
-        # enumerate_all streams (2n-1)!! of these, so each carries no __dict__
-        d = make_diagram(6, FIG1_BLOCKS)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            d.partner = identity(6).partner
-        assert not hasattr(d, "__dict__")
+        # enumerate_all streams (2n-1)!! of these, so each carries no __dict__;
+        # past rank 3 it writes the slot without __init__, ranks 1 to 3 call it
+        streamed = next(itertools.islice(enumerate_all(4), 50, None))
+        for d in (make_diagram(6, FIG1_BLOCKS), streamed, [*enumerate_all(3)][7]):
+            n = d.n
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.partner = identity(n).partner
+            assert not hasattr(d, "__dict__")
+            assert type(d) is BrauerDiagram
+            signed = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+            blocks = [(signed[p], signed[q]) for p, q in enumerate(d.partner) if p < q]
+            again = make_diagram(n, blocks)
+            assert d == again and hash(d) == hash(again)
         assert BrauerDiagram.__slots__ == ("partner",)
-        assert hash(d) == hash(make_diagram(6, FIG1_BLOCKS))
 
 
 class TestIdentityAndAtom:
@@ -369,6 +382,13 @@ class TestBracketWalk:
             for d in enumerate_all(n)
         ]
         assert list(counts.items()) == list(Counter(keys).items())
+
+    def test_rank_8_digest(self):
+        # the order tests above stop at n=7; n=8 has 462 six-sets and
+        # 24,661 distinct (six-set, key) prefixes of 135,135
+        counts, ends = _bracket_walk(8)
+        text = repr((list(counts.items()), ends)).encode()
+        assert hashlib.sha256(text).hexdigest() == WALK_8_SHA256
 
     def test_rejects_rank_0(self):
         with pytest.raises(DomainError):
