@@ -73,7 +73,7 @@ from brauer.verify import SUITES, run_suites
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
 # builds no diagram (2,027,025 matchings, 0.35-0.38 s a command at n=8 on a
 # 2-core VM); ``counts`` adds the (2n-1)!! claim, which streams
-# ``enumerate_all`` through diagram objects, about 1.3 s at n=8 in all.
+# ``enumerate_all`` through diagram objects, 1.2-2.0 s at n=8 in all.
 # ``relations`` grows as n^4 instead, one relation instance per tuple of
 # distinct indices, each side evaluated by the four-slot atom step with no
 # diagram object: about 25 ms at n=8, 40 ms at n=9 and 75 ms at n=10.

@@ -131,10 +131,15 @@ class TestMakeDiagram:
             make_diagram(2, [(1, 1), (2, -1)])
 
     def test_frozen_and_slotted(self):
-        # enumerate_all streams (2n-1)!! of these, so each carries no __dict__;
-        # past rank 3 it writes the slot without __init__, ranks 1 to 3 call it
-        streamed = next(itertools.islice(enumerate_all(4), 50, None))
-        for d in (make_diagram(6, FIG1_BLOCKS), streamed, [*enumerate_all(3)][7]):
+        # enumerate_all streams (2n-1)!! of these, so each carries no __dict__
+        d = make_diagram(6, FIG1_BLOCKS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.partner = identity(6).partner
+        assert not hasattr(d, "__dict__")
+        assert BrauerDiagram.__slots__ == ("partner",)
+        assert hash(d) == hash(make_diagram(6, FIG1_BLOCKS))
+        # past rank 3 enumerate_all writes the slot without __init__; ranks 1 to 3 call it
+        for d in (next(itertools.islice(enumerate_all(4), 50, None)), [*enumerate_all(3)][7]):
             n = d.n
             with pytest.raises(dataclasses.FrozenInstanceError):
                 d.partner = identity(n).partner
@@ -144,7 +149,6 @@ class TestMakeDiagram:
             blocks = [(signed[p], signed[q]) for p, q in enumerate(d.partner) if p < q]
             again = make_diagram(n, blocks)
             assert d == again and hash(d) == hash(again)
-        assert BrauerDiagram.__slots__ == ("partner",)
 
 
 class TestIdentityAndAtom:
