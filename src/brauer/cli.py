@@ -15,7 +15,9 @@ sequence read; it is a memory guard on parser input, not a work limit,
 and ``--force`` does not lift it, nor ``diagram.WALK_RANK_LIMIT``, past
 which the commands that walk every matching (``classes``, ``paths``,
 ``enumerate`` and the ``counts`` and ``hclasses`` suites) are refused
-before they allocate.
+before they allocate, nor ``diagram.BFS_RANK_LIMIT``, past which the
+commands that run the breadth-first search (``length``, ``longest`` and
+the ``lengths``, ``irreducible`` and ``generation`` suites) are.
 
 ``main`` builds the subparser of the command it runs and no other when
 the first argument names a command; any other first argument (``-h``, an
@@ -42,6 +44,7 @@ from brauer.decomposition import decompose
 from brauer.diagram import (
     GREEN_RELATIONS,
     DomainError,
+    check_bfs_rank,
     check_walk_rank,
     enumerate_all,
     green_related,
@@ -81,6 +84,8 @@ from brauer.verify import SUITES, run_suites
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
 # two, a branch-and-bound search for the smallest witness text, which grows
 # with the maximal orbits rather than with n! (under 1 ms at n=8).
+# ``irreducible`` runs the same BFS and one general product per orbit and
+# atom: 517 x 45 at n=10, about 0.23 s in-process (0.3-0.4 s a command).
 RANK_LIMITS = {
     "length": 8,
     "longest": 8,
@@ -90,19 +95,23 @@ RANK_LIMITS = {
     "enumerate": 8,
     "relations": 10,
     "generation": 6,
-    "irreducible": 5,
+    "irreducible": 10,
     "lengths": 8,
     "counts": 8,
     "hclasses": 8,
 }
 
-# the commands and suites that walk every matching: past WALK_RANK_LIMIT even --force is refused
+# the commands and suites that walk every matching, or run the BFS: past
+# WALK_RANK_LIMIT or BFS_RANK_LIMIT even --force is refused
 _WALKS = ("classes", "paths", "enumerate", "counts", "hclasses")
+_SEARCHES = ("length", "longest", "lengths", "irreducible", "generation")
 
 
 def _check_rank(args, name: str, n: int) -> None:
     if name in _WALKS:
         check_walk_rank(n)
+    if name in _SEARCHES:
+        check_bfs_rank(n)
     limit = RANK_LIMITS[name]
     if n > limit and not args.force:
         raise DomainError(f"n={n} exceeds the {name} limit {limit} (use --force)")

@@ -1,6 +1,6 @@
 """
 Constructive factorization of singular diagrams into atoms, and the
-closure and irreducibility checks on the atom system.
+multiplicative closure of the atoms.
 
 Every diagram of corank >= 2 factors as a product of atoms.
 :func:`decompose` builds the factorization in one pass over the sorted
@@ -18,13 +18,12 @@ of pi.
 
 from __future__ import annotations
 
-from brauer.diagram import BrauerDiagram, DomainError, _atom_pairs, _bfs_levels, _cycles, atom
+from brauer.diagram import BrauerDiagram, DomainError, _bfs_levels, _cycles
 from brauer.presentation import Quark, Word
 
 __all__ = [
     "decompose",
     "atom_closure",
-    "is_irreducible_generator_check",
 ]
 
 
@@ -106,22 +105,4 @@ def decompose(pi: BrauerDiagram) -> Word:
 def atom_closure(n: int) -> set[tuple[int, ...]]:
     """Multiplicative closure of the rank-n atoms, as partner arrays,
     computed by breadth-first right multiplication."""
-    return set(_bfs_levels(n, _atom_pairs(n)))
-
-
-def is_irreducible_generator_check(n: int) -> list[tuple[int, int]]:
-    """The brackets of the atoms that lie in the multiplicative closure
-    of the others; empty when the atom system is irreducible.
-
-    One closure decides every atom.  Relabelling the points by a
-    permutation s (i -> s(i), i' -> s(i)') is an automorphism of the
-    monoid that maps atoms to atoms, so it maps the closure of the atoms
-    other than {i,j} onto the closure of the atoms other than
-    {s(i),s(j)}.  Every atom is a relabelling of {1,2}, so either every
-    atom lies in the closure of the others or none does, and the closure
-    of the atoms other than {1,2} settles which.
-    """
-    pairs = _atom_pairs(n)
-    if atom(n, 1, 2).partner in _bfs_levels(n, pairs[1:]):
-        return pairs
-    return []
+    return set(_bfs_levels(n))

@@ -66,6 +66,7 @@ __all__ = [
     "random_diagram",
     "parse_diagram",
     "WALK_RANK_LIMIT",
+    "BFS_RANK_LIMIT",
 ]
 
 
@@ -270,13 +271,14 @@ def _cycles(p: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
 
 def _bfs_levels(
     n: int,
-    pairs: list[tuple[int, int]],
+    pairs: list[tuple[int, int]] | None = None,
     key: Callable[[tuple[int, ...]], Hashable] | None = None,
 ) -> dict[Hashable, int]:
     """Breadth-first search from the unit by right multiplication with
-    the atoms {i,j} named by ``pairs`` (1-based): maps the partner array
-    of every product of them to its least number of factors.  The unit,
-    level 0, is not recorded; the atoms are level 1.
+    the atoms {i,j} named by ``pairs`` (1-based; None names every atom):
+    maps the partner array of every product of them to its least number
+    of factors.  The unit, level 0, is not recorded; the atoms are level
+    1.  A rank past BFS_RANK_LIMIT is refused before anything is built.
 
     With ``key``, the map is keyed by ``key(partner)`` instead, and only
     the first element reached with each key is expanded.  That is exact
@@ -293,9 +295,10 @@ def _bfs_levels(
     :func:`_atom_product` takes the same step; it is inlined here, the
     hot loop of the search.
     """
+    check_bfs_rank(n)
     dist: dict[Hashable, int] = {}
     frontier = [tuple(_atom_product(n, ()))]
-    steps = [(n + i - 1, n + j - 1) for i, j in pairs]
+    steps = [(n + i - 1, n + j - 1) for i, j in (_atom_pairs(n) if pairs is None else pairs)]
     level = 0
     while frontier:
         level += 1
@@ -464,6 +467,22 @@ def check_walk_rank(n: int) -> None:
     """Reject a rank past WALK_RANK_LIMIT, before the walk allocates."""
     if n > WALK_RANK_LIMIT:
         raise DomainError(f"rank n={n} exceeds the walk rank limit {WALK_RANK_LIMIT}")
+
+
+# The orbit search grows about 1.9x in orbits and 2.1-2.4x in time a rank:
+# 251, 517, 965, 1,928, 3,620, 7,102 and 13,455 orbits at n=9..15 in 0.05,
+# 0.13, 0.33, 0.78, 1.75, 3.13 and 6.6 s (2-core VM, Python 3.11.7), at about
+# 0.7 KB an orbit.  By rank 24 that is some 4 million orbits and GBs of keys
+# and frontier, doubling with each rank: no search past it finishes on one
+# machine (the flat search, at (2n-1)!! elements, stops far below), and
+# --force does not lift it.
+BFS_RANK_LIMIT = 24
+
+
+def check_bfs_rank(n: int) -> None:
+    """Reject a rank past BFS_RANK_LIMIT, before the search allocates."""
+    if n > BFS_RANK_LIMIT:
+        raise DomainError(f"rank n={n} exceeds the BFS rank limit {BFS_RANK_LIMIT}")
 
 
 def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:

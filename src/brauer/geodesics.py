@@ -63,7 +63,6 @@ from pathlib import Path
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
-    _atom_pairs,
     _bfs_levels,
     _cycles,
     _point_labels,
@@ -242,6 +241,10 @@ class GeodesicTable(Mapping):
         witness = min(_least_text(key) for key, v in self.orbits.items() if v == best)
         return best, parse_diagram(witness)
 
+    def representatives(self) -> Iterator[tuple[BrauerDiagram, int]]:
+        """One diagram per orbit (``_orbit_representative``) and its distance, lazily."""
+        return ((BrauerDiagram(_orbit_representative(key)), v) for key, v in self.orbits.items())
+
     def save(self, path: str | Path) -> None:
         """Write a sorted CSV cache with format-version and rank fields,
         one row per orbit.
@@ -251,10 +254,7 @@ class GeodesicTable(Mapping):
         cache behind.
         """
         path = Path(path)
-        rows = sorted(
-            (BrauerDiagram(_orbit_representative(key)).to_text(), v)
-            for key, v in self.orbits.items()
-        )
+        rows = sorted((d.to_text(), v) for d, v in self.representatives())
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", newline="") as fh:
@@ -315,7 +315,7 @@ def bfs_lengths(n: int) -> GeodesicTable:
     values."""
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
-    return GeodesicTable(n, _bfs_levels(n, _atom_pairs(n), key=_orbit_key))
+    return GeodesicTable(n, _bfs_levels(n, key=_orbit_key))
 
 
 def expected_max_length(n: int) -> int:

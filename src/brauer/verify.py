@@ -3,10 +3,10 @@ Exhaustive verification suites behind the ``verify`` CLI subcommand.
 
 Each suite recomputes one of the checkable claims at rank n and compares
 against the closed-form value: relation families under evaluation,
-generation of the singular part by atoms, irreducibility of the atom
-system, the maximal geodesic length and the cycle-formula lengths,
-enumeration and class counts, and H-class sizes.  A suite runs at any
-n >= 2; the command line bounds n per suite before it runs any.
+generation of the singular part by atoms, irreducibility of the atoms (a
+lemma on the orbits), the maximal geodesic length and the cycle-formula
+lengths, enumeration and class counts, and H-class sizes.  A suite runs
+at any n >= 2; the command line bounds n per suite before it runs any.
 The ``counts`` suite checks the diagram total over ``enumerate_all``,
 the public enumerator; its class claims and the ``hclasses`` suite
 count bracket sets with ``diagram._bracket_walk``, which counts every
@@ -29,8 +29,9 @@ import math
 import operator
 from typing import Callable
 
-from brauer.decomposition import atom_closure, is_irreducible_generator_check
-from brauer.diagram import _atom_pairs, _bracket_walk, count_all, enumerate_all, make_diagram
+from brauer.decomposition import atom_closure
+from brauer.diagram import (_atom_pairs, _bracket_walk, atom, count_all, enumerate_all,
+                            make_diagram, multiply)
 from brauer.geodesics import bfs_lengths, expected_max_length, ls_via_cycles
 from brauer.presentation import check_all_relations
 from brauer.sequences import corank2_census, expected_class_count
@@ -85,10 +86,27 @@ def _suite_generation(n: int, walk: Walk) -> list[Claim]:
 
 
 def _suite_irreducible(n: int, walk: Walk) -> list[Claim]:
-    reducible = is_irreducible_generator_check(n)
+    """Lemma: right multiplication by an atom keeps every left bracket,
+    checked by ``multiply`` on each orbit representative d times each atom a.
+    1. The representatives cover every element: relabelling by s gives
+       s(d) a = s(d s^-1(a)), and s^-1(a) is again an atom.
+    2. So by the lemma a_1 ... a_k keeps the left bracket of a_1.
+    3. tau_{i,j} has the single left bracket {i,j}, so no atom is in the
+       closure of the others when no two atoms share a left bracket.
+    East and Gray ("Diagram monoids and Graham-Houghton graphs", J. Combin.
+    Theory Ser. A 146, 2017) give the rank and idempotent rank of each ideal.
+    """
+    atoms = [atom(n, i, j) for i, j in _atom_pairs(n)]
+    table = bfs_lengths(n)
+    dropped = sum(not d.left_brackets() <= multiply(d, a).left_brackets()
+                  for d, _ in table.representatives() for a in atoms)
+    brackets = [a.left_brackets() for a in atoms]
+    shared = sum(brackets.count(b) > 1 for b in brackets)
     return [
-        Claim("irreducible", f"reducible atoms (n={n})", 0, len(reducible),
-              f"{math.comb(n, 2)} atoms checked")
+        Claim("irreducible", f"left brackets dropped by an atom step (n={n})", 0, dropped,
+              f"{len(table.orbits)} orbits x {len(atoms)} atoms"),
+        Claim("irreducible", f"atoms sharing a left bracket (n={n})", 0, shared,
+              f"{len(atoms)} atoms"),
     ]
 
 

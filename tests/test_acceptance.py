@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from brauer.decomposition import atom_closure, decompose, is_irreducible_generator_check
+from brauer.decomposition import atom_closure, decompose
 from brauer.diagram import (
     count_all,
     enumerate_all,
@@ -36,6 +36,7 @@ from brauer.presentation import (
     word,
 )
 from brauer.sequences import corank2_census, expected_class_count
+from test_decomposition import reducible_atoms
 
 SEED = 20240915
 
@@ -104,7 +105,7 @@ def test_criterion_03_generation():
 
 
 def test_criterion_04_irreducibility():
-    reducible = {n: len(is_irreducible_generator_check(n)) for n in (3, 4, 5)}
+    reducible = {n: len(reducible_atoms(n)) for n in (3, 4, 5)}
     ok = all(v == 0 for v in reducible.values())
     report(4, ok, f"atoms reducible over the rest for n=3,4,5: {list(reducible.values())}")
 

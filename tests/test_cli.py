@@ -15,7 +15,15 @@ import pytest
 import brauer
 from brauer import cli, sequences, verify
 from brauer.cli import RANK_LIMITS, main
-from brauer.diagram import WALK_RANK_LIMIT, DomainError, _bracket_walk, atom, parse_diagram
+from brauer.diagram import (
+    BFS_RANK_LIMIT,
+    WALK_RANK_LIMIT,
+    DomainError,
+    _bracket_walk,
+    atom,
+    identity,
+    parse_diagram,
+)
 from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import parse_word, phi
 from brauer.verify import SUITES
@@ -994,11 +1002,13 @@ def _decompose_json(word):
     return f'{{\n  "command": "decompose",\n  "word": "{word}",\n  "verified": true\n}}\n'
 
 
-# ``verify N irreducible`` up to its rank limit, copied from the output of
-# the per-atom closure check before the single-closure check replaced it
+# ``verify N irreducible`` at n = 2..5 and at its rank limit 10, copied from
+# the output of the left-bracket check on the orbit table when it replaced
+# the closure of the atoms other than {1,2}
 GOLDEN_IRREDUCIBLE = {
     ("verify", "2", "irreducible"): """\
-PASS reducible atoms (n=2): expected 0, computed 0 (1 atoms checked)
+PASS left brackets dropped by an atom step (n=2): expected 0, computed 0 (1 orbits x 1 atoms)
+PASS atoms sharing a left bracket (n=2): expected 0, computed 0 (1 atoms)
 """,
     ("verify", "2", "irreducible", "--json"): """\
 {
@@ -1010,10 +1020,18 @@ PASS reducible atoms (n=2): expected 0, computed 0 (1 atoms checked)
   "claims": [
     {
       "suite": "irreducible",
-      "name": "reducible atoms (n=2)",
+      "name": "left brackets dropped by an atom step (n=2)",
       "expected": 0,
       "computed": 0,
-      "detail": "1 atoms checked",
+      "detail": "1 orbits x 1 atoms",
+      "ok": true
+    },
+    {
+      "suite": "irreducible",
+      "name": "atoms sharing a left bracket (n=2)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "1 atoms",
       "ok": true
     }
   ],
@@ -1021,7 +1039,8 @@ PASS reducible atoms (n=2): expected 0, computed 0 (1 atoms checked)
 }
 """,
     ("verify", "3", "irreducible"): """\
-PASS reducible atoms (n=3): expected 0, computed 0 (3 atoms checked)
+PASS left brackets dropped by an atom step (n=3): expected 0, computed 0 (2 orbits x 3 atoms)
+PASS atoms sharing a left bracket (n=3): expected 0, computed 0 (3 atoms)
 """,
     ("verify", "3", "irreducible", "--json"): """\
 {
@@ -1033,10 +1052,18 @@ PASS reducible atoms (n=3): expected 0, computed 0 (3 atoms checked)
   "claims": [
     {
       "suite": "irreducible",
-      "name": "reducible atoms (n=3)",
+      "name": "left brackets dropped by an atom step (n=3)",
       "expected": 0,
       "computed": 0,
-      "detail": "3 atoms checked",
+      "detail": "2 orbits x 3 atoms",
+      "ok": true
+    },
+    {
+      "suite": "irreducible",
+      "name": "atoms sharing a left bracket (n=3)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "3 atoms",
       "ok": true
     }
   ],
@@ -1044,7 +1071,8 @@ PASS reducible atoms (n=3): expected 0, computed 0 (3 atoms checked)
 }
 """,
     ("verify", "4", "irreducible"): """\
-PASS reducible atoms (n=4): expected 0, computed 0 (6 atoms checked)
+PASS left brackets dropped by an atom step (n=4): expected 0, computed 0 (7 orbits x 6 atoms)
+PASS atoms sharing a left bracket (n=4): expected 0, computed 0 (6 atoms)
 """,
     ("verify", "4", "irreducible", "--json"): """\
 {
@@ -1056,10 +1084,18 @@ PASS reducible atoms (n=4): expected 0, computed 0 (6 atoms checked)
   "claims": [
     {
       "suite": "irreducible",
-      "name": "reducible atoms (n=4)",
+      "name": "left brackets dropped by an atom step (n=4)",
       "expected": 0,
       "computed": 0,
-      "detail": "6 atoms checked",
+      "detail": "7 orbits x 6 atoms",
+      "ok": true
+    },
+    {
+      "suite": "irreducible",
+      "name": "atoms sharing a left bracket (n=4)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "6 atoms",
       "ok": true
     }
   ],
@@ -1067,7 +1103,8 @@ PASS reducible atoms (n=4): expected 0, computed 0 (6 atoms checked)
 }
 """,
     ("verify", "5", "irreducible"): """\
-PASS reducible atoms (n=5): expected 0, computed 0 (10 atoms checked)
+PASS left brackets dropped by an atom step (n=5): expected 0, computed 0 (13 orbits x 10 atoms)
+PASS atoms sharing a left bracket (n=5): expected 0, computed 0 (10 atoms)
 """,
     ("verify", "5", "irreducible", "--json"): """\
 {
@@ -1079,10 +1116,50 @@ PASS reducible atoms (n=5): expected 0, computed 0 (10 atoms checked)
   "claims": [
     {
       "suite": "irreducible",
-      "name": "reducible atoms (n=5)",
+      "name": "left brackets dropped by an atom step (n=5)",
       "expected": 0,
       "computed": 0,
-      "detail": "10 atoms checked",
+      "detail": "13 orbits x 10 atoms",
+      "ok": true
+    },
+    {
+      "suite": "irreducible",
+      "name": "atoms sharing a left bracket (n=5)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "10 atoms",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ("verify", "10", "irreducible"): """\
+PASS left brackets dropped by an atom step (n=10): expected 0, computed 0 (517 orbits x 45 atoms)
+PASS atoms sharing a left bracket (n=10): expected 0, computed 0 (45 atoms)
+""",
+    ("verify", "10", "irreducible", "--json"): """\
+{
+  "command": "verify",
+  "n": 10,
+  "suites": [
+    "irreducible"
+  ],
+  "claims": [
+    {
+      "suite": "irreducible",
+      "name": "left brackets dropped by an atom step (n=10)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "517 orbits x 45 atoms",
+      "ok": true
+    },
+    {
+      "suite": "irreducible",
+      "name": "atoms sharing a left bracket (n=10)",
+      "expected": 0,
+      "computed": 0,
+      "detail": "45 atoms",
       "ok": true
     }
   ],
@@ -1510,6 +1587,14 @@ class TestVerify:
         assert code == 0 and len(lines) == 2
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_irreducible_fails_when_a_step_drops_a_bracket(self, capsys, monkeypatch):
+        # a product with no left bracket drops every representative's
+        monkeypatch.setattr(verify, "multiply", lambda a, b: identity(a.n))
+        code, out, _ = run(capsys, "verify", "4", "irreducible")
+        assert code == 1
+        assert out.splitlines()[0] == ("FAIL left brackets dropped by an atom step (n=4): "
+                                       "expected 0, computed 42 (7 orbits x 6 atoms)")
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "4", "nonsense")
         assert code == 2 and "unknown suite" in err
@@ -1605,12 +1690,36 @@ class TestRankLimits:
         assert (code, out, work) == (2, "", [])
         assert err == f"error: rank n={n} exceeds the walk rank limit {WALK_RANK_LIMIT}\n"
 
+    @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
+    @pytest.mark.parametrize("n", [BFS_RANK_LIMIT + 1, 10001])
+    @pytest.mark.parametrize("argv", [
+        ("length", "{diagram}"),
+        ("longest", "{n}"),
+        ("verify", "{n}", "lengths"),
+        ("verify", "{n}", "irreducible"),
+        ("verify", "{n}", "generation"),
+    ], ids=lambda argv: " ".join(argv[::2]))
+    def test_search_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, n, flags):
+        # --force does not lift the BFS's limit either: past it the search
+        # cannot finish, and at n=10001 the atom list alone would take GBs
+        diagram = atom(n, 1, 2).to_text()
+        with _capped_address_space():
+            code, out, err = run(capsys, *(a.format(n=n, diagram=diagram) for a in argv), *flags)
+        assert (code, out, work) == (2, "", [])
+        assert err == f"error: rank n={n} exceeds the BFS rank limit {BFS_RANK_LIMIT}\n"
+
     def test_verify_checks_every_suite_before_running_any(self, capsys, work):
-        # at n=6 only irreducible (limit 5) is over, and it sorts after
-        # counts, generation and hclasses
-        code, _, err = run(capsys, "verify", "6")
-        assert code == 2 and "irreducible limit 5" in err
+        # at n=7 only generation (limit 6) is over, and it sorts after counts
+        code, _, err = run(capsys, "verify", "7")
+        assert code == 2 and "generation limit 6" in err
         assert work == []
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_suite_has_a_golden_at_its_limit(self, name):
+        # so a suite's limit cannot rise without a byte golden at the new rank
+        rank = str(RANK_LIMITS[name])
+        goldens = [*GOLDEN_COUNTING, *GOLDEN_LONGEST, *GOLDEN_IRREDUCIBLE, *GOLDEN_VERIFY]
+        assert any(argv[:2] == ("verify", rank) and name in argv[2:] for argv in goldens)
 
 
 class TestErrorHandling:

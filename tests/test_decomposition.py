@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from brauer.decomposition import atom_closure, decompose, is_irreducible_generator_check
+from brauer.decomposition import atom_closure, decompose
 from brauer.diagram import (
     DomainError,
     _atom_pairs,
@@ -13,9 +13,11 @@ from brauer.diagram import (
     enumerate_all,
     identity,
     make_diagram,
+    multiply,
     random_diagram,
 )
 from brauer.presentation import Quark, phi, word, word_to_text
+from brauer.verify import run_suites
 
 FIG1 = make_diagram(6, [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)])
 
@@ -134,6 +136,16 @@ class TestDecompose:
             decompose(identity(4))
 
 
+def reducible_atoms(n):
+    """The oracle: the brackets of the atoms that lie in the flat closure
+    of the other atoms, one closure per atom."""
+    pairs = _atom_pairs(n)
+    return [
+        p for p in pairs
+        if atom(n, *p).partner in _bfs_levels(n, [q for q in pairs if q != p])
+    ]
+
+
 class TestClosure:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_atoms_generate_all_singular_elements(self, n):
@@ -145,14 +157,23 @@ class TestClosure:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_atoms_irreducible(self, n):
-        assert is_irreducible_generator_check(n) == []
+        assert reducible_atoms(n) == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_single_closure_agrees_with_per_atom_closures(self, n):
-        """Reference: test each atom against the closure of the others."""
-        pairs = _atom_pairs(n)
-        reducible = [
-            p for p in pairs
-            if atom(n, *p).partner in _bfs_levels(n, [q for q in pairs if q != p])
+    def test_suite_agrees_with_per_atom_closures(self, n):
+        claims = run_suites(n, ["irreducible"])
+        assert [c.computed for c in claims] == [0, 0]
+        assert all(c.ok for c in claims) == (reducible_atoms(n) == [])
+
+
+class TestLeftBracketLemma:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_no_atom_step_drops_a_left_bracket(self, n):
+        # every singular element, not only the orbit representatives the
+        # suite checks, so the reduction to orbits is pinned too
+        atoms = [atom(n, i, j) for i, j in _atom_pairs(n)]
+        dropped = [
+            (d, a) for d in enumerate_all(n) if d.corank for a in atoms
+            if not d.left_brackets() <= multiply(d, a).left_brackets()
         ]
-        assert is_irreducible_generator_check(n) == reducible
+        assert dropped == []

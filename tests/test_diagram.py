@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from brauer.diagram import (
+    BFS_RANK_LIMIT,
     WALK_RANK_LIMIT,
     BrauerDiagram,
     DomainError,
@@ -617,10 +618,20 @@ class TestHalves:
 class TestBfsLevels:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_level_one_is_the_atoms_named(self, n):
-        # the subset the irreducibility check searches from
+        # a proper subset of the atoms, as the per-atom closure oracle searches
         pairs = _atom_pairs(n)[1:]
         levels = _bfs_levels(n, pairs)
         assert [p for p, level in levels.items() if level == 1] == [
             atom(n, i, j).partner for i, j in pairs
         ]
         assert identity(n).partner not in levels
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_no_pairs_named_means_every_atom(self, n):
+        assert _bfs_levels(n) == _bfs_levels(n, _atom_pairs(n))
+        assert _bfs_levels(n, []) == {}
+
+    @pytest.mark.parametrize("pairs", [None, [(1, 2)]])
+    def test_rejects_rank_past_the_bfs_limit(self, pairs):
+        with pytest.raises(DomainError, match=f"exceeds the BFS rank limit {BFS_RANK_LIMIT}"):
+            _bfs_levels(BFS_RANK_LIMIT + 1, pairs)

@@ -85,7 +85,7 @@ def reference_bfs(n, pairs):
 
 
 class TestBfsKernel:
-    # skip: the irreducibility check runs the kernel without one atom
+    # skip: the per-atom closure oracle runs the kernel without one atom
     @pytest.mark.parametrize("n,skip", [(2, None), (3, None), (4, None), (5, None), (4, (1, 2))])
     def test_atom_step_matches_general_product(self, n, skip):
         pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if p != skip]
@@ -135,6 +135,13 @@ class TestOrbits:
         assert {key: _orbit_size(key) for key in counts} == counts
         for key in counts:
             assert _orbit_key(_orbit_representative(key)) == key
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_representatives_are_one_per_orbit(self, n):
+        table = bfs_lengths(n)
+        keys = [(_orbit_key(d.partner), v) for d, v in table.representatives()]
+        assert sorted(key for key, _ in keys) == sorted(table.orbits)
+        assert dict(keys) == table.orbits
 
     def test_census_n8(self):
         assert level_census(bfs_lengths(8)) == [
