@@ -9,15 +9,13 @@ Each kind of input has one reader: ``parse_diagram``, ``parse_word``,
 ``_rank`` for a rank (``[0-9]+``, as in the text formats) and argparse
 ``choices`` from ``diagram.GREEN_RELATIONS`` for a relation letter.
 ``RANK_LIMITS`` holds the work limits, here alone; ``--force`` lifts
-them and exists only on the commands that have one.  The parsers'
-``presentation.WORD_RANK_LIMIT`` bounds the rank of every word and
-sequence read; it is a memory guard on parser input, not a work limit,
-and ``--force`` does not lift it, nor ``diagram.WALK_RANK_LIMIT``, past
-which the commands that walk every matching (``classes``, ``paths``,
-``enumerate`` and the ``counts`` and ``hclasses`` suites) are refused
-before they allocate, nor ``diagram.BFS_RANK_LIMIT``, past which the
-commands that run the breadth-first search (``length``, ``longest`` and
-the ``lengths``, ``irreducible`` and ``generation`` suites) are.
+them and exists only on the commands that have one.  It lifts no
+ceiling: not the parsers' ``presentation.WORD_RANK_LIMIT``, a memory
+guard on the rank of every word and sequence read, nor those that
+``_CEILINGS`` maps each command or suite to, past which it is refused
+before it allocates: ``diagram.WALK_RANK_LIMIT`` for the walks over
+every matching, ``diagram.BFS_RANK_LIMIT`` for the breadth-first search
+and ``sequences.GRAPH_RANK_LIMIT`` for the pair graph.
 
 ``main`` builds the subparser of the command it runs and no other when
 the first argument names a command; any other first argument (``-h``, an
@@ -46,6 +44,7 @@ from brauer.diagram import (
     DomainError,
     check_bfs_rank,
     check_walk_rank,
+    count_all,
     enumerate_all,
     green_related,
     multiply,
@@ -62,6 +61,7 @@ from brauer.presentation import (
     words_equal_in_T,
 )
 from brauer.sequences import (
+    check_graph_rank,
     count_classes,
     count_paths,
     expected_class_count,
@@ -72,11 +72,13 @@ from brauer.sequences import (
 from brauer.verify import SUITES, run_suites
 
 # The largest n each command and each verify suite takes without --force;
-# the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph.
+# the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph
+# of about n^3/2 edges.
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
-# builds no diagram (2,027,025 matchings, 0.35-0.38 s a command at n=8 on a
-# 2-core VM); ``counts`` adds the (2n-1)!! claim, which streams
-# ``enumerate_all`` through diagram objects, 1.2-2.0 s at n=8 in all.
+# builds no diagram (2,027,025 matchings in 24,661 merged states, 0.23-0.37 s
+# a command at n=8 in a fresh process on a 2-core VM); ``counts`` adds the
+# (2n-1)!! claim, which streams ``enumerate_all`` through diagram objects,
+# 1.1-1.3 s at n=8 in all.
 # ``relations`` grows as n^4 instead, one relation instance per tuple of
 # distinct indices, each side evaluated by the four-slot atom step with no
 # diagram object: about 25 ms at n=8, 40 ms at n=9 and 75 ms at n=10.
@@ -101,17 +103,18 @@ RANK_LIMITS = {
     "hclasses": 8,
 }
 
-# the commands and suites that walk every matching, or run the BFS: past
-# WALK_RANK_LIMIT or BFS_RANK_LIMIT even --force is refused
-_WALKS = ("classes", "paths", "enumerate", "counts", "hclasses")
-_SEARCHES = ("length", "longest", "lengths", "irreducible", "generation")
+# the ceilings that even --force cannot pass: the walk over every matching,
+# the BFS, and the pair graph
+_CEILINGS = {
+    **dict.fromkeys(("classes", "paths", "enumerate", "counts", "hclasses"), check_walk_rank),
+    **dict.fromkeys(("length", "longest", "lengths", "irreducible", "generation"), check_bfs_rank),
+    "classes --dot": check_graph_rank,
+}
 
 
 def _check_rank(args, name: str, n: int) -> None:
-    if name in _WALKS:
-        check_walk_rank(n)
-    if name in _SEARCHES:
-        check_bfs_rank(n)
+    if name in _CEILINGS:
+        _CEILINGS[name](n)
     limit = RANK_LIMITS[name]
     if n > limit and not args.force:
         raise DomainError(f"n={n} exceeds the {name} limit {limit} (use --force)")
@@ -251,13 +254,20 @@ def _cmd_seq_equal(args):
 def _cmd_enumerate(args):
     _check_rank(args, "enumerate", args.n)
     stream = enumerate_all(args.n)
-    if args.json:
-        diagrams = [d.to_text() for d in stream]
-        obj = {"command": "enumerate", "n": args.n, "count": len(diagrams), "diagrams": diagrams}
-        return obj, [], 0
-    # text mode streams to avoid materializing the whole monoid
+    if not args.json:
+        for d in stream:
+            print(d.to_text())
+        return None, [], 0
+    # the bytes of json.dumps(obj, indent=2), one diagram at a time, so that
+    # no list of (2n-1)!! texts is held; diagram texts need no JSON escape
+    head = {"command": "enumerate", "n": args.n, "count": count_all(args.n)}
+    write = sys.stdout.write
+    write(json.dumps(head, indent=2)[:-2] + ',\n  "diagrams": [')
+    sep = "\n    "
     for d in stream:
-        print(d.to_text())
+        write(f'{sep}"{d.to_text()}"')
+        sep = ",\n    "
+    write("\n  ]\n}\n")
     return None, [], 0
 
 

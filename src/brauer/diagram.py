@@ -29,22 +29,19 @@ walks.  Geodesic lengths and orbit keys are read off the cycle words, and
 
 The counting claims need only how many matchings share each bracket set,
 so :func:`_bracket_walk` counts every matching under an int key of its
-brackets, building no partner tuple and no diagram.  It and
-:func:`enumerate_all` share one pairing walk, :func:`_pairings`, down to
-the last six free points (its stack holds about n**2 point slots), and
-finish from one table, ``_SIX_POINT_MATCHINGS``: the 15 matchings of six
-points, generated by :func:`_matchings`, the recursion that defines the
-enumeration order.  Ranks 1 to 3 are read whole from :func:`_matchings`.
-The bracket walk walks every prefix but finishes each distinct (six free
-points, prefix key) once, times its count, from the 15 bracket masks of
-those six points, which it builds from ``_SIX_POINT_PAIRS`` once per
-six-set.  ``enumerate_all`` writes the one slot of each diagram it yields
+brackets, building no partner tuple and no diagram.  Each walker has its
+own loop, and both follow one order, that of :func:`_matchings`, the
+recursion that defines it.  :func:`enumerate_all` walks depth first on
+an explicit stack (about n**2 point slots) down to six free points and
+fills them from the 15 matchings of six points.  The bracket walk goes
+level by level, merging equal (free points, key) states by count, and
+finishes each from the bracket masks of its last free points.
+``enumerate_all`` writes the one slot of each diagram it yields
 directly, without the frozen dataclass ``__init__``.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -378,57 +375,17 @@ def _matchings(size: int) -> Iterator[tuple[int, ...]]:
             yield tuple(partner)
 
 
-# The 15 matchings of six points; both walkers finish their last six free
-# points from it.
-_SIX_POINT_MATCHINGS = tuple(_matchings(6))
-# pick k maps the six free points, in order, to their partners under row k
-_SIX_POINT_PICKS = tuple(operator.itemgetter(*row) for row in _SIX_POINT_MATCHINGS)
-# pairs k holds the three pairs (i, j), i < j, of row k as positions
-_SIX_POINT_PAIRS = tuple(
-    tuple((i, j) for i, j in enumerate(row) if i < j) for row in _SIX_POINT_MATCHINGS
-)
-
-
-def _pairings(
-    size: int, partner: list[int], bit: Sequence[Sequence[int]]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The one walk over the matchings of the points 0..size-1 (size even,
-    at least 8): pair the smallest free point with each larger one in turn,
-    writing each pair p, q into ``partner``, down to the last six free
-    points.  Yield those six and the sum of ``bit[p][q]`` over the pairs
-    made, in the order of :func:`enumerate_all`; slots of ``partner`` off
-    the pairs made are stale.  The frames ``(free, key, next k)`` sit on an
-    explicit stack, so any rank walks; they hold about size**2 / 4 slots.
-    """
-    stack = [(tuple(range(size)), 0, 1)]
-    while stack:
-        free, key, k = stack.pop()
-        p = free[0]
-        if len(free) > 8:
-            if k + 1 < len(free):
-                stack.append((free, key, k + 1))
-            q = free[k]
-            partner[p], partner[q] = q, p
-            stack.append((free[1:k] + free[k + 1:], key + bit[p][q], 1))
-        else:  # one pair before the table: its seven six-sets
-            row = bit[p]
-            for k in range(1, 8):
-                q = free[k]
-                partner[p], partner[q] = q, p
-                yield free[1:k] + free[k + 1:], key + row[q]
-
-
 def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     """Yield every rank-n diagram exactly once ((2n-1)!! of them).
 
     Order: repeatedly match the smallest unmatched point with each larger
     free point in increasing order, so the first diagram pairs index 0
-    with 1, 2 with 3, and so on.  The lazy generator runs the pairing
-    walk :func:`_pairings` on one partner list, with every key 0; for
-    each set of six free points it leaves, it fills them from
-    ``_SIX_POINT_MATCHINGS`` and yields those 15 diagrams.  Ranks 1 to 3
-    are read whole from :func:`_matchings`.  Any n is taken; the command
-    line bounds it.  The walk's frames hold about n**2 point slots.
+    with 1, 2 with 3, and so on.  The lazy generator writes each pair
+    into one partner list, with its frames ``(free points, next k)`` on an
+    explicit stack, so any rank walks; the frames hold about n**2 point
+    slots.  Each set of six free points left is filled from the 15
+    matchings of six points in turn.  Ranks 1 to 3 are read whole from
+    :func:`_matchings`.  Any n is taken; the command line bounds it.
 
     Past rank 3 each diagram is made by ``object.__new__`` with its
     ``partner`` slot written directly.  Every tuple the walk fills is a
@@ -443,14 +400,24 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
         return map(BrauerDiagram, _matchings(2 * n))
 
     def matchings() -> Iterator[BrauerDiagram]:
-        size = 2 * n
-        partner = [0] * size
+        partner = [0] * (2 * n)
         new, put = object.__new__, BrauerDiagram.partner.__set__
-        # one shared zero row: every key is 0, in O(n) memory, not O(n**2)
-        for free, _ in _pairings(size, partner, [[0] * size] * size):
-            a, b, c, d, e, f = free
-            for pick in _SIX_POINT_PICKS:
-                partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] = pick(free)
+        # pick k maps six free points to their partners under the k-th matching
+        picks = [operator.itemgetter(*row) for row in _matchings(6)]
+        stack = [(tuple(range(2 * n)), 1)]
+        while stack:
+            free, k = stack.pop()
+            if k + 1 < len(free):
+                stack.append((free, k + 1))
+            p, q = free[0], free[k]
+            partner[p], partner[q] = q, p
+            rest = free[1:k] + free[k + 1:]
+            if len(rest) > 6:
+                stack.append((rest, 1))
+                continue
+            a, b, c, d, e, f = rest
+            for pick in picks:
+                partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] = pick(rest)
                 x = new(BrauerDiagram)
                 put(x, tuple(partner))
                 yield x
@@ -458,8 +425,10 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     return matchings()
 
 
-# (2n-1)!! matchings is 25!!, about 7.9e12, at n=13: no walk finishes past
-# this rank, which --force does not lift; the bit table grows as n**4 anyway
+# The bracket walk's output holds one key per H-class, some 70 bytes each:
+# 33,540,076 keys at n=10, 6,893,782,732 at n=12 (about 0.5 TB) and
+# 110,235,964,060 at n=13, where enumerate_all would stream 25!! (7.9e12)
+# diagrams.  No walk finishes past this rank, and --force does not lift it.
 WALK_RANK_LIMIT = 12
 
 
@@ -494,16 +463,17 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     left-bracket bits come first, then the C(n,2) right-bracket bits.  A
     key is an H-class, so ``counts`` holds the H-class sizes.
 
-    The pairing walk :func:`_pairings` walks every prefix, in the order of
-    :func:`enumerate_all`: the smallest free point is paired with each
-    larger one in turn, a line adding no bit, down to six free points.
-    Each distinct (six free points, prefix key) is finished once, its 15
-    keys counted times its count, in first-seen order, so ``counts`` keeps
-    that order.  The 15 keys are the prefix key or'd with the bracket
-    masks of the six free points under each row of the table; those masks
-    are built once per six-set, when it first appears (210 six-sets at
-    n = 7, 462 at n = 8, against 3,227 and 24,661 distinct prefixes).
-    Ranks 1 to 3 are read whole from :func:`_matchings`.
+    The walk goes level by level over states (free points, key), each with
+    the number of prefixes that reach it.  For n - 3 levels each state's
+    smallest free point is paired with each larger one in turn, a line
+    adding no bit, and equal states merge by adding their counts (3,227
+    of 9,009 prefixes at n = 7, 24,661 of 135,135 at n = 8).  Each state
+    is finished from the bracket masks of its last six free points (all
+    2n for ranks 1 to 3) under each matching of :func:`_matchings`, built
+    once per free set (210 at n = 7, 462 at n = 8).  States taken in
+    insertion order and pairs in ascending order meet the states in the
+    order of :func:`enumerate_all`'s depth-first walk, so ``counts``
+    keeps that order.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -515,22 +485,24 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
         for p, q in itertools.combinations(range(lo, lo + n), 2):
             bit[p][q] = 1 << len(ends)
             ends.append((p - lo + 1, q - lo + 1))
+    states = {(tuple(range(size)), 0): 1}
+    for _ in range(n - 3):
+        merged: dict[tuple[tuple[int, ...], int], int] = {}
+        get = merged.get
+        for (free, key), times in states.items():
+            row = bit[free[0]]
+            for k in range(1, len(free)):
+                state = (free[1:k] + free[k + 1:], key | row[free[k]])
+                merged[state] = get(state, 0) + times
+        states = merged
+    rows = [[(i, j) for i, j in enumerate(row) if i < j] for row in _matchings(min(size, 6))]
     counts: dict[int, int] = {}
     get = counts.get
-    if n <= 3:
-        for partner in _matchings(size):
-            k = sum([bit[p][q] for p, q in enumerate(partner) if p < q])
-            counts[k] = get(k, 0) + 1
-        return counts, ends
     finish: dict[tuple[int, ...], list[int]] = {}
-    for (free, key), times in collections.Counter(_pairings(size, [0] * size, bit)).items():
+    for (free, key), times in states.items():
         masks = finish.get(free)
         if masks is None:
-            rows = [bit[p] for p in free]
-            masks = finish[free] = [
-                rows[a][free[b]] | rows[c][free[d]] | rows[e][free[f]]
-                for (a, b), (c, d), (e, f) in _SIX_POINT_PAIRS
-            ]
+            masks = finish[free] = [sum([bit[free[i]][free[j]] for i, j in row]) for row in rows]
         for m in masks:
             k = key | m
             counts[k] = get(k, 0) + times
@@ -544,6 +516,8 @@ def count_all(n: int) -> int:
 
 def random_diagram(n: int, rng) -> BrauerDiagram:
     """Uniformly random diagram (rng is a ``random.Random``)."""
+    if n < 1:
+        raise DomainError("rank n must be a positive integer")
     points = list(range(2 * n))
     rng.shuffle(points)
     partner = [0] * (2 * n)

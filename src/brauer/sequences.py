@@ -40,6 +40,7 @@ __all__ = [
     "count_paths",
     "corank2_census",
     "gamma_graph",
+    "GRAPH_RANK_LIMIT",
     "parse_sequence",
     "enumerate_all",
 ]
@@ -124,11 +125,25 @@ def corank2_census(n: int, walk: tuple[dict[int, int], list] | None = None) -> d
 
 # --- the intersection graph -------------------------------------------------
 
+# The pair graph has C(n,2)(n-2), about n**3/2, edges, and gamma_graph tests
+# every pair of its C(n,2) vertices: 0.2 s and 20 MB peak RSS at n=40, 3.1 s
+# and 68 MB at 100, 14 s and 194 MB at 150 (2-core VM, Python 3.11.7).  Time
+# grows as n**4 and memory as n**3 past it, and --force does not lift it.
+GRAPH_RANK_LIMIT = 150
+
+
+def check_graph_rank(n: int) -> None:
+    """Reject a rank past GRAPH_RANK_LIMIT, before the graph is built."""
+    if n > GRAPH_RANK_LIMIT:
+        raise DomainError(f"rank n={n} exceeds the pair graph rank limit {GRAPH_RANK_LIMIT}")
+
+
 def gamma_graph(n: int) -> str:
     """The graph on the 2-subsets of {1..n}, edges joining intersecting
     subsets, in DOT form; vertices in colex order."""
     if n < 2:
         raise DomainError("the pair graph needs n >= 2")
+    check_graph_rank(n)
     vertices = [Quark(i, j) for j in range(2, n + 1) for i in range(1, j)]
     lines = [f"graph gamma{n} {{"]
     lines += [f'  "{q.i},{q.j}";' for q in vertices]

@@ -2,11 +2,13 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -21,11 +23,14 @@ from brauer.diagram import (
     DomainError,
     _bracket_walk,
     atom,
+    count_all,
+    enumerate_all,
     identity,
     parse_diagram,
 )
 from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import parse_word, phi
+from brauer.sequences import GRAPH_RANK_LIMIT
 from brauer.verify import SUITES
 
 SCHEMA = json.loads(
@@ -357,6 +362,35 @@ class TestCounting:
     def test_enumerate_json(self, capsys):
         code, obj, _ = run_json(capsys, "enumerate", "2")
         assert code == 0 and obj["count"] == 3
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumerate_json_is_json_dumps(self, capsys, n):
+        # written one diagram at a time, the bytes are still json.dumps's
+        code, out, _ = run(capsys, "enumerate", str(n), "--json")
+        obj = {"command": "enumerate", "n": n, "count": count_all(n),
+               "diagrams": [d.to_text() for d in enumerate_all(n)]}
+        assert (code, out) == (0, json.dumps(obj, indent=2) + "\n")
+
+    def test_enumerate_json_streams(self):
+        # a list of the 135,135 rank-7 texts alone takes over 10 MB; the
+        # stream holds one at a time, into a sink that keeps no text
+        class LineCount(io.TextIOBase):
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                return len(text)
+
+        sink = LineCount()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["enumerate", "7", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.lines) == (0, 135135 + 7)
+        assert peak < 2**20
 
 
 # Outputs of the counting commands, byte for byte.  They pass over every
@@ -1707,6 +1741,16 @@ class TestRankLimits:
             code, out, err = run(capsys, *(a.format(n=n, diagram=diagram) for a in argv), *flags)
         assert (code, out, work) == (2, "", [])
         assert err == f"error: rank n={n} exceeds the BFS rank limit {BFS_RANK_LIMIT}\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
+    @pytest.mark.parametrize("n", [GRAPH_RANK_LIMIT + 1, 10001])
+    def test_pair_graph_past_its_rank_limit_exits_2_before_work(self, capsys, work, n, flags):
+        # --force does not lift the pair graph's limit either: at n=10001 its
+        # text of some 5e11 edges could never be held
+        with _capped_address_space():
+            code, out, err = run(capsys, "classes", str(n), "--dot", *flags)
+        assert (code, out, work) == (2, "", [])
+        assert err == f"error: rank n={n} exceeds the pair graph rank limit {GRAPH_RANK_LIMIT}\n"
 
     def test_verify_checks_every_suite_before_running_any(self, capsys, work):
         # at n=7 only generation (limit 6) is over, and it sorts after counts

@@ -484,6 +484,11 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_all(0)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_random_diagram_rejects_rank_below_one(self, n):
+        with pytest.raises(DomainError, match=r"^rank n must be a positive integer$"):
+            random_diagram(n, random.Random(n))
+
 
 # each rejected text with the exact message it raises, in the order the
 # checks run: header, stray text (the first non-blank gap), rank, block

@@ -15,6 +15,7 @@ from brauer.presentation import (
     word_to_text,
 )
 from brauer.sequences import (
+    GRAPH_RANK_LIMIT,
     corank2_census,
     count_classes,
     count_paths,
@@ -214,6 +215,10 @@ class TestGammaGraph:
 
     def test_n4_golden(self):
         assert gamma_graph(4) == GAMMA4_DOT
+
+    def test_rejects_rank_past_the_graph_limit(self):
+        with pytest.raises(DomainError, match=f"exceeds the pair graph rank limit {GRAPH_RANK_LIMIT}$"):
+            gamma_graph(GRAPH_RANK_LIMIT + 1)
 
     def test_n2_trivial(self):
         dot = gamma_graph(2)
