@@ -10,12 +10,10 @@ Each kind of input has one reader: ``parse_diagram``, ``parse_word``,
 ``choices`` from ``diagram.GREEN_RELATIONS`` for a relation letter.
 ``RANK_LIMITS`` holds the work limits, here alone; ``--force`` lifts
 them and exists only on the commands that have one.  It lifts no
-ceiling: not the parsers' ``presentation.WORD_RANK_LIMIT``, a memory
-guard on the rank of every word and sequence read, nor those that
-``_CEILINGS`` maps each command or suite to, past which it is refused
-before it allocates: ``diagram.WALK_RANK_LIMIT`` for the walks over
-every matching, ``diagram.BFS_RANK_LIMIT`` for the breadth-first search
-and ``sequences.GRAPH_RANK_LIMIT`` for the pair graph.
+ceiling, no row of ``diagram.RANK_CEILINGS``: ``_CEILINGS`` names the
+kind of work of each command and suite, whose row refuses a rank before
+that work allocates, and the parsers check the ``word`` row on the rank
+of every word and sequence read.
 
 ``main`` builds the subparser of the command it runs and no other when
 the first argument names a command; any other first argument (``-h``, an
@@ -42,8 +40,7 @@ from brauer.decomposition import decompose
 from brauer.diagram import (
     GREEN_RELATIONS,
     DomainError,
-    check_bfs_rank,
-    check_walk_rank,
+    check_ceiling,
     count_all,
     enumerate_all,
     green_related,
@@ -61,7 +58,6 @@ from brauer.presentation import (
     words_equal_in_T,
 )
 from brauer.sequences import (
-    check_graph_rank,
     count_classes,
     count_paths,
     expected_class_count,
@@ -71,7 +67,8 @@ from brauer.sequences import (
 )
 from brauer.verify import SUITES, run_suites
 
-# The largest n each command and each verify suite takes without --force;
+# The largest n each command and each verify suite takes without --force,
+# which lifts it up to the diagram.RANK_CEILINGS row that _CEILINGS names;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph
 # of about n^3/2 edges.
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
@@ -85,7 +82,8 @@ from brauer.verify import SUITES, run_suites
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
 # two, a branch-and-bound search for the smallest witness text, which grows
-# with the maximal orbits rather than with n! (under 1 ms at n=8).
+# with the maximal orbits rather than with n! (under 1 ms at n=8); ``lengths``
+# also checks the (n-2)! elements of the {1,2} H-class.
 # ``irreducible`` runs the same BFS and one general product per orbit and
 # atom: 517 x 45 at n=10, about 0.23 s in-process (0.3-0.4 s a command).
 RANK_LIMITS = {
@@ -103,18 +101,20 @@ RANK_LIMITS = {
     "hclasses": 8,
 }
 
-# the ceilings that even --force cannot pass: the walk over every matching,
-# the BFS, and the pair graph
+# the kind of work of each RANK_LIMITS name: its diagram.RANK_CEILINGS row
+# is a ceiling that even --force cannot pass
 _CEILINGS = {
-    **dict.fromkeys(("classes", "paths", "enumerate", "counts", "hclasses"), check_walk_rank),
-    **dict.fromkeys(("length", "longest", "lengths", "irreducible", "generation"), check_bfs_rank),
-    "classes --dot": check_graph_rank,
+    **dict.fromkeys(("classes", "paths", "enumerate", "counts", "hclasses"), "walk"),
+    **dict.fromkeys(("length", "longest", "irreducible"), "BFS"),
+    "classes --dot": "pair graph",
+    "relations": "relations",
+    "generation": "closure",
+    "lengths": "H-class",
 }
 
 
 def _check_rank(args, name: str, n: int) -> None:
-    if name in _CEILINGS:
-        _CEILINGS[name](n)
+    check_ceiling(_CEILINGS[name], n)
     limit = RANK_LIMITS[name]
     if n > limit and not args.force:
         raise DomainError(f"n={n} exceeds the {name} limit {limit} (use --force)")

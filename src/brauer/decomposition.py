@@ -18,7 +18,7 @@ of pi.
 
 from __future__ import annotations
 
-from brauer.diagram import BrauerDiagram, DomainError, _bfs_levels, _cycles
+from brauer.diagram import BrauerDiagram, DomainError, _bfs_levels, _cycles, check_ceiling
 from brauer.presentation import Quark, Word
 
 __all__ = [
@@ -105,4 +105,5 @@ def decompose(pi: BrauerDiagram) -> Word:
 def atom_closure(n: int) -> set[tuple[int, ...]]:
     """Multiplicative closure of the rank-n atoms, as partner arrays,
     computed by breadth-first right multiplication."""
+    check_ceiling("closure", n)
     return set(_bfs_levels(n))

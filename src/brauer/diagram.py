@@ -62,8 +62,8 @@ __all__ = [
     "enumerate_all",
     "random_diagram",
     "parse_diagram",
-    "WALK_RANK_LIMIT",
-    "BFS_RANK_LIMIT",
+    "RANK_CEILINGS",
+    "check_ceiling",
 ]
 
 
@@ -275,7 +275,8 @@ def _bfs_levels(
     the atoms {i,j} named by ``pairs`` (1-based; None names every atom):
     maps the partner array of every product of them to its least number
     of factors.  The unit, level 0, is not recorded; the atoms are level
-    1.  A rank past BFS_RANK_LIMIT is refused before anything is built.
+    1.  A rank past the BFS row of RANK_CEILINGS is refused before
+    anything is built.
 
     With ``key``, the map is keyed by ``key(partner)`` instead, and only
     the first element reached with each key is expanded.  That is exact
@@ -292,7 +293,7 @@ def _bfs_levels(
     :func:`_atom_product` takes the same step; it is inlined here, the
     hot loop of the search.
     """
-    check_bfs_rank(n)
+    check_ceiling("BFS", n)
     dist: dict[Hashable, int] = {}
     frontier = [tuple(_atom_product(n, ()))]
     steps = [(n + i - 1, n + j - 1) for i, j in (_atom_pairs(n) if pairs is None else pairs)]
@@ -425,33 +426,52 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     return matchings()
 
 
-# The bracket walk's output holds one key per H-class, some 70 bytes each:
-# 33,540,076 keys at n=10, 6,893,782,732 at n=12 (about 0.5 TB) and
-# 110,235,964,060 at n=13, where enumerate_all would stream 25!! (7.9e12)
-# diagrams.  No walk finishes past this rank, and --force does not lift it.
-WALK_RANK_LIMIT = 12
+# The rank past which each kind of work cannot finish on one machine, so
+# that --force does not lift it; check_ceiling refuses a rank past its row
+# before the work allocates.  Measured on a 2-core VM, Python 3.11.7.
+RANK_CEILINGS = {
+    # The bracket walk's output holds one key per H-class, some 70 bytes each:
+    # 33,540,076 keys at n=10, 457,219,676 at n=11 (about 32 GB),
+    # 6,893,782,732 at n=12 (about 0.5 TB) and 110,235,964,060 at n=13, where
+    # enumerate_all would stream 25!! (7.9e12) diagrams.
+    "walk": 10,
+    # The orbit search grows about 1.9x in orbits and 2.1-2.4x in time a rank:
+    # 251, 517, 965, 1,928, 3,620, 7,102 and 13,455 orbits at n=9..15 in 0.05,
+    # 0.13, 0.33, 0.78, 1.75, 3.13 and 6.6 s, at about 0.7 KB an orbit.  By
+    # rank 24 that is some 4 million orbits and GBs of keys and frontier,
+    # doubling with each rank (the flat search, at (2n-1)!! elements, stops far
+    # below).
+    "BFS": 24,
+    # The pair graph has C(n,2)(n-2), about n**3/2, edges, and gamma_graph tests
+    # every pair of its C(n,2) vertices: 0.2 s and 20 MB peak RSS at n=40, 3.1 s
+    # and 68 MB at 100, 14 s and 194 MB at 150.  Time grows as n**4 and memory
+    # as n**3 past it.
+    "pair graph": 150,
+    # Evaluating a word costs O(n) memory per letter, so the rank must not be
+    # unbounded.
+    "word": 10**4,
+    # check_all_relations checks 2P(n,2) + 2P(n,3) + 3P(n,4), about 3n**4,
+    # index tuples, one at a time: 0.73 s at n=16 and 1.3 s at n=20, 3.6-5.3 us
+    # a tuple.  Each tuple builds 2n-slot partner lists, so the cost grows with
+    # n: sampled at 8.6, 12.4-13.1 and 12.7-12.8 us a tuple at n=160, 200 and
+    # 220, the run projects to 4.6 h, 16-17 h and 24 h.
+    "relations": 220,
+    # The flat closure holds every element of the singular part,
+    # (2n-1)!! - n! partner tuples: 130,095 at n=7 (1.2 s, 29 MB) and
+    # 1,986,705 at n=8 (verify 8 generation: 50.4 s, 848 MB max RSS, about
+    # 430 B an element).  At n=9 it would hold 34,096,545, some 14.6 GB.
+    "closure": 8,
+    # The lengths suite checks each of the (n-2)! elements of the {1,2}
+    # H-class, 11 us each at n=9 and 10, by O(n) work: about 2 h at n=14,
+    # a day at n=15 (19 h at the n=10 rate, 28 h growing as n) and weeks at 16.
+    "H-class": 14,
+}
 
 
-def check_walk_rank(n: int) -> None:
-    """Reject a rank past WALK_RANK_LIMIT, before the walk allocates."""
-    if n > WALK_RANK_LIMIT:
-        raise DomainError(f"rank n={n} exceeds the walk rank limit {WALK_RANK_LIMIT}")
-
-
-# The orbit search grows about 1.9x in orbits and 2.1-2.4x in time a rank:
-# 251, 517, 965, 1,928, 3,620, 7,102 and 13,455 orbits at n=9..15 in 0.05,
-# 0.13, 0.33, 0.78, 1.75, 3.13 and 6.6 s (2-core VM, Python 3.11.7), at about
-# 0.7 KB an orbit.  By rank 24 that is some 4 million orbits and GBs of keys
-# and frontier, doubling with each rank: no search past it finishes on one
-# machine (the flat search, at (2n-1)!! elements, stops far below), and
-# --force does not lift it.
-BFS_RANK_LIMIT = 24
-
-
-def check_bfs_rank(n: int) -> None:
-    """Reject a rank past BFS_RANK_LIMIT, before the search allocates."""
-    if n > BFS_RANK_LIMIT:
-        raise DomainError(f"rank n={n} exceeds the BFS rank limit {BFS_RANK_LIMIT}")
+def check_ceiling(kind: str, n: int) -> None:
+    """Reject a rank past the ``kind`` row of RANK_CEILINGS, before that work allocates."""
+    if n > RANK_CEILINGS[kind]:
+        raise DomainError(f"rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}")
 
 
 def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
@@ -477,7 +497,7 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
-    check_walk_rank(n)
+    check_ceiling("walk", n)
     size = 2 * n
     bit = [[0] * size for _ in range(size)]
     ends: list[tuple[int, int]] = []

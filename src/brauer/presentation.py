@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from brauer.diagram import BrauerDiagram, DomainError, _atom_product, atom, multiply
+from brauer.diagram import BrauerDiagram, DomainError, _atom_product, atom, check_ceiling, multiply
 
 __all__ = [
     "Quark",
@@ -49,7 +49,6 @@ __all__ = [
     "check_all_relations",
     "parse_word",
     "word_to_text",
-    "WORD_RANK_LIMIT",
 ]
 
 
@@ -254,6 +253,7 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
     tests pin that it equals phi."""
     if n < 2:
         raise DomainError("relations need n >= 2")
+    check_ceiling("relations", n)
     checked, violations = {}, []
     for rule, (lhs, rhs) in RELATION_RULES.items():
         variables = sorted(set("".join(lhs + rhs)))
@@ -270,8 +270,6 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
 
 
 # --- text format ------------------------------------------------------------
-
-WORD_RANK_LIMIT = 10**4
 
 _PAIR_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 _TOO_MANY_DIGITS = "a number in the word has too many digits"
@@ -293,13 +291,6 @@ def parse_pair_list(body: str) -> list[tuple[int, int]]:
         raise DomainError(_TOO_MANY_DIGITS) from exc
 
 
-def check_word_rank(n: int) -> None:
-    """Reject a declared rank above WORD_RANK_LIMIT: evaluating a word
-    costs O(n) memory per letter, so the rank must not be unbounded."""
-    if n > WORD_RANK_LIMIT:
-        raise DomainError(f"rank n={n} exceeds the word rank limit {WORD_RANK_LIMIT}")
-
-
 def parse_word(text: str) -> Word:
     """Parse ``n=5: (1,2)(2,3)(1,2)``."""
     m = re.match(r"\s*n\s*=\s*([0-9]+)\s*:\s*", text)
@@ -309,7 +300,7 @@ def parse_word(text: str) -> Word:
         n = int(m.group(1))
     except ValueError as exc:
         raise DomainError(_TOO_MANY_DIGITS) from exc
-    check_word_rank(n)
+    check_ceiling("word", n)
     return word(n, parse_pair_list(text[m.end():]))
 
 

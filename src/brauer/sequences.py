@@ -29,8 +29,8 @@ import math
 from typing import Iterable, Sequence
 
 # enumerate_all has no caller here; perfbench/tracing.py patches it here by name
-from brauer.diagram import BrauerDiagram, DomainError, _bracket_walk, enumerate_all
-from brauer.presentation import Quark, Word, check_word_rank, parse_pair_list, phi
+from brauer.diagram import BrauerDiagram, DomainError, _bracket_walk, check_ceiling, enumerate_all
+from brauer.presentation import Quark, Word, parse_pair_list, phi
 
 __all__ = [
     "seq_canonical",
@@ -40,7 +40,6 @@ __all__ = [
     "count_paths",
     "corank2_census",
     "gamma_graph",
-    "GRAPH_RANK_LIMIT",
     "parse_sequence",
     "enumerate_all",
 ]
@@ -125,25 +124,12 @@ def corank2_census(n: int, walk: tuple[dict[int, int], list] | None = None) -> d
 
 # --- the intersection graph -------------------------------------------------
 
-# The pair graph has C(n,2)(n-2), about n**3/2, edges, and gamma_graph tests
-# every pair of its C(n,2) vertices: 0.2 s and 20 MB peak RSS at n=40, 3.1 s
-# and 68 MB at 100, 14 s and 194 MB at 150 (2-core VM, Python 3.11.7).  Time
-# grows as n**4 and memory as n**3 past it, and --force does not lift it.
-GRAPH_RANK_LIMIT = 150
-
-
-def check_graph_rank(n: int) -> None:
-    """Reject a rank past GRAPH_RANK_LIMIT, before the graph is built."""
-    if n > GRAPH_RANK_LIMIT:
-        raise DomainError(f"rank n={n} exceeds the pair graph rank limit {GRAPH_RANK_LIMIT}")
-
-
 def gamma_graph(n: int) -> str:
     """The graph on the 2-subsets of {1..n}, edges joining intersecting
     subsets, in DOT form; vertices in colex order."""
     if n < 2:
         raise DomainError("the pair graph needs n >= 2")
-    check_graph_rank(n)
+    check_ceiling("pair graph", n)
     vertices = [Quark(i, j) for j in range(2, n + 1) for i in range(1, j)]
     lines = [f"graph gamma{n} {{"]
     lines += [f'  "{q.i},{q.j}";' for q in vertices]
@@ -161,6 +147,6 @@ def gamma_graph(n: int) -> str:
 
 def parse_sequence(n: int, text: str) -> Word:
     """Parse the bare pair-list form ``(1,2)(2,3)(3,4)``."""
-    check_word_rank(n)
+    check_ceiling("word", n)
     return sequence(n, parse_pair_list(text))
 

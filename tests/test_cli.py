@@ -18,8 +18,7 @@ import brauer
 from brauer import cli, sequences, verify
 from brauer.cli import RANK_LIMITS, main
 from brauer.diagram import (
-    BFS_RANK_LIMIT,
-    WALK_RANK_LIMIT,
+    RANK_CEILINGS,
     DomainError,
     _bracket_walk,
     atom,
@@ -30,7 +29,6 @@ from brauer.diagram import (
 )
 from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import parse_word, phi
-from brauer.sequences import GRAPH_RANK_LIMIT
 from brauer.verify import SUITES
 
 SCHEMA = json.loads(
@@ -1706,7 +1704,8 @@ class TestRankLimits:
         code, _, err = run(capsys, *over_limit(name), "--force")
         assert code == 2 and "work started" in err and len(work) == 1
 
-    @pytest.mark.parametrize("n", [WALK_RANK_LIMIT + 1, 10001])
+    # 13 was the ceiling + 1 before the walk's row fell to 10
+    @pytest.mark.parametrize("n", [RANK_CEILINGS["walk"] + 1, 13, 10001])
     @pytest.mark.parametrize("argv", [
         ("classes", "{n}"),
         ("paths", "{n}", "1,2", "3,4"),
@@ -1722,35 +1721,63 @@ class TestRankLimits:
         with _capped_address_space():
             code, out, err = run(capsys, *(a.format(n=n) for a in argv), "--force")
         assert (code, out, work) == (2, "", [])
-        assert err == f"error: rank n={n} exceeds the walk rank limit {WALK_RANK_LIMIT}\n"
+        # suites are checked in the order named, and relations has its own ceiling
+        kind = "relations" if "relations" in argv and n > RANK_CEILINGS["relations"] else "walk"
+        assert err == f"error: rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}\n"
 
     @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
-    @pytest.mark.parametrize("n", [BFS_RANK_LIMIT + 1, 10001])
-    @pytest.mark.parametrize("argv", [
-        ("length", "{diagram}"),
-        ("longest", "{n}"),
-        ("verify", "{n}", "lengths"),
-        ("verify", "{n}", "irreducible"),
-        ("verify", "{n}", "generation"),
-    ], ids=lambda argv: " ".join(argv[::2]))
-    def test_search_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, n, flags):
+    @pytest.mark.parametrize("n", [RANK_CEILINGS["BFS"] + 1, 10001])
+    @pytest.mark.parametrize("argv,kind", [
+        pytest.param(("length", "{diagram}"), "BFS", id="length"),
+        pytest.param(("longest", "{n}"), "BFS", id="longest"),
+        pytest.param(("verify", "{n}", "lengths"), "H-class", id="verify lengths"),
+        pytest.param(("verify", "{n}", "irreducible"), "BFS", id="verify irreducible"),
+        pytest.param(("verify", "{n}", "generation"), "closure", id="verify generation"),
+    ])
+    def test_search_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, kind, n,
+                                                            flags):
         # --force does not lift the BFS's limit either: past it the search
-        # cannot finish, and at n=10001 the atom list alone would take GBs
+        # cannot finish, and at n=10001 the atom list alone would take GBs;
+        # the lengths and generation suites stop lower, at their own ceilings
         diagram = atom(n, 1, 2).to_text()
         with _capped_address_space():
             code, out, err = run(capsys, *(a.format(n=n, diagram=diagram) for a in argv), *flags)
         assert (code, out, work) == (2, "", [])
-        assert err == f"error: rank n={n} exceeds the BFS rank limit {BFS_RANK_LIMIT}\n"
+        assert err == f"error: rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}\n"
 
     @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
-    @pytest.mark.parametrize("n", [GRAPH_RANK_LIMIT + 1, 10001])
+    @pytest.mark.parametrize("n", [RANK_CEILINGS["pair graph"] + 1, 10001])
     def test_pair_graph_past_its_rank_limit_exits_2_before_work(self, capsys, work, n, flags):
         # --force does not lift the pair graph's limit either: at n=10001 its
         # text of some 5e11 edges could never be held
         with _capped_address_space():
             code, out, err = run(capsys, "classes", str(n), "--dot", *flags)
         assert (code, out, work) == (2, "", [])
-        assert err == f"error: rank n={n} exceeds the pair graph rank limit {GRAPH_RANK_LIMIT}\n"
+        limit = RANK_CEILINGS["pair graph"]
+        assert err == f"error: rank n={n} exceeds the pair graph rank limit {limit}\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
+    @pytest.mark.parametrize("suite,kind,n", [
+        ("generation", "closure", RANK_CEILINGS["closure"] + 1),
+        ("lengths", "H-class", RANK_CEILINGS["H-class"] + 1),
+        ("relations", "relations", RANK_CEILINGS["relations"] + 1),
+        ("relations", "relations", 10001),
+    ])
+    def test_suite_past_its_ceiling_exits_2_before_work(self, capsys, work, suite, kind, n,
+                                                        flags):
+        # past its ceiling a suite cannot finish: the closure outgrows memory,
+        # and the H-class loop or the relation tuples run for more than a day
+        with _capped_address_space():
+            code, out, err = run(capsys, "verify", str(n), suite, *flags)
+        assert (code, out, work) == (2, "", [])
+        assert err == f"error: rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}\n"
+
+    def test_every_limit_has_a_ceiling_no_lower(self):
+        # a name with no ceiling would let --force run its work at any rank
+        assert sorted(cli._CEILINGS) == sorted(RANK_LIMITS)
+        assert set(cli._CEILINGS.values()) <= set(RANK_CEILINGS)
+        for name, limit in RANK_LIMITS.items():
+            assert RANK_CEILINGS[cli._CEILINGS[name]] >= limit, name
 
     def test_verify_checks_every_suite_before_running_any(self, capsys, work):
         # at n=7 only generation (limit 6) is over, and it sorts after counts

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from brauer import decomposition
 from brauer.decomposition import atom_closure, decompose
 from brauer.diagram import (
+    RANK_CEILINGS,
     DomainError,
     _atom_pairs,
     _bfs_levels,
@@ -154,6 +156,15 @@ class TestClosure:
         closure = atom_closure(n)
         assert len(closure) == count_all(n) - math.factorial(n)
         assert closure == {d.partner for d in enumerate_all(n) if d.corank >= 2}
+
+    def test_refuses_a_rank_past_its_ceiling_before_the_search(self, monkeypatch):
+        def search(n):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(decomposition, "_bfs_levels", search)
+        n = RANK_CEILINGS["closure"] + 1
+        with pytest.raises(DomainError, match=f"^rank n={n} exceeds the closure rank limit {n - 1}$"):
+            atom_closure(n)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_atoms_irreducible(self, n):

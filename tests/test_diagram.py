@@ -9,8 +9,7 @@ from collections import Counter
 import pytest
 
 from brauer.diagram import (
-    BFS_RANK_LIMIT,
-    WALK_RANK_LIMIT,
+    RANK_CEILINGS,
     BrauerDiagram,
     DomainError,
     _atom_pairs,
@@ -400,8 +399,8 @@ class TestBracketWalk:
             _bracket_walk(0)
 
     def test_rejects_rank_past_the_walk_limit(self):
-        with pytest.raises(DomainError, match=f"exceeds the walk rank limit {WALK_RANK_LIMIT}"):
-            _bracket_walk(WALK_RANK_LIMIT + 1)
+        with pytest.raises(DomainError, match=f"exceeds the walk rank limit {RANK_CEILINGS['walk']}"):
+            _bracket_walk(RANK_CEILINGS["walk"] + 1)
 
     def test_leaves_no_garbage_cycle(self):
         # a cycle would keep the counts dict alive until a full collection
@@ -636,7 +635,17 @@ class TestBfsLevels:
         assert _bfs_levels(n) == _bfs_levels(n, _atom_pairs(n))
         assert _bfs_levels(n, []) == {}
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_adjacent_atoms_reach_catalan_minus_one(self, n):
+        """The adjacent atoms tau_{i,i+1} generate the singular part of the
+        Jones (Temperley-Lieb) monoid, Catalan(n) - 1 elements: a closed form
+        for the search kernel at every n.  This generator set is not closed
+        under conjugation, so an orbit key is not exact on it, and the test
+        runs the flat search."""
+        levels = _bfs_levels(n, [(i, i + 1) for i in range(1, n)])
+        assert len(levels) == math.comb(2 * n, n) // (n + 1) - 1
+
     @pytest.mark.parametrize("pairs", [None, [(1, 2)]])
     def test_rejects_rank_past_the_bfs_limit(self, pairs):
-        with pytest.raises(DomainError, match=f"exceeds the BFS rank limit {BFS_RANK_LIMIT}"):
-            _bfs_levels(BFS_RANK_LIMIT + 1, pairs)
+        with pytest.raises(DomainError, match=f"exceeds the BFS rank limit {RANK_CEILINGS['BFS']}"):
+            _bfs_levels(RANK_CEILINGS["BFS"] + 1, pairs)

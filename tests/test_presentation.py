@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from brauer.diagram import DomainError, _atom_product, atom, enumerate_all, identity, multiply
+from brauer import presentation
+from brauer.diagram import (RANK_CEILINGS, DomainError, _atom_product, atom, enumerate_all,
+                            identity, multiply)
 from brauer.presentation import (
     RELATION_RULES,
-    WORD_RANK_LIMIT,
     Quark,
     Word,
     check_all_relations,
@@ -50,9 +51,9 @@ PARSE_ERRORS = {
     "repeated index": ("n=3: (1,1)", "quark indices must be distinct"),
     "index over rank": ("n=3: (1,4)", "quark (1,4) exceeds rank n=3"),
     "rank 0": ("n=0: (1,2)", "quark (1,2) exceeds rank n=0"),
-    "rank over limit": (f"n={WORD_RANK_LIMIT + 1}: (1,2)",
-                        f"rank n={WORD_RANK_LIMIT + 1} exceeds the word rank limit "
-                        f"{WORD_RANK_LIMIT}"),
+    "rank over limit": (f"n={RANK_CEILINGS['word'] + 1}: (1,2)",
+                        f"rank n={RANK_CEILINGS['word'] + 1} exceeds the word rank limit "
+                        f"{RANK_CEILINGS['word']}"),
 }
 
 
@@ -261,6 +262,15 @@ class TestCheckAllRelations:
         checked, violations = check_all_relations(3)
         assert checked["RX"] == 6
         assert violations == [("RX", values) for values in itertools.permutations((1, 2, 3))]
+
+    def test_refuses_a_rank_past_its_ceiling_before_any_tuple(self, monkeypatch):
+        def evaluate(n, pairs):
+            raise AssertionError("a tuple was checked")
+
+        monkeypatch.setattr(presentation, "_atom_product", evaluate)
+        n = RANK_CEILINGS["relations"] + 1
+        with pytest.raises(DomainError, match=f"^rank n={n} exceeds the relations rank limit {n - 1}$"):
+            check_all_relations(n)
 
 
 class TestAtomProduct:

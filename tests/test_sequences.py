@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from brauer.diagram import DomainError, atom, enumerate_all
+from brauer.diagram import RANK_CEILINGS, DomainError, atom, enumerate_all
 from brauer.presentation import (
     RELATION_RULES,
-    WORD_RANK_LIMIT,
     Quark,
     Word,
     is_connected,
@@ -15,7 +14,6 @@ from brauer.presentation import (
     word_to_text,
 )
 from brauer.sequences import (
-    GRAPH_RANK_LIMIT,
     corank2_census,
     count_classes,
     count_paths,
@@ -41,9 +39,9 @@ PARSE_ERRORS = {
     "index over rank": (4, "(1,5)", "pair (1,5) exceeds rank n=4"),
     "rank 0": (0, "(1,2)", "pair (1,2) exceeds rank n=0"),
     "disjoint pairs": (4, "(1,2)(3,4)", "consecutive pairs (1,2) and (3,4) are disjoint"),
-    "rank over limit": (WORD_RANK_LIMIT + 1, "(1,2)",
-                        f"rank n={WORD_RANK_LIMIT + 1} exceeds the word rank limit "
-                        f"{WORD_RANK_LIMIT}"),
+    "rank over limit": (RANK_CEILINGS["word"] + 1, "(1,2)",
+                        f"rank n={RANK_CEILINGS['word'] + 1} exceeds the word rank limit "
+                        f"{RANK_CEILINGS['word']}"),
 }
 
 
@@ -217,8 +215,9 @@ class TestGammaGraph:
         assert gamma_graph(4) == GAMMA4_DOT
 
     def test_rejects_rank_past_the_graph_limit(self):
-        with pytest.raises(DomainError, match=f"exceeds the pair graph rank limit {GRAPH_RANK_LIMIT}$"):
-            gamma_graph(GRAPH_RANK_LIMIT + 1)
+        limit = RANK_CEILINGS["pair graph"]
+        with pytest.raises(DomainError, match=f"exceeds the pair graph rank limit {limit}$"):
+            gamma_graph(limit + 1)
 
     def test_n2_trivial(self):
         dot = gamma_graph(2)
