@@ -83,7 +83,7 @@ from brauer.verify import SUITES, run_suites
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
 # two, a branch-and-bound search for the smallest witness text, which grows
 # with the maximal orbits rather than with n! (under 1 ms at n=8); ``lengths``
-# also checks the (n-2)! elements of the {1,2} H-class.
+# also checks the cycle formula on one representative of every orbit.
 # ``irreducible`` runs the same BFS and one general product per orbit and
 # atom: 517 x 45 at n=10, about 0.23 s in-process (0.3-0.4 s a command).
 RANK_LIMITS = {
@@ -105,11 +105,10 @@ RANK_LIMITS = {
 # is a ceiling that even --force cannot pass
 _CEILINGS = {
     **dict.fromkeys(("classes", "paths", "enumerate", "counts", "hclasses"), "walk"),
-    **dict.fromkeys(("length", "longest", "irreducible"), "BFS"),
+    **dict.fromkeys(("length", "longest", "irreducible", "lengths"), "BFS"),
     "classes --dot": "pair graph",
     "relations": "relations",
     "generation": "closure",
-    "lengths": "H-class",
 }
 
 

@@ -461,10 +461,6 @@ RANK_CEILINGS = {
     # 1,986,705 at n=8 (verify 8 generation: 50.4 s, 848 MB max RSS, about
     # 430 B an element).  At n=9 it would hold 34,096,545, some 14.6 GB.
     "closure": 8,
-    # The lengths suite checks each of the (n-2)! elements of the {1,2}
-    # H-class, 11 us each at n=9 and 10, by O(n) work: about 2 h at n=14,
-    # a day at n=15 (19 h at the n=10 rate, 28 h growing as n) and weeks at 16.
-    "H-class": 14,
 }
 
 

@@ -33,8 +33,8 @@ text one block at a time, so its work grows with the orbit, not with n!.
 
 A singular diagram's length has the closed form ls = n - s + c - b over
 its cycle words: s identity lines ``(0,)``, b cycles through a bracket
-(words holding a 1), c others.  ``ls_via_cycles`` computes it; the tests
-check that it agrees with the search on every orbit for n = 2..10.  On
+(words holding a 1), c others.  ``ls_via_cycles`` computes it; the
+``lengths`` suite checks it on every orbit.  On
 the {1,2} H-class ``decompose`` builds a word of exactly that length
 from the same cycles.
 

@@ -72,9 +72,6 @@ class Quark:
             object.__setattr__(self, "i", j)
             object.__setattr__(self, "j", i)
 
-    def points(self) -> frozenset[int]:
-        return frozenset((self.i, self.j))
-
     def meets(self, other: Quark) -> bool:
         return self.i in (other.i, other.j) or self.j in (other.i, other.j)
 

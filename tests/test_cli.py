@@ -850,7 +850,7 @@ n=2;{1,2}{1',2'}
 """,
     ("verify", "2", "lengths"): """\
 PASS maximal length (n=2): expected 1, computed 1 (witness n=2;{1,2}{1',2'})
-PASS cycle-formula mismatches on the {1,2} class (n=2): expected 0, computed 0
+PASS cycle-formula mismatches on every orbit (n=2): expected 0, computed 0 (1 orbits)
 """,
     ("longest", "3"): """\
 2
@@ -866,7 +866,7 @@ n=3;{1,2'}{2,3}{1',3'}
 """,
     ("verify", "3", "lengths"): """\
 PASS maximal length (n=3): expected 2, computed 2 (witness n=3;{1,2'}{2,3}{1',3'})
-PASS cycle-formula mismatches on the {1,2} class (n=3): expected 0, computed 0
+PASS cycle-formula mismatches on every orbit (n=3): expected 0, computed 0 (2 orbits)
 """,
     ("longest", "4"): """\
 4
@@ -882,7 +882,7 @@ n=4;{1,2'}{2,1'}{3,4}{3',4'}
 """,
     ("verify", "4", "lengths"): """\
 PASS maximal length (n=4): expected 4, computed 4 (witness n=4;{1,2'}{2,1'}{3,4}{3',4'})
-PASS cycle-formula mismatches on the {1,2} class (n=4): expected 0, computed 0
+PASS cycle-formula mismatches on every orbit (n=4): expected 0, computed 0 (7 orbits)
 """,
     ("longest", "5"): """\
 5
@@ -898,7 +898,7 @@ n=5;{1,2'}{2,1'}{3,4'}{4,5}{3',5'}
 """,
     ("verify", "5", "lengths"): """\
 PASS maximal length (n=5): expected 5, computed 5 (witness n=5;{1,2'}{2,1'}{3,4'}{4,5}{3',5'})
-PASS cycle-formula mismatches on the {1,2} class (n=5): expected 0, computed 0
+PASS cycle-formula mismatches on every orbit (n=5): expected 0, computed 0 (13 orbits)
 """,
     ("longest", "6"): """\
 7
@@ -914,7 +914,7 @@ n=6;{1,2'}{2,1'}{3,4'}{4,3'}{5,6}{5',6'}
 """,
     ("verify", "6", "lengths"): """\
 PASS maximal length (n=6): expected 7, computed 7 (witness n=6;{1,2'}{2,1'}{3,4'}{4,3'}{5,6}{5',6'})
-PASS cycle-formula mismatches on the {1,2} class (n=6): expected 0, computed 0
+PASS cycle-formula mismatches on every orbit (n=6): expected 0, computed 0 (33 orbits)
 """,
     ("longest", "7"): """\
 8
@@ -930,7 +930,7 @@ n=7;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,7}{5',7'}
 """,
     ("verify", "7", "lengths"): """\
 PASS maximal length (n=7): expected 8, computed 8 (witness n=7;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,7}{5',7'})
-PASS cycle-formula mismatches on the {1,2} class (n=7): expected 0, computed 0
+PASS cycle-formula mismatches on every orbit (n=7): expected 0, computed 0 (61 orbits)
 """,
     ("longest", "8"): """\
 10
@@ -946,7 +946,7 @@ n=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'}
 """,
     ("verify", "8", "lengths"): """\
 PASS maximal length (n=8): expected 10, computed 10 (witness n=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'})
-PASS cycle-formula mismatches on the {1,2} class (n=8): expected 0, computed 0
+PASS cycle-formula mismatches on every orbit (n=8): expected 0, computed 0 (135 orbits)
 """,
     ("longest", "9", "--force"): """\
 11
@@ -1627,6 +1627,32 @@ class TestVerify:
         assert out.splitlines()[0] == ("FAIL left brackets dropped by an atom step (n=4): "
                                        "expected 0, computed 42 (7 orbits x 6 atoms)")
 
+    def test_lengths_fails_when_the_formula_is_off_past_corank_2(self, capsys, monkeypatch):
+        # every orbit is checked, not just the corank-2 {1,2} class
+        formula = verify.ls_via_cycles
+        monkeypatch.setattr(verify, "ls_via_cycles", lambda d: formula(d) + (d.corank >= 4))
+        code, out, _ = run(capsys, "verify", "6", "lengths")
+        assert code == 1
+        assert out.splitlines()[1].startswith("FAIL cycle-formula mismatches on every orbit (n=6)")
+
+    def test_generation_fails_when_the_closure_holds_an_invertible(self, capsys, monkeypatch):
+        # the closure has the right size but one element is the identity
+        closure_of = verify.atom_closure
+
+        def swapped(n):
+            closure = closure_of(n)
+            closure.pop()
+            return closure | {identity(n).partner}
+
+        monkeypatch.setattr(verify, "atom_closure", swapped)
+        code, out, _ = run(capsys, "verify", "5", "generation")
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS atom-closure size (n=5): expected 825, computed 825 "
+            "((2n-1)!! - n! = 945 - 120)",
+            "FAIL closure equals corank>=2 set (n=5): expected True, computed False",
+        ]
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "4", "nonsense")
         assert code == 2 and "unknown suite" in err
@@ -1730,7 +1756,7 @@ class TestRankLimits:
     @pytest.mark.parametrize("argv,kind", [
         pytest.param(("length", "{diagram}"), "BFS", id="length"),
         pytest.param(("longest", "{n}"), "BFS", id="longest"),
-        pytest.param(("verify", "{n}", "lengths"), "H-class", id="verify lengths"),
+        pytest.param(("verify", "{n}", "lengths"), "BFS", id="verify lengths"),
         pytest.param(("verify", "{n}", "irreducible"), "BFS", id="verify irreducible"),
         pytest.param(("verify", "{n}", "generation"), "closure", id="verify generation"),
     ])
@@ -1738,7 +1764,7 @@ class TestRankLimits:
                                                             flags):
         # --force does not lift the BFS's limit either: past it the search
         # cannot finish, and at n=10001 the atom list alone would take GBs;
-        # the lengths and generation suites stop lower, at their own ceilings
+        # the generation suite stops lower, at its own ceiling
         diagram = atom(n, 1, 2).to_text()
         with _capped_address_space():
             code, out, err = run(capsys, *(a.format(n=n, diagram=diagram) for a in argv), *flags)
@@ -1759,14 +1785,13 @@ class TestRankLimits:
     @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
     @pytest.mark.parametrize("suite,kind,n", [
         ("generation", "closure", RANK_CEILINGS["closure"] + 1),
-        ("lengths", "H-class", RANK_CEILINGS["H-class"] + 1),
         ("relations", "relations", RANK_CEILINGS["relations"] + 1),
         ("relations", "relations", 10001),
     ])
     def test_suite_past_its_ceiling_exits_2_before_work(self, capsys, work, suite, kind, n,
                                                         flags):
         # past its ceiling a suite cannot finish: the closure outgrows memory,
-        # and the H-class loop or the relation tuples run for more than a day
+        # and the relation tuples run for more than a day
         with _capped_address_space():
             code, out, err = run(capsys, "verify", str(n), suite, *flags)
         assert (code, out, work) == (2, "", [])
@@ -1778,6 +1803,14 @@ class TestRankLimits:
         assert set(cli._CEILINGS.values()) <= set(RANK_CEILINGS)
         for name, limit in RANK_LIMITS.items():
             assert RANK_CEILINGS[cli._CEILINGS[name]] >= limit, name
+
+    def test_every_ceiling_is_checked_by_the_library(self):
+        # a ceiling that only the command line checks leaves the library
+        # call behind it unguarded at any rank
+        src = Path(brauer.__file__).parent
+        calls = "".join(p.read_text() for p in src.glob("*.py") if p.name != "cli.py")
+        for kind in RANK_CEILINGS:
+            assert f'check_ceiling("{kind}", ' in calls, kind
 
     def test_verify_checks_every_suite_before_running_any(self, capsys, work):
         # at n=7 only generation (limit 6) is over, and it sorts after counts
@@ -2192,10 +2225,10 @@ brauer: error: unrecognized arguments: --cache-dir X
     },
     {
       "suite": "lengths",
-      "name": "cycle-formula mismatches on the {1,2} class (n=3)",
+      "name": "cycle-formula mismatches on every orbit (n=3)",
       "expected": 0,
       "computed": 0,
-      "detail": "",
+      "detail": "2 orbits",
       "ok": true
     }
   ],
