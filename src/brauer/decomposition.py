@@ -14,11 +14,17 @@ beyond it no minimality is claimed (shortest factorizations live in the
 geodesics module).  The contract is the round trip
 ``phi(decompose(pi)) == pi`` and that the first factor is a left bracket
 of pi.
+
+The closure is a union of conjugation orbits, since relabelling maps
+atoms to atoms, so :func:`atom_closure` returns the orbit table of the
+geodesic search: one entry per orbit, 135 at n = 8, whose length is the
+closure's size.
 """
 
 from __future__ import annotations
 
-from brauer.diagram import BrauerDiagram, DomainError, _bfs_levels, _cycles, check_ceiling
+from brauer.diagram import BrauerDiagram, DomainError, _cycles
+from brauer.geodesics import GeodesicTable, bfs_lengths
 from brauer.presentation import Quark, Word
 
 __all__ = [
@@ -102,8 +108,10 @@ def decompose(pi: BrauerDiagram) -> Word:
     return Word(n, tuple(quarks))
 
 
-def atom_closure(n: int) -> set[tuple[int, ...]]:
-    """Multiplicative closure of the rank-n atoms, as partner arrays,
-    computed by breadth-first right multiplication."""
-    check_ceiling("closure", n)
-    return set(_bfs_levels(n))
+def atom_closure(n: int) -> GeodesicTable:
+    """Multiplicative closure of the rank-n atoms, as its conjugation
+    orbits: the table of ``bfs_lengths(n)``, whose length is the sum of
+    the orbit sizes.  Read ``orbits`` or ``representatives()``; iterating
+    the table enumerates the monoid instead.  The name stays only because
+    ``perfbench/`` traces it (ROADMAP item 15 deletes it)."""
+    return bfs_lengths(n)

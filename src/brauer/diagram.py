@@ -282,7 +282,9 @@ def _bfs_levels(
     the first element reached with each key is expanded.  That is exact
     when elements with equal keys have equally long geodesics and their
     neighbours have equal keys again, as for conjugation orbits when
-    ``pairs`` names every atom.
+    ``pairs`` names every atom.  The program runs only that keyed search
+    (``geodesics.bfs_lengths``); the flat one is the tests' oracle, for
+    n <= 6 and for sub-closures of the atoms.
 
     One step is O(1).  Right-multiplying p by the atom {i,j} glues p's
     primed points i' and j' (indices pi = n+i-1, pj = n+j-1) to the
@@ -456,11 +458,6 @@ RANK_CEILINGS = {
     # n: sampled at 8.6, 12.4-13.1 and 12.7-12.8 us a tuple at n=160, 200 and
     # 220, the run projects to 4.6 h, 16-17 h and 24 h.
     "relations": 220,
-    # The flat closure holds every element of the singular part,
-    # (2n-1)!! - n! partner tuples: 130,095 at n=7 (1.2 s, 29 MB) and
-    # 1,986,705 at n=8 (verify 8 generation: 50.4 s, 848 MB max RSS, about
-    # 430 B an element).  At n=9 it would hold 34,096,545, some 14.6 GB.
-    "closure": 8,
 }
 
 

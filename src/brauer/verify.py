@@ -3,12 +3,13 @@ Exhaustive verification suites behind the ``verify`` CLI subcommand.
 
 Each suite recomputes one of the checkable claims at rank n and compares
 against the closed-form value: relation families under evaluation,
-generation of the singular part by atoms (from the atom closure and its
-size alone), irreducibility of the atoms (a lemma on the orbits), the
-maximal geodesic length and the cycle-formula lengths (on one
-representative of every orbit), enumeration and class counts, and
-H-class sizes.  A suite runs at any n >= 2; the command line bounds n
-per suite before it runs any.
+generation of the singular part by atoms (from the orbit table of the
+atom closure and its size alone: one orbit search, 135 orbits at n=8),
+irreducibility of the atoms (a lemma on the orbits), the maximal
+geodesic length and the cycle-formula lengths (on one representative
+of every orbit), enumeration and class counts, and H-class sizes.  A
+suite runs at any n >= 2; the command line bounds n per suite before it
+runs any.
 The ``counts`` suite checks the diagram total over ``enumerate_all``,
 the public enumerator; its class claims and the ``hclasses`` suite
 count bracket sets with ``diagram._bracket_walk``, which counts every
@@ -75,10 +76,23 @@ def _suite_generation(n: int, walk: Walk) -> list[Claim]:
     """Every product of atoms is singular (some unprimed point is matched
     with another, ``min(p[:n]) < n``), so the closure lies in the corank
     >= 2 set; if it also has that set's (2n-1)!! - n! elements, the two
-    sets are equal, and no enumeration of the monoid is needed."""
+    sets are equal, and no enumeration of the monoid is needed.  The
+    closure is read as the orbit table of one search:
+    1. Conjugation maps atoms to atoms, so the closure is a union of
+       S_n-orbits.
+    2. The keyed search expands one representative per orbit exactly
+       (``diagram._bfs_levels``), so it reaches every orbit of the closure.
+    3. The orbit key is a complete invariant, so distinct keys are
+       distinct orbits.
+    4. ``geodesics._orbit_size`` is n!/|Aut|, so the table's length is the
+       closure's size.
+    Corank does not change under relabelling, so one representative per
+    orbit shows that every element is singular.
+    """
     closure = atom_closure(n)
     expected = count_all(n) - math.factorial(n)
-    singular = len(closure) == expected and all(min(p[:n]) < n for p in closure)
+    singular = len(closure) == expected and all(
+        min(d.partner[:n]) < n for d, _ in closure.representatives())
     return [
         Claim("generation", f"atom-closure size (n={n})", expected, len(closure),
               f"(2n-1)!! - n! = {count_all(n)} - {math.factorial(n)}"),

@@ -16,6 +16,7 @@ import pytest
 
 from brauer.decomposition import atom_closure, decompose
 from brauer.diagram import (
+    _bfs_levels,
     count_all,
     enumerate_all,
     identity,
@@ -23,7 +24,7 @@ from brauer.diagram import (
     multiply,
     random_diagram,
 )
-from brauer.geodesics import bfs_lengths, expected_max_length, ls_via_cycles
+from brauer.geodesics import _orbit_key, bfs_lengths, expected_max_length, ls_via_cycles
 from brauer.presentation import (
     Quark,
     Word,
@@ -97,9 +98,11 @@ def test_criterion_03_generation():
     expected = {3: 9, 4: 81, 5: 825}
     sizes, exact = {}, True
     for n in expected:
-        closure = atom_closure(n)
+        # the flat search is the oracle: it closes the atoms element by element
+        closure, flat = atom_closure(n), _bfs_levels(n)
         sizes[n] = len(closure)
-        exact &= closure == {d.partner for d in enumerate_all(n) if d.corank >= 2}
+        exact &= set(flat) == {d.partner for d in enumerate_all(n) if d.corank >= 2}
+        exact &= {_orbit_key(p) for p in flat} == set(closure.orbits)
     ok = sizes == expected and exact
     report(3, ok, f"atom closures for n=3,4,5 have sizes {list(sizes.values())}")
 

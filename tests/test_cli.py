@@ -1218,7 +1218,9 @@ class TestDecompositionGolden:
 # copied from the output of the report-class relation check and the
 # diagram-set atom closure before the tuple forms replaced them; N = 9 and
 # 10 relations copied from the phi-based check (run with --force) before
-# the atom-step check replaced it
+# the atom-step check replaced it; N = 7 generation copied from the flat
+# partner-tuple closure (run with --force) before the orbit table replaced
+# it, and N = 8 from the orbit table, whose size is the closed form's
 GOLDEN_VERIFY = {
     ("verify", "2", "relations"): """\
 PASS relation violations (n=2): expected 0, computed 0 (R1:2 R2:2 R3:0 R4:0 R5:0 R6:0 R7:0)
@@ -1586,6 +1588,41 @@ PASS closure equals corank>=2 set (n=6): expected True, computed True
   ],
   "ok": true
 }
+""",    ("verify", "7", "generation"): """\
+PASS atom-closure size (n=7): expected 130095, computed 130095 ((2n-1)!! - n! = 135135 - 5040)
+PASS closure equals corank>=2 set (n=7): expected True, computed True
+""",
+    ("verify", "8", "generation"): """\
+PASS atom-closure size (n=8): expected 1986705, computed 1986705 ((2n-1)!! - n! = 2027025 - 40320)
+PASS closure equals corank>=2 set (n=8): expected True, computed True
+""",
+    ("verify", "8", "generation", "--json"): """\
+{
+  "command": "verify",
+  "n": 8,
+  "suites": [
+    "generation"
+  ],
+  "claims": [
+    {
+      "suite": "generation",
+      "name": "atom-closure size (n=8)",
+      "expected": 1986705,
+      "computed": 1986705,
+      "detail": "(2n-1)!! - n! = 2027025 - 40320",
+      "ok": true
+    },
+    {
+      "suite": "generation",
+      "name": "closure equals corank>=2 set (n=8)",
+      "expected": true,
+      "computed": true,
+      "detail": "",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
 """,
 }
 
@@ -1613,6 +1650,13 @@ class TestVerify:
         assert code == 0
         assert "expected 81, computed 81" in out
 
+    def test_every_default_suite_runs_at_8_without_force(self, capsys):
+        # every suite's limit is at least 8, so ``verify 8`` needs no --force
+        code, out, _ = run(capsys, "verify", "8")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 11
+        assert all(line.startswith("PASS") for line in lines)
+
     def test_lengths_suite_n8(self, capsys):
         code, out, _ = run(capsys, "verify", "8", "lengths")
         lines = out.splitlines()
@@ -1636,13 +1680,14 @@ class TestVerify:
         assert out.splitlines()[1].startswith("FAIL cycle-formula mismatches on every orbit (n=6)")
 
     def test_generation_fails_when_the_closure_holds_an_invertible(self, capsys, monkeypatch):
-        # the closure has the right size but one element is the identity
+        # the closure has the right size but the atoms' orbit is swapped for
+        # the transpositions' orbit, of the same size (10 at n=5)
         closure_of = verify.atom_closure
 
         def swapped(n):
-            closure = closure_of(n)
-            closure.pop()
-            return closure | {identity(n).partner}
+            orbits = dict(closure_of(n).orbits)
+            orbits[((0,), (0,), (0,), (0, 0))] = orbits.pop(((0,), (0,), (0,), (0, 1)))
+            return GeodesicTable(n, orbits)
 
         monkeypatch.setattr(verify, "atom_closure", swapped)
         code, out, _ = run(capsys, "verify", "5", "generation")
@@ -1758,13 +1803,12 @@ class TestRankLimits:
         pytest.param(("longest", "{n}"), "BFS", id="longest"),
         pytest.param(("verify", "{n}", "lengths"), "BFS", id="verify lengths"),
         pytest.param(("verify", "{n}", "irreducible"), "BFS", id="verify irreducible"),
-        pytest.param(("verify", "{n}", "generation"), "closure", id="verify generation"),
+        pytest.param(("verify", "{n}", "generation"), "BFS", id="verify generation"),
     ])
     def test_search_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, kind, n,
                                                             flags):
         # --force does not lift the BFS's limit either: past it the search
-        # cannot finish, and at n=10001 the atom list alone would take GBs;
-        # the generation suite stops lower, at its own ceiling
+        # cannot finish, and at n=10001 the atom list alone would take GBs
         diagram = atom(n, 1, 2).to_text()
         with _capped_address_space():
             code, out, err = run(capsys, *(a.format(n=n, diagram=diagram) for a in argv), *flags)
@@ -1784,14 +1828,13 @@ class TestRankLimits:
 
     @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
     @pytest.mark.parametrize("suite,kind,n", [
-        ("generation", "closure", RANK_CEILINGS["closure"] + 1),
         ("relations", "relations", RANK_CEILINGS["relations"] + 1),
         ("relations", "relations", 10001),
     ])
     def test_suite_past_its_ceiling_exits_2_before_work(self, capsys, work, suite, kind, n,
                                                         flags):
-        # past its ceiling a suite cannot finish: the closure outgrows memory,
-        # and the relation tuples run for more than a day
+        # past its ceiling a suite cannot finish: the relation tuples run
+        # for more than a day
         with _capped_address_space():
             code, out, err = run(capsys, "verify", str(n), suite, *flags)
         assert (code, out, work) == (2, "", [])
@@ -1813,9 +1856,12 @@ class TestRankLimits:
             assert f'check_ceiling("{kind}", ' in calls, kind
 
     def test_verify_checks_every_suite_before_running_any(self, capsys, work):
-        # at n=7 only generation (limit 6) is over, and it sorts after counts
-        code, _, err = run(capsys, "verify", "7")
-        assert code == 2 and "generation limit 6" in err
+        # at n=9 counts, generation, hclasses and lengths (limit 8) are over;
+        # relations and irreducible (limit 10) pass the check but do not run
+        code, _, err = run(capsys, "verify", "9")
+        assert code == 2 and "counts limit 8" in err
+        code, _, err = run(capsys, "verify", "9", "relations", "irreducible", "generation")
+        assert code == 2 and "generation limit 8" in err
         assert work == []
 
     @pytest.mark.parametrize("name", sorted(SUITES))

@@ -1,9 +1,10 @@
 import hashlib
+import math
 import random
 
 import pytest
 
-from brauer import decomposition
+from brauer import diagram
 from brauer.decomposition import atom_closure, decompose
 from brauer.diagram import (
     RANK_CEILINGS,
@@ -18,6 +19,7 @@ from brauer.diagram import (
     multiply,
     random_diagram,
 )
+from brauer.geodesics import _orbit_key
 from brauer.presentation import Quark, phi, word, word_to_text
 from brauer.verify import run_suites
 
@@ -149,21 +151,22 @@ def reducible_atoms(n):
 
 
 class TestClosure:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_atoms_generate_all_singular_elements(self, n):
-        import math
-
-        closure = atom_closure(n)
+        # the flat search closes the atoms element by element: it is the
+        # oracle for the orbit table, read through its keys, never iterated
+        closure, flat = atom_closure(n), _bfs_levels(n)
         assert len(closure) == count_all(n) - math.factorial(n)
-        assert closure == {d.partner for d in enumerate_all(n) if d.corank >= 2}
+        assert set(flat) == {d.partner for d in enumerate_all(n) if d.corank >= 2}
+        assert {_orbit_key(p) for p in flat} == set(closure.orbits)
 
     def test_refuses_a_rank_past_its_ceiling_before_the_search(self, monkeypatch):
-        def search(n):
+        def step(n, pairs):
             raise AssertionError("the search started")
 
-        monkeypatch.setattr(decomposition, "_bfs_levels", search)
-        n = RANK_CEILINGS["closure"] + 1
-        with pytest.raises(DomainError, match=f"^rank n={n} exceeds the closure rank limit {n - 1}$"):
+        monkeypatch.setattr(diagram, "_atom_product", step)
+        n = RANK_CEILINGS["BFS"] + 1
+        with pytest.raises(DomainError, match=f"^rank n={n} exceeds the BFS rank limit {n - 1}$"):
             atom_closure(n)
 
     @pytest.mark.parametrize("n", [3, 4])
