@@ -272,7 +272,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    suites = args.suites or sorted(SUITES)
+    suites = list(dict.fromkeys(args.suites)) or sorted(SUITES)  # a repeated name runs once
     for name in suites:  # every suite is checked before any runs
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")

@@ -111,7 +111,7 @@ def decompose(pi: BrauerDiagram) -> Word:
 def atom_closure(n: int) -> GeodesicTable:
     """Multiplicative closure of the rank-n atoms, as its conjugation
     orbits: the table of ``bfs_lengths(n)``, whose length is the sum of
-    the orbit sizes.  Read ``orbits`` or ``representatives()``; iterating
-    the table enumerates the monoid instead.  The name stays only because
-    ``perfbench/`` traces it (ROADMAP item 15 deletes it)."""
+    the orbit sizes; read ``orbits`` or ``representatives()``.  The name
+    stays only because ``perfbench/`` traces it (ROADMAP item 15 deletes
+    it)."""
     return bfs_lengths(n)

@@ -17,10 +17,11 @@ unprimed pins of the right factor and tracing the maximal chains; closed
 loops formed in the middle are discarded, as in the monoid (only the
 Brauer algebra would weight a product by its loop count).  ``multiply``
 is the one general product, O(n).  Products of atoms step in O(1)
-instead, in the breadth-first search and in :func:`_atom_product`: right
-multiplication by the atom {i,j} changes at most four partner slots (see
-:func:`_bfs_levels`).  Both start at the unit, the empty product, so the
-search meets the atoms as its level 1.
+instead, in :func:`_atom_product` and in the orbit search
+``geodesics.bfs_lengths``, which inlines the same step: right
+multiplication by the atom {i,j} changes at most four partner slots.
+Both start at the unit, the empty product, so the search meets the atoms
+as its level 1.
 
 Make each point k a node with a top port k and a bottom port k'; the
 blocks join ports, so the nodes fall into cycles, which :func:`_cycles`
@@ -48,7 +49,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "DomainError",
@@ -266,65 +267,19 @@ def _cycles(p: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     return words, nodes
 
 
-def _bfs_levels(
-    n: int,
-    pairs: list[tuple[int, int]] | None = None,
-    key: Callable[[tuple[int, ...]], Hashable] | None = None,
-) -> dict[Hashable, int]:
-    """Breadth-first search from the unit by right multiplication with
-    the atoms {i,j} named by ``pairs`` (1-based; None names every atom):
-    maps the partner array of every product of them to its least number
-    of factors.  The unit, level 0, is not recorded; the atoms are level
-    1.  A rank past the BFS row of RANK_CEILINGS is refused before
-    anything is built.
-
-    With ``key``, the map is keyed by ``key(partner)`` instead, and only
-    the first element reached with each key is expanded.  That is exact
-    when elements with equal keys have equally long geodesics and their
-    neighbours have equal keys again, as for conjugation orbits when
-    ``pairs`` names every atom.  The program runs only that keyed search
-    (``geodesics.bfs_lengths``); the flat one is the tests' oracle, for
-    n <= 6 and for sub-closures of the atoms.
-
-    One step is O(1).  Right-multiplying p by the atom {i,j} glues p's
-    primed points i' and j' (indices pi = n+i-1, pj = n+j-1) to the
-    atom's left bracket.  If p already pairs pi with pj, the chain
-    closes into a middle loop and the product is p itself, which is
-    skipped.  Otherwise a = p[pi] and b = p[pj] become one block, and
-    {i',j'} becomes a right bracket; every other block of p stays.
-    :func:`_atom_product` takes the same step; it is inlined here, the
-    hot loop of the search.
-    """
-    check_ceiling("BFS", n)
-    dist: dict[Hashable, int] = {}
-    frontier = [tuple(_atom_product(n, ()))]
-    steps = [(n + i - 1, n + j - 1) for i, j in (_atom_pairs(n) if pairs is None else pairs)]
-    level = 0
-    while frontier:
-        level += 1
-        new = []
-        for p in frontier:
-            for pi, pj in steps:
-                a = p[pi]
-                if a == pj:
-                    continue
-                b = p[pj]
-                q = list(p)
-                q[a], q[b], q[pi], q[pj] = b, a, pj, pi
-                q = tuple(q)
-                k = q if key is None else key(q)
-                if k not in dist:
-                    dist[k] = level
-                    new.append(q)
-        frontier = new
-    return dist
-
-
 def _atom_product(n: int, pairs: Iterable[Sequence[int]]) -> list[int]:
     """The partner array of the product of the atoms {i,j} named by
     ``pairs`` (1-based), left to right, from the unit (so no pairs give
-    the unit).  Each atom is one four-slot step, as in :func:`_bfs_levels`;
-    the result equals ``multiply`` applied letter by letter."""
+    the unit); it equals ``multiply`` applied letter by letter.
+
+    Each atom is one O(1) step.  Right-multiplying p by the atom {i,j}
+    glues p's primed points i' and j' (indices pi = n+i-1, pj = n+j-1) to
+    the atom's left bracket.  If p already pairs pi with pj, the chain
+    closes into a middle loop and the product is p itself.  Otherwise
+    a = p[pi] and b = p[pj] become one block, and {i',j'} becomes a right
+    bracket; every other block of p stays.  ``geodesics.bfs_lengths``
+    inlines this step, the hot loop of its search.
+    """
     p = [*range(n, 2 * n), *range(n)]
     for i, j in pairs:
         pi, pj = n + i - 1, n + j - 1

@@ -24,12 +24,13 @@ A cycle word's least reading and its count of self-readings are
 memoised once per word for the process (``_least_reading``,
 ``_symmetries``); the memo holds only the words searches and loads meet.
 
-``GeodesicTable`` is itself a read-only mapping over the whole singular
-part: a lookup finds its diagram's orbit, its length is the sum of the
-orbit sizes, and iterating it enumerates the singular diagrams.  The
-witness of ``max_entry`` is the smallest text over all relabellings of
-the maximal orbits, found by a branch-and-bound search that builds the
-text one block at a time, so its work grows with the orbit, not with n!.
+A ``GeodesicTable`` holds one distance per orbit.  A lookup finds its
+diagram's orbit, and the table's length is the sum of the orbit sizes,
+the size of the singular part.  It is not iterable, so no walk over the
+(2n-1)!! diagrams hides behind it.  The witness of ``max_entry`` is the
+smallest text over all relabellings of the maximal orbits, found by a
+branch-and-bound search that builds the text one block at a time, so its
+work grows with the orbit, not with n!.
 
 A singular diagram's length has the closed form ls = n - s + c - b over
 its cycle words: s identity lines ``(0,)``, b cycles through a bracket
@@ -56,18 +57,19 @@ import itertools
 import math
 import os
 import sys
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
-    _bfs_levels,
+    _atom_pairs,
+    _atom_product,
     _cycles,
     _point_labels,
+    check_ceiling,
     count_all,
-    enumerate_all,
     parse_diagram,
 )
 
@@ -209,10 +211,11 @@ def _least_text(key: _OrbitKey) -> str:
     return f"n={n};" + "".join(best)
 
 
-@dataclass(eq=False)
-class GeodesicTable(Mapping):
+@dataclass
+class GeodesicTable:
     """Exact geodesic distances on the singular part of rank n, one per
-    conjugation orbit, read as a mapping over the singular diagrams."""
+    conjugation orbit; ``table[d]`` reads the distance of a singular
+    diagram d."""
 
     n: int
     orbits: dict[_OrbitKey, int]
@@ -230,9 +233,6 @@ class GeodesicTable(Mapping):
 
     def __len__(self) -> int:
         return sum(map(_orbit_size, self.orbits))
-
-    def __iter__(self) -> Iterator[BrauerDiagram]:
-        return (d for d in enumerate_all(self.n) if d.corank)
 
     def max_entry(self) -> tuple[int, BrauerDiagram]:
         """Maximal distance and its lexicographically smallest witness,
@@ -310,12 +310,44 @@ class GeodesicTable(Mapping):
 
 
 def bfs_lengths(n: int) -> GeodesicTable:
-    """Multi-source BFS from the atoms by right multiplication, one
-    representative per conjugation orbit; the distances are exact ls
-    values."""
+    """Breadth-first search from the unit by right multiplication with
+    every atom, one representative per conjugation orbit: maps each orbit
+    key to the least number of atoms whose product lies in the orbit, the
+    exact ls value.  The unit, level 0, is not recorded; the atoms are
+    level 1.  A rank past the BFS row of RANK_CEILINGS is refused before
+    anything is built.
+
+    Only the first element reached in each orbit is expanded.  That is
+    exact because conjugation maps atoms to atoms (module docstring):
+    elements of one orbit have equally long geodesics, and their
+    neighbours lie in equal orbits again.  The loop inlines the four-slot
+    atom step of ``diagram._atom_product``.
+    """
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
-    return GeodesicTable(n, _bfs_levels(n, key=_orbit_key))
+    check_ceiling("BFS", n)
+    orbits: dict[_OrbitKey, int] = {}
+    frontier = [tuple(_atom_product(n, ()))]
+    steps = [(n + i - 1, n + j - 1) for i, j in _atom_pairs(n)]
+    level = 0
+    while frontier:
+        level += 1
+        new = []
+        for p in frontier:
+            for pi, pj in steps:
+                a = p[pi]
+                if a == pj:
+                    continue
+                b = p[pj]
+                q = list(p)
+                q[a], q[b], q[pi], q[pj] = b, a, pj, pi
+                q = tuple(q)
+                k = _orbit_key(q)
+                if k not in orbits:
+                    orbits[k] = level
+                    new.append(q)
+        frontier = new
+    return GeodesicTable(n, orbits)
 
 
 def expected_max_length(n: int) -> int:

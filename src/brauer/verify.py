@@ -80,8 +80,9 @@ def _suite_generation(n: int, walk: Walk) -> list[Claim]:
     closure is read as the orbit table of one search:
     1. Conjugation maps atoms to atoms, so the closure is a union of
        S_n-orbits.
-    2. The keyed search expands one representative per orbit exactly
-       (``diagram._bfs_levels``), so it reaches every orbit of the closure.
+    2. The orbit search expands one representative per orbit exactly
+       (``geodesics.bfs_lengths``), so it reaches every orbit of the
+       closure.
     3. The orbit key is a complete invariant, so distinct keys are
        distinct orbits.
     4. ``geodesics._orbit_size`` is n!/|Aut|, so the table's length is the

@@ -16,17 +16,15 @@ import pytest
 
 from brauer.decomposition import atom_closure, decompose
 from brauer.diagram import (
-    _bfs_levels,
+    _atom_pairs,
     count_all,
     enumerate_all,
     identity,
-    make_diagram,
     multiply,
     random_diagram,
 )
 from brauer.geodesics import _orbit_key, bfs_lengths, expected_max_length, ls_via_cycles
 from brauer.presentation import (
-    Quark,
     Word,
     check_all_relations,
     gamma,
@@ -38,6 +36,8 @@ from brauer.presentation import (
 )
 from brauer.sequences import corank2_census, expected_class_count
 from test_decomposition import reducible_atoms
+from test_geodesics import h1_elements, reference_bfs
+from test_presentation import random_word
 
 SEED = 20240915
 
@@ -45,24 +45,6 @@ SEED = 20240915
 def report(number, ok, text):
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {text}")
     assert ok, f"criterion {number}: {text}"
-
-
-def h1_elements(n):
-    out = []
-    for images in itertools.permutations(range(3, n + 1)):
-        blocks = [(1, 2), (-1, -2)] + [
-            (k, -image) for k, image in zip(range(3, n + 1), images)
-        ]
-        out.append(make_diagram(n, blocks))
-    return out
-
-
-def random_word(rng, max_n=8, max_len=12):
-    n = rng.randint(2, max_n)
-    quarks = tuple(
-        Quark(*rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, max_len))
-    )
-    return Word(n, quarks)
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +80,12 @@ def test_criterion_03_generation():
     expected = {3: 9, 4: 81, 5: 825}
     sizes, exact = {}, True
     for n in expected:
-        # the flat search is the oracle: it closes the atoms element by element
-        closure, flat = atom_closure(n), _bfs_levels(n)
+        # the flat search over the general product is the oracle: it closes
+        # the atoms element by element
+        closure, flat = atom_closure(n), reference_bfs(n, tuple(_atom_pairs(n)))
         sizes[n] = len(closure)
-        exact &= set(flat) == {d.partner for d in enumerate_all(n) if d.corank >= 2}
-        exact &= {_orbit_key(p) for p in flat} == set(closure.orbits)
+        exact &= set(flat) == {d for d in enumerate_all(n) if d.corank >= 2}
+        exact &= {_orbit_key(d.partner) for d in flat} == set(closure.orbits)
     ok = sizes == expected and exact
     report(3, ok, f"atom closures for n=3,4,5 have sizes {list(sizes.values())}")
 
@@ -162,7 +145,8 @@ def test_criterion_06_maximal_length(tables):
 def test_level_census_n7(tables):
     # elements of each geodesic length 1..8; reads the criterion-06 table
     census = [21, 315, 2835, 15330, 44415, 53550, 12579, 1050]
-    counts = Counter(tables(7).values())
+    table = tables(7)
+    counts = Counter(table[d] for d in enumerate_all(7) if d.corank)
     ok = sorted(counts.items()) == list(enumerate(census, 1))
     report(6, ok, f"rank-7 elements per length = {dict(sorted(counts.items()))}")
 

@@ -273,7 +273,7 @@ class TestLengths:
             assert parse_diagram(rows[-1][0]).n == 5
         else:  # format 1: one row per element
             rows = [["format", "1"], *rows[1:3],
-                    *sorted([d.to_text(), str(v)] for d, v in table.items())]
+                    *sorted([d.to_text(), str(table[d])] for d in enumerate_all(4) if d.corank)]
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         code, out, _ = run(capsys, "length", last.to_text(), "--cache-dir", str(tmp_path))
@@ -1644,6 +1644,12 @@ class TestVerify:
         assert {c["suite"] for c in obj["claims"]} == {
             "relations", "generation", "irreducible", "lengths", "counts", "hclasses",
         }
+
+    def test_repeated_suite_runs_once(self, capsys):
+        code, out, _ = run(capsys, "verify", "3", "relations", "relations")
+        assert code == 0 and len(out.splitlines()) == 1
+        code, obj, _ = run_json(capsys, "verify", "3", "relations", "relations")
+        assert code == 0 and obj["suites"] == ["relations"] and len(obj["claims"]) == 1
 
     def test_generation_suite_n4(self, capsys):
         code, out, _ = run(capsys, "verify", "4", "generation")

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from brauer import diagram
+from brauer import geodesics
 from brauer.decomposition import atom_closure, decompose
 from brauer.diagram import (
     RANK_CEILINGS,
     DomainError,
     _atom_pairs,
-    _bfs_levels,
     atom,
     count_all,
     enumerate_all,
@@ -22,6 +21,7 @@ from brauer.diagram import (
 from brauer.geodesics import _orbit_key
 from brauer.presentation import Quark, phi, word, word_to_text
 from brauer.verify import run_suites
+from test_geodesics import reference_bfs
 
 FIG1 = make_diagram(6, [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)])
 
@@ -146,25 +146,25 @@ def reducible_atoms(n):
     pairs = _atom_pairs(n)
     return [
         p for p in pairs
-        if atom(n, *p).partner in _bfs_levels(n, [q for q in pairs if q != p])
+        if atom(n, *p) in reference_bfs(n, tuple(q for q in pairs if q != p))
     ]
 
 
 class TestClosure:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_atoms_generate_all_singular_elements(self, n):
-        # the flat search closes the atoms element by element: it is the
-        # oracle for the orbit table, read through its keys, never iterated
-        closure, flat = atom_closure(n), _bfs_levels(n)
+        # the flat search over the general product closes the atoms element
+        # by element: it is the oracle for the orbit table, read through its keys
+        closure, flat = atom_closure(n), reference_bfs(n, tuple(_atom_pairs(n)))
         assert len(closure) == count_all(n) - math.factorial(n)
-        assert set(flat) == {d.partner for d in enumerate_all(n) if d.corank >= 2}
-        assert {_orbit_key(p) for p in flat} == set(closure.orbits)
+        assert set(flat) == {d for d in enumerate_all(n) if d.corank >= 2}
+        assert {_orbit_key(d.partner) for d in flat} == set(closure.orbits)
 
     def test_refuses_a_rank_past_its_ceiling_before_the_search(self, monkeypatch):
         def step(n, pairs):
             raise AssertionError("the search started")
 
-        monkeypatch.setattr(diagram, "_atom_product", step)
+        monkeypatch.setattr(geodesics, "_atom_product", step)
         n = RANK_CEILINGS["BFS"] + 1
         with pytest.raises(DomainError, match=f"^rank n={n} exceeds the BFS rank limit {n - 1}$"):
             atom_closure(n)

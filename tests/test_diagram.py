@@ -12,8 +12,6 @@ from brauer.diagram import (
     RANK_CEILINGS,
     BrauerDiagram,
     DomainError,
-    _atom_pairs,
-    _bfs_levels,
     _bracket_walk,
     atom,
     count_all,
@@ -25,6 +23,8 @@ from brauer.diagram import (
     parse_diagram,
     random_diagram,
 )
+from brauer.geodesics import bfs_lengths
+from test_geodesics import reference_bfs
 
 FIG1_BLOCKS = [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)]
 
@@ -620,32 +620,16 @@ class TestHalves:
 
 
 class TestBfsLevels:
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_level_one_is_the_atoms_named(self, n):
-        # a proper subset of the atoms, as the per-atom closure oracle searches
-        pairs = _atom_pairs(n)[1:]
-        levels = _bfs_levels(n, pairs)
-        assert [p for p, level in levels.items() if level == 1] == [
-            atom(n, i, j).partner for i, j in pairs
-        ]
-        assert identity(n).partner not in levels
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_no_pairs_named_means_every_atom(self, n):
-        assert _bfs_levels(n) == _bfs_levels(n, _atom_pairs(n))
-        assert _bfs_levels(n, []) == {}
-
     @pytest.mark.parametrize("n", range(2, 10))
     def test_adjacent_atoms_reach_catalan_minus_one(self, n):
         """The adjacent atoms tau_{i,i+1} generate the singular part of the
         Jones (Temperley-Lieb) monoid, Catalan(n) - 1 elements: a closed form
-        for the search kernel at every n.  This generator set is not closed
-        under conjugation, so an orbit key is not exact on it, and the test
-        runs the flat search."""
-        levels = _bfs_levels(n, [(i, i + 1) for i in range(1, n)])
+        for the general product at every n.  This generator set is not
+        closed under conjugation, so the orbit search does not apply, and
+        the test runs the flat oracle ``reference_bfs``."""
+        levels = reference_bfs(n, tuple((i, i + 1) for i in range(1, n)))
         assert len(levels) == math.comb(2 * n, n) // (n + 1) - 1
 
-    @pytest.mark.parametrize("pairs", [None, [(1, 2)]])
-    def test_rejects_rank_past_the_bfs_limit(self, pairs):
+    def test_rejects_rank_past_the_bfs_limit(self):
         with pytest.raises(DomainError, match=f"exceeds the BFS rank limit {RANK_CEILINGS['BFS']}"):
-            _bfs_levels(RANK_CEILINGS["BFS"] + 1, pairs)
+            bfs_lengths(RANK_CEILINGS["BFS"] + 1)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import itertools
 import math
 import random
@@ -12,7 +13,6 @@ from brauer.diagram import (
     BrauerDiagram,
     DomainError,
     _atom_pairs,
-    _bfs_levels,
     atom,
     count_all,
     enumerate_all,
@@ -66,8 +66,13 @@ def brute_force_lengths(n, max_len):
     return best
 
 
+@functools.cache
 def reference_bfs(n, pairs):
-    """Level-by-level BFS over the general product ``multiply(d, atom)``."""
+    """Independent oracle for the orbit search: level-by-level BFS over
+    the general product ``multiply(d, atom)`` from the atoms {i,j} named
+    by the tuple ``pairs``, mapping every product of them to its least
+    number of factors.  Cached, since several test modules read the
+    same searches."""
     gens = [atom(n, i, j) for i, j in pairs]
     dist = {g: 1 for g in gens}
     frontier, level = list(dist), 1
@@ -85,13 +90,6 @@ def reference_bfs(n, pairs):
 
 
 class TestBfsKernel:
-    # skip: the per-atom closure oracle runs the kernel without one atom
-    @pytest.mark.parametrize("n,skip", [(2, None), (3, None), (4, None), (5, None), (4, (1, 2))])
-    def test_atom_step_matches_general_product(self, n, skip):
-        pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if p != skip]
-        dist = _bfs_levels(n, pairs)
-        assert {BrauerDiagram(p): v for p, v in dist.items()} == reference_bfs(n, pairs)
-
     @pytest.mark.parametrize("n,census", [
         (3, [3, 6]),
         (4, [6, 27, 42, 6]),
@@ -99,7 +97,8 @@ class TestBfsKernel:
         (6, [15, 165, 1005, 3240, 4245, 960, 45]),
     ])
     def test_level_census(self, n, census):
-        counts = Counter(bfs_lengths(n).values())
+        table = bfs_lengths(n)
+        counts = Counter(table[d] for d in enumerate_all(n) if d.corank)
         assert sorted(counts.items()) == list(enumerate(census, 1))
 
 
@@ -124,10 +123,17 @@ def level_census(table):
 class TestOrbits:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_flat_bfs(self, n):
-        flat = _bfs_levels(n, _atom_pairs(n))
         table = bfs_lengths(n)
-        assert len(table) == len(flat)
-        assert all(table[BrauerDiagram(p)] == v for p, v in flat.items())
+        if n <= 6:
+            flat = reference_bfs(n, tuple(_atom_pairs(n)))
+            assert len(table) == len(flat)
+            assert all(table[d] == v for d, v in flat.items())
+        else:
+            # the oracle takes some 12 s at n = 7: check every lookup against
+            # the closed form instead (test_level_census_n7 pins the census)
+            singular = [d for d in enumerate_all(n) if d.corank]
+            assert len(table) == len(singular)
+            assert all(table[d] == ls_via_cycles(d) for d in singular)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_orbit_sizes_count_keys(self, n):
@@ -257,12 +263,13 @@ class TestBfs:
     def test_agrees_with_word_enumeration_n3(self):
         oracle = brute_force_lengths(3, 4)
         table = bfs_lengths(3)
-        assert table == oracle
+        assert {d: table[d] for d in enumerate_all(3) if d.corank} == oracle
 
     def test_covers_exactly_the_singular_part(self):
         table = bfs_lengths(4)
-        singular = {d for d in enumerate_all(4) if d.corank >= 2}
-        assert set(table) == singular
+        singular = [d for d in enumerate_all(4) if d.corank]
+        assert all(table[d] >= 1 for d in singular)
+        assert len(table) == len(singular) == count_all(4) - math.factorial(4)
         assert table.dist is table  # the benchmark reads len(table.dist)
 
     def test_limit_guard(self, capsys):
@@ -276,20 +283,22 @@ class TestBfs:
         table = bfs_lengths(3)
         with pytest.raises(KeyError):
             table[identity(3)]
-        assert identity(3) not in table
-        assert atom(4, 1, 2) not in table
+        with pytest.raises(KeyError):
+            table[atom(4, 1, 2)]
 
     def test_length_at_least_half_corank(self):
         for n in (2, 3, 4):
             table = bfs_lengths(n)
-            for d, v in table.items():
-                assert v >= d.corank // 2
+            for d in enumerate_all(n):
+                if d.corank:
+                    assert table[d] >= d.corank // 2
 
     def test_length_invariant_under_transpose(self):
         for n in (3, 4, 5):
             table = bfs_lengths(n)
-            for d, v in table.items():
-                assert table[d.transpose()] == v
+            for d in enumerate_all(n):
+                if d.corank:
+                    assert table[d.transpose()] == table[d]
 
 
 class TestCyclicDecomposition:
@@ -385,7 +394,8 @@ class TestCache:
             "same_orbit_twice": rows + [[swapped, value]],
             # format 1 held one row per element
             "v1_file": [["format", "1"], *head[1:],
-                        *sorted([d.to_text(), str(v)] for d, v in table.items())],
+                        *sorted([d.to_text(), str(table[d])]
+                                for d in enumerate_all(3) if d.corank)],
             # the atom orbit at 2: in range (1..2) but not its length
             "distance_off_formula": head + [[t, "2" if v == "1" else v] for t, v in rows[3:]],
             # a rank-1 table would be empty, and complete

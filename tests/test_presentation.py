@@ -24,8 +24,10 @@ from brauer.presentation import (
 )
 
 
-def random_word(rng, n=None, max_len=12):
-    n = n or rng.randint(2, 8)
+def random_word(rng, n=None, max_n=8, max_len=12):
+    """A word of 1 to max_len random quarks at rank n, or at a random rank
+    2..max_n."""
+    n = n or rng.randint(2, max_n)
     length = rng.randint(1, max_len)
     quarks = []
     for _ in range(length):

@@ -15,6 +15,7 @@ from brauer.cli import build_parser, main
 from brauer.decomposition import decompose
 from brauer.diagram import BrauerDiagram, multiply, parse_diagram
 from brauer.presentation import parse_word, phi, word, word_to_text
+from test_cli import LONG
 from test_diagram import compose_by_components
 
 # fixed examples, no timing deadline and no example database, so every
@@ -105,9 +106,6 @@ def _not_slow_rank(text):
         return not 6 <= int(text) <= 8
     except ValueError:
         return True
-
-
-LONG = "1" * 5000  # a digit run longer than int() converts by default
 
 
 @st.composite
