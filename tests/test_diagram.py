@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -23,7 +24,7 @@ from brauer.diagram import (
     parse_diagram,
     random_diagram,
 )
-from brauer.geodesics import bfs_lengths
+from brauer.geodesics import bfs_lengths, load_or_compute_table
 from test_geodesics import reference_bfs
 
 FIG1_BLOCKS = [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)]
@@ -630,6 +631,15 @@ class TestBfsLevels:
         levels = reference_bfs(n, tuple((i, i + 1) for i in range(1, n)))
         assert len(levels) == math.comb(2 * n, n) // (n + 1) - 1
 
-    def test_rejects_rank_past_the_bfs_limit(self):
+    @pytest.mark.parametrize("pairs", [None, [(1, 2)]])
+    def test_rejects_rank_past_the_bfs_limit(self, pairs):
+        """The BFS ceiling holds for the whole table (no pairs named) and
+        for the length of one product of the named atoms, which is read
+        from the same table."""
+        n = RANK_CEILINGS["BFS"] + 1
         with pytest.raises(DomainError, match=f"exceeds the BFS rank limit {RANK_CEILINGS['BFS']}"):
-            bfs_lengths(RANK_CEILINGS["BFS"] + 1)
+            if pairs is None:
+                bfs_lengths(n)
+            else:
+                d = functools.reduce(multiply, (atom(n, i, j) for i, j in pairs))
+                load_or_compute_table(n)[d]
