@@ -75,10 +75,11 @@ from brauer.verify import SUITES, run_suites
 # builds no diagram (2,027,025 matchings in 24,661 merged states, 0.23-0.37 s
 # a command at n=8 in a fresh process on a 2-core VM); ``counts`` adds the
 # (2n-1)!! claim, which streams ``enumerate_all`` through diagram objects,
-# 1.1-1.3 s at n=8 in all.
+# 1.1-1.8 s at n=8 in all.
 # ``relations`` grows as n^4 instead, one relation instance per tuple of
-# distinct indices, each side evaluated by the four-slot atom step with no
-# diagram object: about 25 ms at n=8, 40 ms at n=9 and 75 ms at n=10.
+# distinct indices, each side a copy of the unit stepped by the inlined
+# four-slot atom step, with no diagram object: about 6-12 ms at n=8,
+# 10-22 ms at n=9 and 30-37 ms at n=10 in-process.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
 # two, a branch-and-bound search for the smallest witness text, which grows

@@ -17,11 +17,11 @@ unprimed pins of the right factor and tracing the maximal chains; closed
 loops formed in the middle are discarded, as in the monoid (only the
 Brauer algebra would weight a product by its loop count).  ``multiply``
 is the one general product, O(n).  Products of atoms step in O(1)
-instead, in :func:`_atom_product` and in the orbit search
-``geodesics.bfs_lengths``, which inlines the same step: right
-multiplication by the atom {i,j} changes at most four partner slots.
-Both start at the unit, the empty product, so the search meets the atoms
-as its level 1.
+instead, in :func:`_atom_product` and in the two loops that inline the
+same step, the orbit search ``geodesics.bfs_lengths`` and the relation
+check ``presentation.check_all_relations``: right multiplication by the
+atom {i,j} changes at most four partner slots.  All start at the unit,
+the empty product, so the search meets the atoms as its level 1.
 
 Make each point k a node with a top port k and a bottom port k'; the
 blocks join ports, so the nodes fall into cycles, which :func:`_cycles`
@@ -34,7 +34,8 @@ brackets, building no partner tuple and no diagram.  Each walker has its
 own loop, and both follow one order, that of :func:`_matchings`, the
 recursion that defines it.  :func:`enumerate_all` walks depth first on
 an explicit stack (about n**2 point slots) down to six free points and
-fills them from the 15 matchings of six points.  The bracket walk goes
+fills them from the 15 rows of partners of that six-set, built once per
+six-set, C(n+3, 6) of them (210 at n = 7).  The bracket walk goes
 level by level, merging equal (free points, key) states by count, and
 finishes each from the bracket masks of its last free points.
 ``enumerate_all`` writes the one slot of each diagram it yields
@@ -277,8 +278,11 @@ def _atom_product(n: int, pairs: Iterable[Sequence[int]]) -> list[int]:
     the atom's left bracket.  If p already pairs pi with pj, the chain
     closes into a middle loop and the product is p itself.  Otherwise
     a = p[pi] and b = p[pj] become one block, and {i',j'} becomes a right
-    bracket; every other block of p stays.  ``geodesics.bfs_lengths``
-    inlines this step, the hot loop of its search.
+    bracket; every other block of p stays.  Two hot loops inline this
+    step rather than call it: ``geodesics.bfs_lengths``, once per orbit
+    and atom, and ``presentation.check_all_relations``, on a copy of the
+    unit per side of each relation instance.  Routing this function
+    through a shared step helper made ``atom``, and so ``phi``, slower.
     """
     p = [*range(n, 2 * n), *range(n)]
     for i, j in pairs:
@@ -341,8 +345,12 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
     with 1, 2 with 3, and so on.  The lazy generator writes each pair
     into one partner list, with its frames ``(free points, next k)`` on an
     explicit stack, so any rank walks; the frames hold about n**2 point
-    slots.  Each set of six free points left is filled from the 15
-    matchings of six points in turn.  Ranks 1 to 3 are read whole from
+    slots.  Each set of six free points left is filled from its 15 rows
+    of partners, one per matching of six points, unpacked straight into
+    the six slots.  The rows of a six-set are built the first time the
+    walk meets it and kept in a dict local to the generator, so they die
+    with it: C(n+3, 6) six-sets, 210 at n = 7 and 462 at n = 8, about
+    0.7 MB at n = 8.  Ranks 1 to 3 are read whole from
     :func:`_matchings`.  Any n is taken; the command line bounds it.
 
     Past rank 3 each diagram is made by ``object.__new__`` with its
@@ -362,6 +370,8 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
         new, put = object.__new__, BrauerDiagram.partner.__set__
         # pick k maps six free points to their partners under the k-th matching
         picks = [operator.itemgetter(*row) for row in _matchings(6)]
+        # each six-set's 15 rows of partners, built the first time it is met
+        fills: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         stack = [(tuple(range(2 * n)), 1)]
         while stack:
             free, k = stack.pop()
@@ -373,9 +383,11 @@ def enumerate_all(n: int) -> Iterator[BrauerDiagram]:
             if len(rest) > 6:
                 stack.append((rest, 1))
                 continue
+            fill = fills.get(rest)
+            if fill is None:
+                fill = fills[rest] = [pick(rest) for pick in picks]
             a, b, c, d, e, f = rest
-            for pick in picks:
-                partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] = pick(rest)
+            for partner[a], partner[b], partner[c], partner[d], partner[e], partner[f] in fill:
                 x = new(BrauerDiagram)
                 put(x, tuple(partner))
                 yield x
@@ -408,10 +420,11 @@ RANK_CEILINGS = {
     # unbounded.
     "word": 10**4,
     # check_all_relations checks 2P(n,2) + 2P(n,3) + 3P(n,4), about 3n**4,
-    # index tuples, one at a time: 0.73 s at n=16 and 1.3 s at n=20, 3.6-5.3 us
-    # a tuple.  Each tuple builds 2n-slot partner lists, so the cost grows with
-    # n: sampled at 8.6, 12.4-13.1 and 12.7-12.8 us a tuple at n=160, 200 and
-    # 220, the run projects to 4.6 h, 16-17 h and 24 h.
+    # index tuples, one at a time: 0.25 s at n=16 and 0.62-0.67 s at n=20,
+    # 1.7-1.8 us a tuple.  Each side copies the 2n-slot unit and the two sides
+    # are compared slot by slot, so the cost grows with n: sampled per family
+    # at 2.4-4.5, 2.7-4.7 and 2.8-4.4 us a tuple at n=160, 200 and 220, the run
+    # projects to 1.2-2.4 h, 3.6-6.1 h and 5.4-8.4 h.
     "relations": 220,
 }
 

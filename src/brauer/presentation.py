@@ -18,10 +18,10 @@ so equality in T is decided by comparing phi-images.  R1 is baked into
 quark storage (the pair is kept sorted).  The families are the pattern
 table ``RELATION_RULES``; ``check_all_relations`` instantiates every one
 at every tuple of distinct indices and compares both sides under phi.
-It evaluates each side on a partner array by the four-slot atom step of
-``diagram._atom_product``, which equals phi (pinned by test) and builds
-no ``Word`` or diagram.  No confluent completion of the system is
-attempted.
+It evaluates each side on a copy of the unit's partner array, made once,
+by the four-slot atom step of ``diagram._atom_product`` inlined in its
+loop; the step equals phi (pinned by test) and builds no ``Word``, pair
+list or diagram.  No confluent completion of the system is attempted.
 
 Word text format: ``n=5: (1,2)(2,3)(1,2)``.
 """
@@ -245,22 +245,36 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
     per family (0 for a family needing more indices than n offers) and
     the violations as (family, tuple).
 
-    Both sides are evaluated on partner arrays by the four-slot atom step
-    (``diagram._atom_product``), which builds no word or diagram; the
-    tests pin that it equals phi."""
+    Each side is stepped on a copy of the unit's partner array, made once
+    per call, by the four-slot atom step of ``diagram._atom_product``,
+    inlined here as ``geodesics.bfs_lengths`` inlines it: a call per side
+    cost three times as much at n = 8.  So a tuple allocates only its two
+    side arrays, and its indices become 1-based labels only in a
+    violation.  The tests pin the verdict on every tuple against phi."""
     if n < 2:
         raise DomainError("relations need n >= 2")
     check_ceiling("relations", n)
     checked, violations = {}, []
+    unit = _atom_product(n, ())
     for rule, (lhs, rhs) in RELATION_RULES.items():
         variables = sorted(set("".join(lhs + rhs)))
         # each side's quarks as positions into the values bound to the variables
-        left, right = [[tuple(map(variables.index, q)) for q in side] for side in (lhs, rhs)]
+        sides = [[tuple(map(variables.index, q)) for q in side] for side in (lhs, rhs)]
         count = 0
-        for values in itertools.permutations(range(1, n + 1), len(variables)):
-            if (_atom_product(n, [(values[a], values[b]) for a, b in left])
-                    != _atom_product(n, [(values[a], values[b]) for a, b in right])):
-                violations.append((rule, values))
+        # values are primed indices n+i-1, the slots an atom step reads
+        for values in itertools.permutations(range(n, 2 * n), len(variables)):
+            p = None
+            for side in sides:
+                # q keeps the left side once p holds the right
+                p, q = unit.copy(), p
+                for x, y in side:
+                    pi, pj = values[x], values[y]
+                    a = p[pi]
+                    if a != pj:
+                        b = p[pj]
+                        p[a], p[b], p[pi], p[pj] = b, a, pj, pi
+            if p != q:
+                violations.append((rule, tuple([v - n + 1 for v in values])))
             count += 1
         checked[rule] = count
     return checked, violations

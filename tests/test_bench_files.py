@@ -7,11 +7,18 @@ must hold one parent run and one change run on the same seed, in the
 order the file's ``pairing`` rule gives, each correct with no failed
 operation and reporting exactly the end-to-end metrics of
 ``BENCHMARK.json``.
+
+The file's ``claim``, ``"<workload> <metric>"``, must hold in its own
+pairs: the change's median of that metric is below the parent's, and the
+change is lower in most of that workload's pairs.  Every other
+(workload, metric) median of the change stays within the parent's
+times (1 + the metric's bound in ``BENCHMARK.json``).
 """
 
 import json
 from collections import defaultdict
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -68,3 +75,39 @@ def test_each_run_is_correct_and_complete(bench):
         assert result["attempted"] > 0, where
         metrics = {name: m["unit"] for name, m in result["metrics"].items()}
         assert metrics == END_TO_END, where
+
+
+def side_values(bench, workload, metric):
+    """Each side's values of one metric on one workload, by pair index."""
+    values = {"parent": {}, "change": {}}
+    for run in bench["runs"]:
+        if run["workload"] == workload:
+            values[run["side"]][run["pair"]] = run["result"]["metrics"][metric]["value"]
+    return values
+
+
+def test_every_end_to_end_metric_is_better_lower():
+    # the claim and bound checks below read "better" as "lower"
+    assert {m["better"] for m in BENCHMARK["end_to_end"]} == {"lower"}
+
+
+def test_the_claim_holds_in_its_pairs(bench):
+    workload, metric = bench["claim"].split()
+    assert metric in END_TO_END
+    values = side_values(bench, workload, metric)
+    parent, change = values["parent"], values["change"]
+    assert parent, workload
+    assert median(change.values()) < median(parent.values())
+    lower = sum(change[pair] < parent[pair] for pair in parent)
+    assert lower > len(parent) / 2, (lower, len(parent))
+
+
+def test_no_other_median_is_past_its_bound(bench):
+    claim = tuple(bench["claim"].split())
+    for workload in {run["workload"] for run in bench["runs"]}:
+        for m in BENCHMARK["end_to_end"]:
+            if (workload, m["name"]) == claim:
+                continue
+            values = side_values(bench, workload, m["name"])
+            parent, change = median(values["parent"].values()), median(values["change"].values())
+            assert change <= parent * (1 + m["bound"]), (workload, m["name"], parent, change)

@@ -470,6 +470,15 @@ class TestEnumerate:
     def test_order_matches_recursive_reference(self, n):
         assert [d.partner for d in enumerate_all(n)] == list(enumerate_recursive(n))
 
+    def test_generators_advanced_in_alternation_keep_their_order(self):
+        # each call fills its leaves from its own six-set rows, so
+        # interleaved walks of ranks 5 and 6, and a second rank-6 walk that
+        # starts 400 steps later, cannot read each other's rows
+        later = itertools.chain([None] * 400, enumerate_all(6))
+        steps = itertools.zip_longest(enumerate_all(5), enumerate_all(6), later)
+        for n, walk in zip((5, 6, 6), zip(*steps)):
+            assert [d.partner for d in walk if d is not None] == list(enumerate_recursive(n))
+
     def test_count_n7(self):
         assert sum(1 for _ in enumerate_all(7)) == count_all(7) == 135135
 

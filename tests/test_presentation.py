@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -264,6 +265,33 @@ class TestCheckAllRelations:
         checked, violations = check_all_relations(3)
         assert checked["RX"] == 6
         assert violations == [("RX", values) for values in itertools.permutations((1, 2, 3))]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_verdicts_match_phi_tuple_by_tuple(self, n, monkeypatch):
+        # check_all_relations inlines the atom step; phi is the reference.
+        # Relabelling maps every instance of a rule onto every other, so a
+        # rule holds on all its tuples or on none: RX, RY and RZ fail on all,
+        # RT holds, and the table's own rules hold.
+        false_rules = {
+            "RX": (("ij", "kl"), ("ik", "jl")),
+            "RY": (("ij", "jk", "kl"), ("ij", "ik", "kl")),
+            "RZ": (("ij", "ik"), ("ik", "ij")),
+        }
+        for rule, sides in {**false_rules, "RT": (("ij", "ik", "ij"), ("ij",))}.items():
+            monkeypatch.setitem(RELATION_RULES, rule, sides)
+        expected = []
+        for rule, (lhs, rhs) in RELATION_RULES.items():
+            variables = sorted(set("".join(lhs + rhs)))
+            for values in itertools.permutations(range(1, n + 1), len(variables)):
+                bound = dict(zip(variables, values))
+                left, right = [word(n, [(bound[a], bound[b]) for a, b in side])
+                               for side in (lhs, rhs)]
+                if phi(left) != phi(right):
+                    expected.append((rule, values))
+        checked, violations = check_all_relations(n)
+        assert violations == expected
+        assert {rule for rule, _ in violations} == set(false_rules)
+        assert checked["RX"] == math.perm(n, 4) and checked["RT"] == math.perm(n, 3)
 
     def test_refuses_a_rank_past_its_ceiling_before_any_tuple(self, monkeypatch):
         def evaluate(n, pairs):
