@@ -295,7 +295,7 @@ class TestCheckAllRelations:
 
     def test_refuses_a_rank_past_its_ceiling_before_any_tuple(self, monkeypatch):
         def evaluate(n, pairs):
-            raise AssertionError("a tuple was checked")
+            raise AssertionError("the unit was built before the ceiling check")
 
         monkeypatch.setattr(presentation, "_atom_product", evaluate)
         n = RANK_CEILINGS["relations"] + 1
