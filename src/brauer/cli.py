@@ -10,10 +10,10 @@ Each kind of input has one reader: ``parse_diagram``, ``parse_word``,
 ``choices`` from ``diagram.GREEN_RELATIONS`` for a relation letter.
 ``RANK_LIMITS`` holds the work limits, here alone; ``--force`` lifts
 them and exists only on the commands that have one.  It lifts no
-ceiling, no row of ``diagram.RANK_CEILINGS``: ``_CEILINGS`` names the
-kind of work of each command and suite, whose row refuses a rank before
-that work allocates, and the parsers check the ``word`` row on the rank
-of every word and sequence read.
+ceiling, no row of ``diagram.RANK_CEILINGS``: each ``RANK_LIMITS`` row
+also names the kind of work of its command or suite, whose ceiling
+refuses a rank before that work allocates, and the parsers check the
+``word`` row on the rank of every word and sequence read.
 
 ``main`` builds the subparser of the command it runs and no other when
 the first argument names a command; any other first argument (``-h``, an
@@ -67,8 +67,9 @@ from brauer.sequences import (
 )
 from brauer.verify import SUITES, run_suites
 
-# The largest n each command and each verify suite takes without --force,
-# which lifts it up to the diagram.RANK_CEILINGS row that _CEILINGS names;
+# (limit, kind) of each command and each verify suite: the largest n it
+# takes without --force, which lifts it up to the diagram.RANK_CEILINGS row
+# of its kind of work, a ceiling that even --force cannot pass;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph
 # of about n^3/2 edges.
 # ``classes``, ``paths`` and ``hclasses`` count bracket sets in one walk that
@@ -90,33 +91,24 @@ from brauer.verify import SUITES, run_suites
 # ``generation`` runs the same BFS once and reads its orbit table, one
 # representative per orbit (135 at n=8): 0.10-0.13 s a command at n=6 to 8.
 RANK_LIMITS = {
-    "length": 8,
-    "longest": 8,
-    "classes": 8,
-    "classes --dot": 40,
-    "paths": 8,
-    "enumerate": 8,
-    "relations": 10,
-    "generation": 8,
-    "irreducible": 10,
-    "lengths": 8,
-    "counts": 8,
-    "hclasses": 8,
-}
-
-# the kind of work of each RANK_LIMITS name: its diagram.RANK_CEILINGS row
-# is a ceiling that even --force cannot pass
-_CEILINGS = {
-    **dict.fromkeys(("classes", "paths", "enumerate", "counts", "hclasses"), "walk"),
-    **dict.fromkeys(("length", "longest", "generation", "irreducible", "lengths"), "BFS"),
-    "classes --dot": "pair graph",
-    "relations": "relations",
+    "length": (8, "BFS"),
+    "longest": (8, "BFS"),
+    "classes": (8, "walk"),
+    "classes --dot": (40, "pair graph"),
+    "paths": (8, "walk"),
+    "enumerate": (8, "walk"),
+    "relations": (10, "relations"),
+    "generation": (8, "BFS"),
+    "irreducible": (10, "BFS"),
+    "lengths": (8, "BFS"),
+    "counts": (8, "walk"),
+    "hclasses": (8, "walk"),
 }
 
 
 def _check_rank(args, name: str, n: int) -> None:
-    check_ceiling(_CEILINGS[name], n)
-    limit = RANK_LIMITS[name]
+    limit, kind = RANK_LIMITS[name]
+    check_ceiling(kind, n)
     if n > limit and not args.force:
         raise DomainError(f"n={n} exceeds the {name} limit {limit} (use --force)")
 

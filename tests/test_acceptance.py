@@ -6,6 +6,7 @@ two wall-clock budgets (rank-7 enumeration under 60 s, rank-7 BFS under
 see them on success.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -49,14 +50,7 @@ def report(number, ok, text):
 
 @pytest.fixture(scope="module")
 def tables():
-    cache = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = bfs_lengths(n)
-        return cache[n]
-
-    return get
+    return functools.cache(bfs_lengths)
 
 
 def test_criterion_01_cardinality():

@@ -133,7 +133,7 @@ def run(capsys, *argv):
 def over_limit(name):
     """The command line that asks the RANK_LIMITS entry ``name`` for one
     rank more than it allows."""
-    n = RANK_LIMITS[name] + 1
+    n = RANK_LIMITS[name][0] + 1
     if name == "length":
         return ["length", atom(n, 1, 2).to_text()]
     if name == "classes --dot":
@@ -143,6 +143,15 @@ def over_limit(name):
     if name in SUITES:
         return ["verify", str(n), name]
     return [name, str(n)]
+
+
+def refused(capsys, work, argv, kind, n):
+    """``argv`` exits 2 with the one line of the ``kind`` ceiling, before any
+    library call (``work``), in a capped address space."""
+    with _capped_address_space():
+        code, out, err = run(capsys, *argv)
+    assert (code, out, work) == (2, "", [])
+    assert err == f"error: rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}\n"
 
 
 def run_json(capsys, *argv):
@@ -760,11 +769,6 @@ PASS H-classes off (n-2k)! (n=6): expected 0, computed 0 (corank 0: 720 corank 2
     ("classes", "8"): "564480\n",
     ("verify", "8", "hclasses"): """\
 PASS H-classes off (n-2k)! (n=8): expected 0, computed 0 (corank 0: 40320 corank 2: 720 corank 4: 24 corank 6: 2 corank 8: 1)
-""",
-    ("verify", "8", "counts"): """\
-PASS diagram count (n=8): expected 2027025, computed 2027025 ((2n-1)!!)
-PASS class count (n=8): expected 564480, computed 564480 (n(n-1)n!/4)
-PASS endpoint pairs off (n-2)! (n=8): expected 0, computed 0 (784 endpoint pairs)
 """,
     ("paths", "5", "1,2", "3,4"): "6\n",
     ("paths", "5", "2,1", "1,3"): "6\n",
@@ -1624,6 +1628,20 @@ PASS closure equals corank>=2 set (n=8): expected True, computed True
   "ok": true
 }
 """,
+    # every suite: each suite's limit is at least 8, so none needs --force
+    ("verify", "8"): """\
+PASS diagram count (n=8): expected 2027025, computed 2027025 ((2n-1)!!)
+PASS class count (n=8): expected 564480, computed 564480 (n(n-1)n!/4)
+PASS endpoint pairs off (n-2)! (n=8): expected 0, computed 0 (784 endpoint pairs)
+PASS atom-closure size (n=8): expected 1986705, computed 1986705 ((2n-1)!! - n! = 2027025 - 40320)
+PASS closure equals corank>=2 set (n=8): expected True, computed True
+PASS H-classes off (n-2k)! (n=8): expected 0, computed 0 (corank 0: 40320 corank 2: 720 corank 4: 24 corank 6: 2 corank 8: 1)
+PASS left brackets dropped by an atom step (n=8): expected 0, computed 0 (135 orbits x 28 atoms)
+PASS atoms sharing a left bracket (n=8): expected 0, computed 0 (28 atoms)
+PASS maximal length (n=8): expected 10, computed 10 (witness n=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'})
+PASS cycle-formula mismatches on every orbit (n=8): expected 0, computed 0 (135 orbits)
+PASS relation violations (n=8): expected 0, computed 0 (R1:56 R2:56 R3:1680 R4:336 R5:336 R6:1680 R7:1680)
+""",
 }
 
 
@@ -1655,13 +1673,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "4", "generation")
         assert code == 0
         assert "expected 81, computed 81" in out
-
-    def test_every_default_suite_runs_at_8_without_force(self, capsys):
-        # every suite's limit is at least 8, so ``verify 8`` needs no --force
-        code, out, _ = run(capsys, "verify", "8")
-        lines = out.splitlines()
-        assert code == 0 and len(lines) == 11
-        assert all(line.startswith("PASS") for line in lines)
 
     def test_lengths_suite_n8(self, capsys):
         code, out, _ = run(capsys, "verify", "8", "lengths")
@@ -1774,7 +1785,8 @@ class TestRankLimits:
 
     @pytest.mark.parametrize("name", sorted(RANK_LIMITS))
     def test_one_rank_over_exits_2_before_work(self, capsys, work, name):
-        n, limit = RANK_LIMITS[name] + 1, RANK_LIMITS[name]
+        limit = RANK_LIMITS[name][0]
+        n = limit + 1
         code, out, err = run(capsys, *over_limit(name))
         assert (code, out, work) == (2, "", [])
         assert err == f"error: n={n} exceeds the {name} limit {limit} (use --force)\n"
@@ -1794,13 +1806,10 @@ class TestRankLimits:
     def test_walk_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, n):
         # --force does not lift the walk's limit: one rank past it the walk
         # cannot finish, and at n=10001 its bit table alone would take
-        # tens of GB; either way one line, before any library call
-        with _capped_address_space():
-            code, out, err = run(capsys, *(a.format(n=n) for a in argv), "--force")
-        assert (code, out, work) == (2, "", [])
-        # suites are checked in the order named, and relations has its own ceiling
+        # tens of GB; either way one line, before any library call.
+        # Suites are checked in the order named, and relations has its own ceiling
         kind = "relations" if "relations" in argv and n > RANK_CEILINGS["relations"] else "walk"
-        assert err == f"error: rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}\n"
+        refused(capsys, work, [*(a.format(n=n) for a in argv), "--force"], kind, n)
 
     @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
     @pytest.mark.parametrize("n", [RANK_CEILINGS["BFS"] + 1, 10001])
@@ -1816,21 +1825,14 @@ class TestRankLimits:
         # --force does not lift the BFS's limit either: past it the search
         # cannot finish, and at n=10001 the atom list alone would take GBs
         diagram = atom(n, 1, 2).to_text()
-        with _capped_address_space():
-            code, out, err = run(capsys, *(a.format(n=n, diagram=diagram) for a in argv), *flags)
-        assert (code, out, work) == (2, "", [])
-        assert err == f"error: rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}\n"
+        refused(capsys, work, [*(a.format(n=n, diagram=diagram) for a in argv), *flags], kind, n)
 
     @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
     @pytest.mark.parametrize("n", [RANK_CEILINGS["pair graph"] + 1, 10001])
     def test_pair_graph_past_its_rank_limit_exits_2_before_work(self, capsys, work, n, flags):
         # --force does not lift the pair graph's limit either: at n=10001 its
         # text of some 5e11 edges could never be held
-        with _capped_address_space():
-            code, out, err = run(capsys, "classes", str(n), "--dot", *flags)
-        assert (code, out, work) == (2, "", [])
-        limit = RANK_CEILINGS["pair graph"]
-        assert err == f"error: rank n={n} exceeds the pair graph rank limit {limit}\n"
+        refused(capsys, work, ["classes", str(n), "--dot", *flags], "pair graph", n)
 
     @pytest.mark.parametrize("flags", [(), ("--force",)], ids=["plain", "force"])
     @pytest.mark.parametrize("suite,kind,n", [
@@ -1841,17 +1843,12 @@ class TestRankLimits:
                                                         flags):
         # past its ceiling a suite cannot finish: the relation tuples run
         # for more than a day
-        with _capped_address_space():
-            code, out, err = run(capsys, "verify", str(n), suite, *flags)
-        assert (code, out, work) == (2, "", [])
-        assert err == f"error: rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}\n"
+        refused(capsys, work, ["verify", str(n), suite, *flags], kind, n)
 
     def test_every_limit_has_a_ceiling_no_lower(self):
         # a name with no ceiling would let --force run its work at any rank
-        assert sorted(cli._CEILINGS) == sorted(RANK_LIMITS)
-        assert set(cli._CEILINGS.values()) <= set(RANK_CEILINGS)
-        for name, limit in RANK_LIMITS.items():
-            assert RANK_CEILINGS[cli._CEILINGS[name]] >= limit, name
+        for name, (limit, kind) in RANK_LIMITS.items():
+            assert RANK_CEILINGS[kind] >= limit, name
 
     def test_every_ceiling_is_checked_by_the_library(self):
         # a ceiling that only the command line checks leaves the library
@@ -1872,10 +1869,13 @@ class TestRankLimits:
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_every_suite_has_a_golden_at_its_limit(self, name):
-        # so a suite's limit cannot rise without a byte golden at the new rank
-        rank = str(RANK_LIMITS[name])
+        # so a suite's limit cannot rise without a byte golden at the new
+        # rank; ``verify <rank>`` with no suite named prints every suite's lines
+        rank = str(RANK_LIMITS[name][0])
         goldens = [*GOLDEN_COUNTING, *GOLDEN_LONGEST, *GOLDEN_IRREDUCIBLE, *GOLDEN_VERIFY]
-        assert any(argv[:2] == ("verify", rank) and name in argv[2:] for argv in goldens)
+        named = [[a for a in argv[2:] if not a.startswith("-")]
+                 for argv in goldens if argv[:2] == ("verify", rank)]
+        assert any(name in suites or not suites for suites in named)
 
 
 class TestErrorHandling:

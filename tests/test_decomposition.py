@@ -38,9 +38,24 @@ DECOMPOSE_SHA256 = {
 }
 
 
+def factorization_text(diagrams):
+    """The factorization of each singular diagram, one word per line, each
+    checked to open with a left bracket of its diagram and to stay within
+    the length bound corank/2 + 3(n-2)/2 + 3."""
+    lines = []
+    for d in diagrams:
+        if d.corank < 2:
+            continue
+        got = decompose(d)
+        assert frozenset((got.quarks[0].i, got.quarks[0].j)) in d.left_brackets()
+        assert len(got) <= d.corank // 2 + 3 * (d.n - 2) // 2 + 3
+        lines.append(word_to_text(got) + "\n")
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("n", sorted(DECOMPOSE_SHA256))
 def test_every_factorization_is_byte_exact(n):
-    text = "".join(word_to_text(decompose(d)) + "\n" for d in enumerate_all(n) if d.corank >= 2)
+    text = factorization_text(enumerate_all(n))
     assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_SHA256[n]
 
 
@@ -52,8 +67,7 @@ RANDOM_DECOMPOSE_SHA256 = "4f9c540779fe7499a06ecfb718ddc76782e3967e20f7fda27077d
 
 def test_random_factorizations_are_byte_exact():
     rng = random.Random(732)
-    diagrams = [random_diagram(rng.randint(7, 32), rng) for _ in range(2000)]
-    text = "".join(word_to_text(decompose(d)) + "\n" for d in diagrams if d.corank >= 2)
+    text = factorization_text(random_diagram(rng.randint(7, 32), rng) for _ in range(2000))
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DECOMPOSE_SHA256
 
 
@@ -71,11 +85,6 @@ class TestGroupCorank2:
         pi = make_diagram(5, [(1, 2), (-1, -2), (3, -4), (4, -5), (5, -3)])
         assert phi(decompose(pi)) == pi
 
-    def test_exhaustive_round_trip_n5(self):
-        for d in enumerate_all(5):
-            if d.corank == 2 and d.left_brackets() == d.right_brackets():
-                assert phi(decompose(d)) == d
-
     def test_preconditions(self):
         swap = make_diagram(3, [(1, -2), (2, -1), (3, -3)])
         with pytest.raises(DomainError):
@@ -92,48 +101,12 @@ class TestCorank2:
         assert phi(got) == pi
         assert got.quarks[0] == Quark(1, 2)
 
-    def test_exhaustive_round_trip_n5(self):
-        # the corank-2 census at n=5 is C(5,2)^2 * 3! = 600 elements
-        count = 0
-        for d in enumerate_all(5):
-            if d.corank != 2:
-                continue
-            got = decompose(d)
-            assert phi(got) == d
-            assert frozenset((got.quarks[0].i, got.quarks[0].j)) in d.left_brackets()
-            count += 1
-        assert count == 600
-
 
 class TestDecompose:
     def test_fig_element_round_trip(self):
         got = decompose(FIG1)
         assert phi(got) == FIG1
         assert frozenset((got.quarks[0].i, got.quarks[0].j)) in FIG1.left_brackets()
-
-    def test_first_factor_is_left_bracket(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            d = random_diagram(rng.randint(2, 7), rng)
-            if d.corank < 2:
-                continue
-            got = decompose(d)
-            assert frozenset((got.quarks[0].i, got.quarks[0].j)) in d.left_brackets()
-
-    def test_exhaustive_round_trip_n4(self):
-        singular = [d for d in enumerate_all(4) if d.corank >= 2]
-        assert len(singular) == 105 - 24
-        for d in singular:
-            assert phi(decompose(d)) == d
-
-    def test_length_bound(self):
-        rng = random.Random(14)
-        for _ in range(300):
-            n = rng.randint(2, 7)
-            d = random_diagram(n, rng)
-            if d.corank < 2:
-                continue
-            assert len(decompose(d)) <= d.corank // 2 + 3 * (n - 2) // 2 + 3
 
     def test_rejects_invertible(self):
         with pytest.raises(DomainError):
