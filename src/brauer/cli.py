@@ -82,10 +82,10 @@ from brauer.verify import SUITES, run_suites
 # four-slot atom step, with no diagram object: about 6-12 ms at n=8,
 # 10-22 ms at n=9 and 30-37 ms at n=10 in-process.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
-# orbits (135 of them at n=8, about 20 ms on a 2-core VM) and, for the last
-# two, a branch-and-bound search for the smallest witness text, which grows
-# with the maximal orbits rather than with n! (under 1 ms at n=8); ``lengths``
-# also checks the cycle formula on one representative of every orbit.
+# orbits (135 of them at n=8, about 20 ms on a 2-core VM); the last two build
+# their witness W(n) directly and look it up in the table once, and
+# ``lengths`` also checks the cycle formula on one representative of every
+# orbit.
 # ``irreducible`` runs the same BFS and one general product per orbit and
 # atom: 517 x 45 at n=10, about 0.23 s in-process (0.3-0.4 s a command).
 # ``generation`` runs the same BFS once and reads its orbit table, one

@@ -27,10 +27,9 @@ memoised once per word for the process (``_least_reading``,
 A ``GeodesicTable`` holds one distance per orbit.  A lookup finds its
 diagram's orbit, and the table's length is the sum of the orbit sizes,
 the size of the singular part.  It is not iterable, so no walk over the
-(2n-1)!! diagrams hides behind it.  The witness of ``max_entry`` is the
-smallest text over all relabellings of the maximal orbits, found by a
-branch-and-bound search that builds the text one block at a time, so its
-work grows with the orbit, not with n!.
+(2n-1)!! diagrams hides behind it.  The witness of ``max_entry`` is built
+directly: W(n), transposition 2-cycles and one bracket cycle, whose
+closed-form length below is floor(3n/2) - 2.
 
 A singular diagram's length has the closed form ls = n - s + c - b over
 its cycle words: s identity lines ``(0,)``, b cycles through a bracket
@@ -67,9 +66,9 @@ from brauer.diagram import (
     _atom_pairs,
     _atom_product,
     _cycles,
-    _point_labels,
     check_ceiling,
     count_all,
+    make_diagram,
     parse_diagram,
 )
 
@@ -143,72 +142,19 @@ def _orbit_representative(key: _OrbitKey) -> tuple[int, ...]:
     return tuple(partner)
 
 
-def _least_text(key: _OrbitKey) -> str:
-    """The smallest text of a diagram in the orbit named by ``key``.
-
-    The text, as ``BrauerDiagram.to_text`` writes it, lists blocks by
-    their smaller index, and block strings are prefix-free (each ends in
-    its only ``}``), so texts compare block by block.  The search labels
-    the nodes of the orbit representative p, whose cycles lie on
-    consecutive nodes in key order, so that each block in turn,
-    from the smallest index not yet in a block, is as small as possible.
-    An unlabelled partner takes the free label that makes the block
-    smallest, a unique choice; the only branching is which unlabelled
-    node takes the next label, among the nodes that tie on the block.
-    Of tied nodes on cycles with no label yet, those of one cycle per
-    cycle word are tried, since an automorphism swaps the others onto
-    them.  A branch stops once the best text found beats its prefix.
-    """
-    p = _orbit_representative(key)
-    n = len(p) // 2
-    label = _point_labels(n)
-    # free labels, best first, for a partner at the top and at the bottom
-    order = [sorted(range(n), key=lambda k: label[k + off] + "}") for off in (0, n)]
-    cycle_of = [c for c, word in enumerate(key) for _ in word]
-    best: list[str] | None = None  # the blocks of the best text so far
-
-    def partner(new: list[int], old: list[int], x: int) -> int:
-        """The index paired with index x, whose node has a label; an
-        unlabelled partner node first takes the best free label."""
-        z = p[old[x % n] + (n if x >= n else 0)]
-        bottom = z >= n
-        v = z - n if bottom else z
-        if new[v] < 0:
-            k = next(k for k in order[bottom] if old[k] < 0)
-            new[v], old[k] = k, v
-        return new[v] + (n if bottom else 0)
-
-    def search(new: list[int], old: list[int], blocks: list[str], x: int) -> None:
-        # new[u]: label of node u of p, old[k]: node of p labelled k, -1 if none
-        nonlocal best
-        while x < 2 * n:
-            if best is not None and best[:len(blocks)] < blocks:
-                return
-            if x < n and old[x] < 0:
-                ties: dict[str, list] = {}
-                kept: dict[tuple[int, ...], int] = {}  # word -> its one unlabelled cycle
-                labelled = {cycle_of[u] for u in range(n) if new[u] >= 0}
-                for u in range(n):
-                    c = cycle_of[u]
-                    if new[u] >= 0 or c not in labelled and kept.setdefault(key[c], c) != c:
-                        continue
-                    new_u, old_u = new[:], old[:]
-                    new_u[u], old_u[x] = x, u
-                    block = "{%s,%s}" % (label[x], label[partner(new_u, old_u, x)])
-                    ties.setdefault(block, []).append((new_u, old_u))
-                least = min(ties)
-                for new_u, old_u in ties[least]:
-                    search(new_u, old_u, blocks + [least], x + 1)
-                return
-            z = partner(new, old, x)
-            if z > x:
-                blocks.append("{%s,%s}" % (label[x], label[z]))
-            x += 1
-        if best is None or blocks < best:
-            best = blocks
-
-    search([-1] * n, [-1] * n, [], 0)
-    return f"n={n};" + "".join(best)
+def _max_witness(n: int) -> BrauerDiagram:
+    """W(n), a diagram of length floor(3n/2) - 2 by the closed form: the
+    transposition 2-cycles {2k-1,(2k)'}{2k,(2k-1)'}, then the bracket
+    2-cycle {n-1,n}{(n-1)',n'} at even n, or the bracket 3-cycle
+    {n-2,(n-1)'}{n-1,n}{(n-2)',n'} at odd n.  The blocks are signed, as
+    ``make_diagram`` reads them: k' is -k."""
+    odd = n % 2
+    blocks = [b for k in range(1, n - 2 - odd, 2) for b in ((k, -k - 1), (k + 1, -k))]
+    if odd:
+        blocks += [(n - 2, 1 - n), (n - 1, n), (2 - n, -n)]
+    else:
+        blocks += [(n - 1, n), (1 - n, -n)]
+    return make_diagram(n, blocks)
 
 
 @dataclass
@@ -235,11 +181,15 @@ class GeodesicTable:
         return sum(map(_orbit_size, self.orbits))
 
     def max_entry(self) -> tuple[int, BrauerDiagram]:
-        """Maximal distance and its lexicographically smallest witness,
-        the least of the maximal orbits' least texts (``_least_text``)."""
+        """Maximal distance and its witness W(n) (``_max_witness``).  The
+        witness is checked against the table until the maximum is proven
+        at every n (ROADMAP item 2); a miss raises RuntimeError."""
         best = max(self.orbits.values())
-        witness = min(_least_text(key) for key, v in self.orbits.items() if v == best)
-        return best, parse_diagram(witness)
+        witness = _max_witness(self.n)
+        length = self[witness]
+        if length != best:
+            raise RuntimeError(f"W({self.n}) has length {length}, not the maximum {best}")
+        return best, witness
 
     def representatives(self) -> Iterator[tuple[BrauerDiagram, int]]:
         """One diagram per orbit (``_orbit_representative``) and its distance, lazily."""

@@ -2,7 +2,6 @@ import csv
 import functools
 import itertools
 import math
-import random
 from collections import Counter
 
 import pytest
@@ -23,7 +22,7 @@ from brauer.diagram import (
 )
 from brauer.geodesics import (
     GeodesicTable,
-    _least_text,
+    _max_witness,
     _orbit_key,
     _orbit_representative,
     _orbit_size,
@@ -87,19 +86,6 @@ def reference_bfs(n, pairs):
                     new.append(e)
         frontier = new
     return dist
-
-
-class TestBfsKernel:
-    @pytest.mark.parametrize("n,census", [
-        (3, [3, 6]),
-        (4, [6, 27, 42, 6]),
-        (5, [10, 75, 270, 390, 80]),
-        (6, [15, 165, 1005, 3240, 4245, 960, 45]),
-    ])
-    def test_level_census(self, n, census):
-        table = bfs_lengths(n)
-        counts = Counter(table[d] for d in enumerate_all(n) if d.corank)
-        assert sorted(counts.items()) == list(enumerate(census, 1))
 
 
 def closed_form(key):
@@ -167,33 +153,6 @@ class TestOrbits:
                 assert ls_via_cycles(rep) == v == closed_form(key), (n, key)
 
 
-def relabelings(p):
-    """The conjugate of partner array p by every permutation of its
-    points, with repeats when p has symmetries."""
-    n = len(p) // 2
-    for sigma in itertools.permutations(range(n)):
-        yield conjugate(p, sigma)
-
-
-def conjugate(p, sigma):
-    """Partner array p relabelled by the permutation sigma of its points."""
-    n = len(p) // 2
-    index = tuple(sigma) + tuple(k + n for k in sigma)
-    q = [0] * (2 * n)
-    for x, y in enumerate(p):
-        q[index[x]] = index[y]
-    return tuple(q)
-
-
-def random_partner(rng, n):
-    """A uniformly random perfect matching of the 2n points."""
-    points = rng.sample(range(2 * n), 2 * n)
-    p = [0] * (2 * n)
-    for x, y in zip(points[::2], points[1::2]):
-        p[x], p[y] = y, x
-    return tuple(p)
-
-
 def max_orbit_keys(n):
     """The maximal orbits (n >= 5): transposition cycles (0, 0) plus a
     bracket 2-cycle (0, 1) at even n; at odd n, a bracket 3-cycle
@@ -204,43 +163,15 @@ def max_orbit_keys(n):
             ((0, 0),) * ((n - 5) // 2) + ((0, 0, 0), (0, 1))]
 
 
-class TestLeastText:
-    """The witness search against the minimum over all n! relabellings."""
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_every_orbit(self, n):
-        for key in bfs_lengths(n).orbits:
-            rep = _orbit_representative(key)
-            assert _least_text(key) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
-
-    @pytest.mark.parametrize("n", [7, 8])
-    def test_maximal_orbits(self, n):
+class TestMaxWitness:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_witness_lies_in_a_maximal_orbit(self, n):
         table = bfs_lengths(n)
         best = max(table.orbits.values())
         maximal = [key for key, v in table.orbits.items() if v == best]
-        assert maximal == max_orbit_keys(n)
-        for key in maximal:
-            rep = _orbit_representative(key)
-            assert _least_text(key) == min(BrauerDiagram(q).to_text() for q in relabelings(rep))
-
-    @pytest.mark.parametrize("n", [9, 10, 11])
-    def test_same_text_on_the_whole_orbit(self, n):
-        # past brute force: the text names a diagram of the orbit and is no
-        # larger than the text of any sampled relabelling of the orbit's
-        # representative, on the maximal orbits (many equal cycles) and on
-        # the orbits of random diagrams
-        rng = random.Random(n)
-        keys = max_orbit_keys(n) + [_orbit_key(random_partner(rng, n)) for _ in range(10)]
-        for key in keys:
-            text = _least_text(key)
-            assert _orbit_key(parse_diagram(text).partner) == key
-            rep = _orbit_representative(key)
-            for _ in range(20):
-                assert text <= BrauerDiagram(conjugate(rep, rng.sample(range(n), n))).to_text()
-
-    def test_labels_compare_as_strings(self):
-        # at n >= 10 the label 10 sorts before 2
-        assert _least_text(max_orbit_keys(10)[0]).startswith("n=10;{1,10'}")
+        if n >= 5:
+            assert maximal == max_orbit_keys(n)
+        assert _orbit_key(_max_witness(n).partner) in maximal
 
 
 class TestBfs:
@@ -333,12 +264,6 @@ class TestCyclicDecomposition:
                 w = decompose(pi)
                 assert phi(w) == pi
                 assert len(w) == ls_via_cycles(pi)
-
-    def test_formula_matches_bfs(self):
-        for n in (4, 5):
-            table = bfs_lengths(n)
-            for pi in h1_elements(n):
-                assert ls_via_cycles(pi) == table[pi]
 
     def test_precondition(self):
         # any singular diagram, not only the {1,2} class
