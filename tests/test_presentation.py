@@ -1,10 +1,9 @@
 import itertools
-import math
 import random
 
 import pytest
 
-from brauer import presentation
+from brauer import presentation, verify
 from brauer.diagram import (RANK_CEILINGS, DomainError, _atom_product, atom, enumerate_all,
                             identity, multiply)
 from brauer.presentation import (
@@ -247,20 +246,23 @@ class TestGamma:
 
 class TestCheckAllRelations:
     # the ``verify <n> relations`` goldens of test_cli fix, for n = 2..10,
-    # each family's tuple count and that no tuple fails
+    # each family's tuple count and that no family fails
     def test_a_false_rule_is_reported_with_its_tuples(self, monkeypatch):
         # tau_ij tau_jk and tau_jk tau_ij have different left brackets
         monkeypatch.setitem(RELATION_RULES, "RX", (("ij", "jk"), ("jk", "ij")))
         checked, violations = check_all_relations(3)
         assert checked["RX"] == 6
-        assert violations == [("RX", values) for values in itertools.permutations((1, 2, 3))]
+        assert violations == [("RX", (1, 2, 3))]
+        # the suite counts every tuple of the failing family
+        [claim] = verify.run_suites(3, ["relations"])
+        assert not claim.ok and claim.computed == 6
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_verdicts_match_phi_tuple_by_tuple(self, n, monkeypatch):
-        # check_all_relations inlines the atom step; phi is the reference.
-        # Relabelling maps every instance of a rule onto every other, so a
-        # rule holds on all its tuples or on none: RX, RY and RZ fail on all,
-        # RT holds, and the table's own rules hold.
+        # check_all_relations checks one instance per family; phi on every
+        # tuple is the reference.  Relabelling maps every instance of a rule
+        # onto every other, so a rule holds on all its tuples or on none:
+        # RX, RY and RZ fail on all, RT holds, and the table's own rules hold.
         false_rules = {
             "RX": (("ij", "kl"), ("ik", "jl")),
             "RY": (("ij", "jk", "kl"), ("ij", "ik", "kl")),
@@ -268,27 +270,31 @@ class TestCheckAllRelations:
         }
         for rule, sides in {**false_rules, "RT": (("ij", "ik", "ij"), ("ij",))}.items():
             monkeypatch.setitem(RELATION_RULES, rule, sides)
-        expected = []
+        tuples, failing = {}, {}
         for rule, (lhs, rhs) in RELATION_RULES.items():
             variables = sorted(set("".join(lhs + rhs)))
-            for values in itertools.permutations(range(1, n + 1), len(variables)):
+            tuples[rule] = list(itertools.permutations(range(1, n + 1), len(variables)))
+            failing[rule] = []
+            for values in tuples[rule]:
                 bound = dict(zip(variables, values))
                 left, right = [word(n, [(bound[a], bound[b]) for a, b in side])
                                for side in (lhs, rhs)]
                 if phi(left) != phi(right):
-                    expected.append((rule, values))
+                    failing[rule].append(values)
+        assert all(failing[rule] in ([], tuples[rule]) for rule in RELATION_RULES)
         checked, violations = check_all_relations(n)
-        assert violations == expected
+        assert checked == {rule: len(tuples[rule]) for rule in RELATION_RULES}
+        assert violations == [(rule, failing[rule][0]) for rule in RELATION_RULES
+                              if failing[rule]]
         assert {rule for rule, _ in violations} == set(false_rules)
-        assert checked["RX"] == math.perm(n, 4) and checked["RT"] == math.perm(n, 3)
 
     def test_refuses_a_rank_past_its_ceiling_before_any_tuple(self, monkeypatch):
         def evaluate(n, pairs):
-            raise AssertionError("the unit was built before the ceiling check")
+            raise AssertionError("a side was evaluated before the ceiling check")
 
         monkeypatch.setattr(presentation, "_atom_product", evaluate)
-        n = RANK_CEILINGS["relations"] + 1
-        with pytest.raises(DomainError, match=f"^rank n={n} exceeds the relations rank limit {n - 1}$"):
+        n = RANK_CEILINGS["word"] + 1
+        with pytest.raises(DomainError, match=f"^rank n={n} exceeds the word rank limit {n - 1}$"):
             check_all_relations(n)
 
 
