@@ -216,13 +216,6 @@ class TestMultiply:
                 g = atom(4, i, j)
                 assert multiply(a, g) == compose_by_components(a, g)
 
-    def test_agrees_with_component_oracle_random(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(1, 7)
-            a, b = random_diagram(n, rng), random_diagram(n, rng)
-            assert multiply(a, b) == compose_by_components(a, b)
-
     def test_rank_mismatch(self):
         with pytest.raises(DomainError):
             multiply(identity(2), identity(3))

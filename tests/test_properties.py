@@ -45,7 +45,7 @@ def words(draw, max_rank=8):
 
 @st.composite
 def same_rank_diagrams(draw, count):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
     return [draw(diagrams(n=n)) for _ in range(count)]
 
 
