@@ -768,11 +768,22 @@ def json_view(argv, obj):
     return "".join(f"{line}\n" for line in lines)
 
 
-class TestGolden:
-    @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
-    def test_output_is_byte_exact(self, capsys, argv):
-        assert run(capsys, *argv) == (0, GOLDEN[argv], "")
+def golden(group):
+    """The GOLDEN command lines that the test class of ``group`` pins:
+    counting, longest and irreducible by command or suite, verify the rest."""
+    groups = {"classes": "counting", "paths": "counting", "counts": "counting",
+              "hclasses": "counting", "longest": "longest", "lengths": "longest",
+              "irreducible": "irreducible"}
+    return [argv for argv in GOLDEN
+            if groups.get(argv[2] if argv[0] == "verify" and argv[2:] else argv[0],
+                          "verify") == group]
 
+
+def assert_golden(capsys, argv):
+    assert run(capsys, *argv) == (0, GOLDEN[argv], "")
+
+
+class TestGolden:
     @pytest.mark.parametrize("argv", [argv for argv in GOLDEN if "--json" not in argv],
                              ids=" ".join)
     def test_json_renders_to_text(self, capsys, argv):
@@ -780,10 +791,22 @@ class TestGolden:
         assert (code, err) == (0, "")
         assert json_view(argv, obj) == GOLDEN[argv]
 
+
+class TestCountingGolden:
+    @pytest.mark.parametrize("argv", golden("counting"), ids=" ".join)
+    def test_output_is_byte_exact(self, capsys, argv):
+        assert_golden(capsys, argv)
+
     def test_enumerate_6_digest(self, capsys):
         code, out, _ = run(capsys, "enumerate", "6")
         assert code == 0 and out.count("\n") == 10395
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_6_SHA256
+
+
+class TestLongestGolden:
+    @pytest.mark.parametrize("argv", golden("longest"), ids=" ".join)
+    def test_output_is_byte_exact(self, capsys, argv):
+        assert_golden(capsys, argv)
 
     @pytest.mark.parametrize("n", sorted(CACHE_SHA256))
     def test_cache_file_digest(self, capsys, tmp_path, n):
@@ -791,6 +814,12 @@ class TestGolden:
         assert (code, out, err) == (0, GOLDEN[("longest", str(n))], "")
         digest = hashlib.sha256((tmp_path / f"geodesics-n{n}.csv").read_bytes()).hexdigest()
         assert digest == CACHE_SHA256[n]
+
+
+class TestVerifyGolden:
+    @pytest.mark.parametrize("argv", golden("verify"), ids=" ".join)
+    def test_output_is_byte_exact(self, capsys, argv):
+        assert_golden(capsys, argv)
 
 
 # Factorizations, byte for byte, copied from the output of the three-step
@@ -853,6 +882,10 @@ class TestDecompositionGolden:
         text, word = GOLDEN_DECOMPOSE[case]
         assert run(capsys, "decompose", text) == (0, f"{word}\nverified: true\n", "")
         assert run(capsys, "decompose", text, "--json") == (0, _decompose_json(word), "")
+
+    @pytest.mark.parametrize("argv", golden("irreducible"), ids=" ".join)
+    def test_irreducible_is_byte_exact(self, capsys, argv):
+        assert_golden(capsys, argv)
 
 
 class TestVerify:
@@ -970,6 +1003,14 @@ CEILING_CASES = [
 ]
 
 
+def ceiling_cases(*kinds, name=True, flag=True):
+    """The CEILING_CASES of ``kinds``, each with an id of its command and
+    suites, its rank and whether --force is given."""
+    return [pytest.param(argv, kind, n, flags, id="-".join(
+                [" ".join(argv[::2])] * name + [str(n)] + ["force" if flags else "plain"] * flag))
+            for argv, kind, n, flags in CEILING_CASES if kind in kinds]
+
+
 class TestRankLimits:
     @pytest.fixture
     def work(self, monkeypatch):
@@ -1000,12 +1041,25 @@ class TestRankLimits:
         code, _, err = run(capsys, *over_limit(name), "--force")
         assert code == 2 and "work started" in err and len(work) == 1
 
-    @pytest.mark.parametrize("argv,kind,n,flags", CEILING_CASES, ids=[
-        " ".join([*argv, *flags]).format(n=n, atom=f"atom({n},1,2)")
-        for argv, _, n, flags in CEILING_CASES])
-    def test_past_its_ceiling_exits_2_before_work(self, capsys, work, argv, kind, n, flags):
+    @staticmethod
+    def past_its_ceiling(capsys, work, argv, kind, n, flags):
         diagram = atom(n, 1, 2).to_text()
         refused(capsys, work, [*(a.format(n=n, atom=diagram) for a in argv), *flags], kind, n)
+
+    @pytest.mark.parametrize("argv,kind,n,flags", ceiling_cases("walk", "word", flag=False))
+    def test_walk_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, kind, n,
+                                                          flags):
+        self.past_its_ceiling(capsys, work, argv, kind, n, flags)
+
+    @pytest.mark.parametrize("argv,kind,n,flags", ceiling_cases("BFS"))
+    def test_search_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, kind, n,
+                                                            flags):
+        self.past_its_ceiling(capsys, work, argv, kind, n, flags)
+
+    @pytest.mark.parametrize("argv,kind,n,flags", ceiling_cases("pair graph", name=False))
+    def test_pair_graph_past_its_rank_limit_exits_2_before_work(self, capsys, work, argv, kind,
+                                                                n, flags):
+        self.past_its_ceiling(capsys, work, argv, kind, n, flags)
 
     def test_every_limit_has_a_ceiling_no_lower(self):
         # a name with no ceiling would let --force run its work at any rank
