@@ -37,13 +37,19 @@ an explicit stack (about n**2 point slots) down to six free points and
 fills them from the 15 rows of partners of that six-set, built once per
 six-set, C(n+3, 6) of them (210 at n = 7).  The bracket walk goes
 level by level, merging equal (free points, key) states by count, and
-finishes each from the bracket masks of its last free points.
+finishes each from the bracket masks of its last free points.  Given a
+bound, it counts only the matchings with at most that many brackets on
+each side: a key only gains bits as the walk goes on, so a state that
+holds the bound on one side takes no further bracket there, and no
+state it drops has a completion inside the bound.  The corank-2 census
+walks so with a bound of one, level by level to the empty finish.
 ``enumerate_all`` writes the one slot of each diagram it yields
 directly, without the frozen dataclass ``__init__``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -428,14 +434,19 @@ def check_ceiling(kind: str, n: int) -> None:
         raise DomainError(f"rank n={n} exceeds the {kind} rank limit {RANK_CEILINGS[kind]}")
 
 
-def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
+def _bracket_walk(
+    n: int, most: int | None = None
+) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """Count the rank-n matchings by their bracket sets, building no diagram.
 
     Returns ``(counts, ends)``: ``counts[key]`` is the number of matchings
     whose brackets are exactly the set bits of ``key``, and bit b stands
     for the bracket ``ends[b]``, a pair of 1-based labels.  The C(n,2)
     left-bracket bits come first, then the C(n,2) right-bracket bits.  A
-    key is an H-class, so ``counts`` holds the H-class sizes.
+    key is an H-class, so ``counts`` holds the H-class sizes.  With
+    ``most`` given, only the matchings with at most ``most`` brackets on
+    each side are counted, and ``counts`` is the full walk's restricted to
+    their keys, in the same order.
 
     The walk goes level by level over states (free points, key), each with
     the number of prefixes that reach it.  For n - 3 levels each state's
@@ -448,6 +459,16 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     insertion order and pairs in ascending order meet the states in the
     order of :func:`enumerate_all`'s depth-first walk, so ``counts``
     keeps that order.
+
+    The bound drops no matching inside it.  A walk only ever adds bracket
+    bits, so a state that holds ``most`` brackets on one side has no
+    completion inside the bound that takes another bracket there: its
+    smallest free point, if unprimed, pairs only with the primed free
+    points (lines), and if primed, where every pair left is a right
+    bracket, the state is dropped when that side is full.  Skipping
+    pairs keeps the order of those left.  The bounded walk runs level by
+    level to the end, n levels, and finishes each state from
+    ``_matchings(0)``, the one empty matching.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -459,17 +480,26 @@ def _bracket_walk(n: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
         for p, q in itertools.combinations(range(lo, lo + n), 2):
             bit[p][q] = 1 << len(ends)
             ends.append((p - lo + 1, q - lo + 1))
+    # the free points each state is finished from: the last six, or none when bounded
+    last = min(size, 6) if most is None else 0
+    half = len(ends) // 2
+    left = (1 << half) - 1
     states = {(tuple(range(size)), 0): 1}
-    for _ in range(n - 3):
+    for _ in range(n - last // 2):
         merged: dict[tuple[tuple[int, ...], int], int] = {}
         get = merged.get
         for (free, key), times in states.items():
-            row = bit[free[0]]
-            for k in range(1, len(free)):
+            p, start = free[0], 1
+            if most is not None and (key & left if p < n else key >> half).bit_count() >= most:
+                if p >= n:  # every pair left is a right bracket
+                    continue
+                start = bisect.bisect_left(free, n)  # lines only
+            row = bit[p]
+            for k in range(start, len(free)):
                 state = (free[1:k] + free[k + 1:], key | row[free[k]])
                 merged[state] = get(state, 0) + times
         states = merged
-    rows = [[(i, j) for i, j in enumerate(row) if i < j] for row in _matchings(min(size, 6))]
+    rows = [[(i, j) for i, j in enumerate(row) if i < j] for row in _matchings(last)]
     counts: dict[int, int] = {}
     get = counts.get
     finish: dict[tuple[int, ...], list[int]] = {}

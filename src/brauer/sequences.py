@@ -16,8 +16,12 @@ presentation restricted to connected words: both sides of each are
 connected and share their first and last pair.  Equivalence classes
 biject with corank-2 diagrams (map a sequence to the product of the
 matching atoms), so equivalence is decided semantically through that
-canonical diagram.  The counts below walk every matching through
-``diagram._bracket_walk`` and keep the corank-2 bracket sets.
+canonical diagram.  The counts below walk, through
+``diagram._bracket_walk``, only the matchings with at most one bracket
+on each side, and keep the corank-2 bracket sets.  The bound drops no
+corank-2 matching: the walk only adds bracket bits, so a state already
+holding a bracket on one side has no corank <= 2 completion that takes
+another there.
 Interpreting subsets as vertices of the intersection graph, sequences
 are walks, the class count is n(n-1)n!/4, and the classes of walks
 between two fixed vertices number (n-2)!.
@@ -87,7 +91,8 @@ def expected_class_count(n: int) -> int:
 
 def count_classes(n: int) -> int:
     """Number of equivalence classes, counted as the corank-2 matchings
-    they biject with, over every matching of rank n."""
+    they biject with, over the rank-n matchings with at most one bracket
+    on each side."""
     if n < 2:
         raise DomainError("classes need n >= 2")
     return sum(corank2_census(n).values())
@@ -108,12 +113,14 @@ def corank2_census(n: int, walk: tuple[dict[int, int], list] | None = None) -> d
     """Counts of corank-2 diagrams keyed by (left bracket, right bracket),
     each bracket a sorted pair of 1-based labels.
 
-    One walk over every matching counts the bracket sets; a corank-2 set
-    has one left-bracket bit, and its one right-bracket bit is the
-    highest bit of the key.  ``walk``, if given, is a finished
-    ``_bracket_walk(n)`` result, read instead of walking again.
+    One walk over the matchings with at most one bracket on each side
+    (``_bracket_walk(n, 1)``, which drops no corank-2 matching) counts the
+    bracket sets; a corank-2 set has one left-bracket bit, and its one
+    right-bracket bit is the highest bit of the key.  ``walk``, if given,
+    is a finished ``_bracket_walk`` result, bounded or not, read instead
+    of walking again.
     """
-    counts, ends = _bracket_walk(n) if walk is None else walk
+    counts, ends = _bracket_walk(n, 1) if walk is None else walk
     left = (1 << math.comb(n, 2)) - 1
     return {
         (ends[(key & left).bit_length() - 1], ends[key.bit_length() - 1]): size

@@ -217,16 +217,6 @@ class TestLengths:
         code, _, err = run(capsys, "length", "n=2;{1,1'}{2,2'}")
         assert code == 2 and err == "error: length is undefined on invertible elements\n"
 
-    def test_longest_n4(self, capsys):
-        code, obj, _ = run_json(capsys, "longest", "4")
-        assert code == 0 and obj["max"] == 4
-        assert parse_diagram(obj["witness"]).corank >= 2
-
-    def test_longest_n8(self, capsys):
-        code, out, _ = run(capsys, "longest", "8")
-        assert code == 0
-        assert out == "10\nn=8;{1,2'}{2,1'}{3,4'}{4,3'}{5,6'}{6,5'}{7,8}{7',8'}\n"
-
     def test_cache_dir_used(self, capsys, tmp_path):
         code, out, _ = run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
         assert code == 0 and out.splitlines()[0] == "4"
@@ -337,10 +327,6 @@ class TestLengths:
 
 
 class TestCounting:
-    def test_classes(self, capsys):
-        code, out, _ = run(capsys, "classes", "4")
-        assert code == 0 and out.strip() == "72"
-
     def test_classes_dot(self, capsys):
         code, out, _ = run(capsys, "classes", "4", "--dot")
         assert code == 0 and out.startswith("graph gamma4 {")
@@ -407,10 +393,12 @@ class TestCounting:
 # pin the layout, one per command, and the ``paths`` endpoints, which the text
 # does not show.
 GOLDEN = {
-    # The counting commands.  They pass over every matching of ranks 2 to 8, so
-    # any change to the enumeration or to the bracket keys that moves a count
-    # or an order shows here.  ``paths`` takes its endpoints in either order
-    # and may start and end at one pair.
+    # The counting commands.  The verify suites pass over every matching of
+    # ranks 2 to 8, and ``classes`` and ``paths`` over those with at most one
+    # bracket on each side up to rank 9, so any change to the enumeration, to
+    # the bracket keys or to the walk's bound that moves a count or an order
+    # shows here.  ``paths`` takes its endpoints in either order and may start
+    # and end at one pair.
     ("verify", "7", "counts", "hclasses"): """\
 PASS diagram count (n=7): expected 135135, computed 135135 ((2n-1)!!)
 PASS class count (n=7): expected 52920, computed 52920 (n(n-1)n!/4)
@@ -463,6 +451,10 @@ PASS H-classes off (n-2k)! (n=6): expected 0, computed 0 (corank 0: 720 corank 2
     ("classes", "6"): "5400\n",
     # rank 8 within the limits; copied from ``--force`` runs before they were raised
     ("classes", "8"): "564480\n",
+    # rank 9, the classes and paths limit; copied from ``--force`` runs of the
+    # unbounded walk before the limit was raised
+    ("classes", "9"): "6531840\n",
+    ("paths", "9", "1,2", "3,4"): "5040\n",
     ("verify", "8", "hclasses"): """\
 PASS H-classes off (n-2k)! (n=8): expected 0, computed 0 (corank 0: 40320 corank 2: 720 corank 4: 24 corank 6: 2 corank 8: 1)
 """,
@@ -954,9 +946,9 @@ class TestOneWalkPerCall:
         """The rank of every bracket walk started, through verify or sequences."""
         started = []
 
-        def counted(n):
+        def counted(n, *bound):
             started.append(n)
-            return _bracket_walk(n)
+            return _bracket_walk(n, *bound)
 
         monkeypatch.setattr(verify, "_bracket_walk", counted)
         monkeypatch.setattr(sequences, "_bracket_walk", counted)

@@ -344,6 +344,18 @@ class TestBracketWalk:
             (k & (1 << left) - 1).bit_count() == (k >> left).bit_count() for k in counts
         )
 
+    # up to n=8, the last rank where the unbounded walk is cheap (0.16 s)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bound_keeps_the_full_walks_keys_in_order(self, n):
+        # the bound drops no matching inside it, and skipping pairs keeps
+        # the order of the ones it walks
+        counts, ends = _bracket_walk(n)
+        left = math.comb(n, 2)
+        inside = [(k, size) for k, size in counts.items()
+                  if (k & (1 << left) - 1).bit_count() <= 1 and (k >> left).bit_count() <= 1]
+        bounded, bounded_ends = _bracket_walk(n, 1)
+        assert (list(bounded.items()), bounded_ends) == (inside, ends)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_visits_in_enumeration_order(self, n):
         # each key is inserted when the walk meets its first matching, so
