@@ -71,7 +71,7 @@ from brauer.verify import SUITES, run_suites
 # takes without --force, which lifts it up to the diagram.RANK_CEILINGS row
 # of its kind of work, a ceiling that even --force cannot pass;
 # the work grows as (2n-1)!!, or as n^4 for the ``classes --dot`` pair graph
-# of about n^3/2 edges.
+# of about n^3/2 edges, except in the census behind ``classes`` and ``paths``.
 # ``hclasses`` counts bracket sets in one walk that builds no diagram
 # (2,027,025 matchings in 24,661 merged states, 0.27-0.28 s at 44 MB a command
 # at n=8 in a fresh process on a 2-core VM); ``counts`` adds the (2n-1)!!
