@@ -305,10 +305,9 @@ def expected_max_length(n: int) -> int:
     return 3 * n // 2 - 2
 
 
-def max_length(n: int, table: GeodesicTable | None = None) -> tuple[int, BrauerDiagram]:
-    """Maximum geodesic length plus one witness attaining it."""
-    if table is None:
-        table = bfs_lengths(n)
+def max_length(n: int, table: GeodesicTable) -> tuple[int, BrauerDiagram]:
+    """Maximum geodesic length plus one witness attaining it, read from the
+    rank-n ``table``; ``n`` is the rank the traced ``perfbench/`` run records."""
     return table.max_entry()
 
 

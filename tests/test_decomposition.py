@@ -14,17 +14,13 @@ from brauer.diagram import (
     count_all,
     enumerate_all,
     identity,
-    make_diagram,
     multiply,
     random_diagram,
 )
-from brauer.geodesics import _orbit_key
-from brauer.presentation import Quark, phi, word, word_to_text
+from brauer.geodesics import _orbit_key, ls_via_cycles
+from brauer.presentation import word_to_text
 from brauer.verify import run_suites
 from test_geodesics import reference_bfs
-
-FIG1 = make_diagram(6, [(1, 5), (4, 6), (-2, -4), (-3, -5), (2, -1), (3, -6)])
-
 
 # SHA-256 of the factorization of every singular diagram of rank n, one
 # word per line in enumeration order, copied from the three-step
@@ -41,7 +37,9 @@ DECOMPOSE_SHA256 = {
 def factorization_text(diagrams):
     """The factorization of each singular diagram, one word per line, each
     checked to open with a left bracket of its diagram and to stay within
-    the length bound corank/2 + 3(n-2)/2 + 3."""
+    the length bound corank/2 + 3(n-2)/2 + 3, and on the {1,2} class to be
+    a geodesic: as long as the cycle formula gives."""
+    h1 = frozenset([frozenset((1, 2))])
     lines = []
     for d in diagrams:
         if d.corank < 2:
@@ -49,6 +47,8 @@ def factorization_text(diagrams):
         got = decompose(d)
         assert frozenset((got.quarks[0].i, got.quarks[0].j)) in d.left_brackets()
         assert len(got) <= d.corank // 2 + 3 * (d.n - 2) // 2 + 3
+        if d.left_brackets() == d.right_brackets() == h1:
+            assert len(got) == ls_via_cycles(d)
         lines.append(word_to_text(got) + "\n")
     return "".join(lines)
 
@@ -71,43 +71,7 @@ def test_random_factorizations_are_byte_exact():
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_DECOMPOSE_SHA256
 
 
-class TestGroupCorank2:
-    def test_atom_is_its_own_factorization(self):
-        assert decompose(atom(4, 1, 2)) == word(4, [(1, 2)])
-
-    def test_single_transposition(self):
-        pi = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
-        got = decompose(pi)
-        assert got == word(4, [(1, 2), (1, 3), (1, 4), (1, 2)])
-        assert phi(got) == pi
-
-    def test_three_cycle_round_trip(self):
-        pi = make_diagram(5, [(1, 2), (-1, -2), (3, -4), (4, -5), (5, -3)])
-        assert phi(decompose(pi)) == pi
-
-    def test_preconditions(self):
-        swap = make_diagram(3, [(1, -2), (2, -1), (3, -3)])
-        with pytest.raises(DomainError):
-            decompose(swap)
-
-
-class TestCorank2:
-    def test_atom(self):
-        assert decompose(atom(5, 2, 4)) == word(5, [(2, 4)])
-
-    def test_bridged_example(self):
-        pi = make_diagram(3, [(1, 2), (-2, -3), (3, -1)])
-        got = decompose(pi)
-        assert phi(got) == pi
-        assert got.quarks[0] == Quark(1, 2)
-
-
 class TestDecompose:
-    def test_fig_element_round_trip(self):
-        got = decompose(FIG1)
-        assert phi(got) == FIG1
-        assert frozenset((got.quarks[0].i, got.quarks[0].j)) in FIG1.left_brackets()
-
     def test_rejects_invertible(self):
         with pytest.raises(DomainError):
             decompose(identity(4))

@@ -259,10 +259,10 @@ class TestGreen:
     @pytest.mark.parametrize("n", [3, 4])
     def test_every_relation_matches_its_definition(self, n):
         # R: same left brackets, L: same right brackets, H: both, D: same
-        # corank, on every pair, with the brackets from the skeleton scan
-        # rather than from left_brackets and right_brackets
+        # corank, on every pair, with the brackets from a scan of the
+        # partner array rather than from left_brackets and right_brackets
         diagrams = list(enumerate_all(n))
-        sides = [skeleton_bracket_sets(_bracket_skeleton(d.partner)) for d in diagrams]
+        sides = [scanned_bracket_sets(d.partner) for d in diagrams]
         for (a, (la, ra)), (b, (lb, rb)) in itertools.product(zip(diagrams, sides), repeat=2):
             expected = {"R": la == lb, "L": ra == rb, "H": (la, ra) == (lb, rb),
                         "D": a.corank == b.corank}
@@ -286,20 +286,13 @@ class TestGreen:
             assert walk_bracket_sets(n) == by_brackets
 
 
-def _bracket_skeleton(partner):
-    """The H-class key the counting suites used before the bracket walk:
-    ``partner`` with both ends of every line set to -1."""
+def scanned_bracket_sets(partner):
+    """(left brackets, right brackets) of ``partner``, as in ``left_brackets``,
+    read by a scan of each half."""
     n = len(partner) // 2
-    left, right = partner[:n], partner[n:]
-    return tuple([q if q < n else -1 for q in left] + [q if q >= n else -1 for q in right])
-
-
-def skeleton_bracket_sets(skeleton):
-    """(left brackets, right brackets) of a skeleton, as in ``left_brackets``."""
-    n = len(skeleton) // 2
     return tuple(
         frozenset(frozenset((p - lo + 1, q - lo + 1))
-                  for p, q in enumerate(skeleton[lo:lo + n], lo) if p < q)
+                  for p, q in enumerate(partner[lo:lo + n], lo) if p < q < lo + n)
         for lo in (0, n)
     )
 
@@ -322,14 +315,6 @@ def walk_bracket_sets(n):
 
 
 class TestBracketWalk:
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_matches_skeleton_counter(self, n):
-        skeletons = Counter(_bracket_skeleton(d.partner) for d in enumerate_all(n))
-        reference = Counter()
-        for skeleton, size in skeletons.items():
-            reference[skeleton_bracket_sets(skeleton)] += size
-        assert walk_bracket_sets(n) == reference
-
     # n=8 is where the walk merges the most repeated (six-set, key) prefixes
     @pytest.mark.parametrize("n", range(1, 9))
     def test_layout(self, n):

@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from brauer.cli import main
-from brauer.decomposition import decompose
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
@@ -30,9 +29,7 @@ from brauer.geodesics import (
     expected_max_length,
     load_or_compute_table,
     ls_via_cycles,
-    max_length,
 )
-from brauer.presentation import phi, word
 
 
 def h1_elements(n):
@@ -158,19 +155,12 @@ class TestMaxWitness:
 
 
 class TestBfs:
-    @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 4), (5, 5)])
-    def test_max_matches_formula(self, n, expected):
-        assert expected_max_length(n) == expected
-        value, witness = max_length(n)
-        assert value == expected
-        assert bfs_lengths(n)[witness] == value
-
     def test_limit_guard(self, capsys):
         # the rank limit is the command line's; the library has only n >= 2
         assert main(["longest", "9"]) == 2
         assert "--force" in capsys.readouterr().err
         with pytest.raises(DomainError):
-            max_length(1)
+            bfs_lengths(1)
 
     def test_table_rejects_invertible_lookup(self):
         table = bfs_lengths(3)
@@ -179,54 +169,8 @@ class TestBfs:
         with pytest.raises(KeyError):
             table[atom(4, 1, 2)]
 
-    def test_length_at_least_half_corank(self):
-        for n in (2, 3, 4):
-            table = bfs_lengths(n)
-            for d in enumerate_all(n):
-                if d.corank:
-                    assert table[d] >= d.corank // 2
-
-    def test_length_invariant_under_transpose(self):
-        for n in (3, 4, 5):
-            table = bfs_lengths(n)
-            for d in enumerate_all(n):
-                if d.corank:
-                    assert table[d.transpose()] == table[d]
-
 
 class TestCyclicDecomposition:
-    def test_atom_case(self):
-        # no cycles, three fixed points: (5-2) - 3 + 0 + 1
-        assert ls_via_cycles(atom(5, 1, 2)) == 1
-        assert decompose(atom(5, 1, 2)) == word(5, [(1, 2)])
-        assert ls_via_cycles(atom(6, 1, 2)) == 1
-
-    def test_single_transposition(self):
-        pi = make_diagram(4, [(1, 2), (-1, -2), (3, -4), (4, -3)])
-        # the one cycle (3 4): base atom, a run through 3 and 4, base atom
-        assert decompose(pi) == word(4, [(1, 2), (1, 3), (1, 4), (1, 2)])
-        assert ls_via_cycles(pi) == 4
-        assert bfs_lengths(4)[pi] == 4
-
-    def test_three_cycle_attains_max_n5(self):
-        pi = make_diagram(5, [(1, 2), (-1, -2), (3, -4), (4, -5), (5, -3)])
-        assert ls_via_cycles(pi) == 5 == expected_max_length(5)
-
-    def test_two_transpositions_attain_max_n6(self):
-        pi = make_diagram(
-            6, [(1, 2), (-1, -2), (3, -4), (4, -3), (5, -6), (6, -5)]
-        )
-        w = decompose(pi)
-        assert len(w) == 7 == ls_via_cycles(pi) == expected_max_length(6)
-        assert phi(w) == pi
-
-    def test_word_evaluates_back(self):
-        for n in (4, 5):
-            for pi in h1_elements(n):
-                w = decompose(pi)
-                assert phi(w) == pi
-                assert len(w) == ls_via_cycles(pi)
-
     def test_precondition(self):
         # any singular diagram, not only the {1,2} class
         assert ls_via_cycles(atom(4, 1, 3)) == 1

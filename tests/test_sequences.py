@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -15,7 +14,6 @@ from brauer.presentation import (
 )
 from brauer.sequences import (
     corank2_census,
-    count_paths,
     gamma_graph,
     parse_sequence,
     seq_canonical,
@@ -145,12 +143,6 @@ class TestEquivalent:
 
 
 class TestCounts:
-    def test_paths_examples(self):
-        assert count_paths(3, (1, 2), (1, 2)) == 1
-        for frm in [(1, 2), (2, 3), (1, 4)]:
-            for to in [(3, 4), (1, 2)]:
-                assert count_paths(4, frm, to) == 2
-
     @pytest.mark.parametrize("n", range(2, 7))
     def test_census_matches_bracket_set_reference(self, n):
         reference = {}
@@ -161,12 +153,6 @@ class TestCounts:
             key = (tuple(sorted(lb)), tuple(sorted(rb)))
             reference[key] = reference.get(key, 0) + 1
         assert corank2_census(n) == reference
-
-    def test_loop_counts(self):
-        # classes of loops at a vertex: (n-2)!
-        for n in (3, 4, 5):
-            for pair in [(1, 2), (2, 3)]:
-                assert count_paths(n, pair, pair) == math.factorial(n - 2)
 
 
 GAMMA4_DOT = """graph gamma4 {
