@@ -75,12 +75,12 @@ from brauer.verify import SUITES, run_suites
 # ``hclasses`` counts bracket sets in one walk that builds no diagram
 # (2,027,025 matchings in 24,661 merged states, 0.27-0.28 s at 44 MB a command
 # at n=8 in a fresh process on a 2-core VM); ``counts`` adds the (2n-1)!!
-# claim, which streams ``enumerate_all`` through diagram objects, 1.1-1.8 s at
-# n=8 in all.  ``classes`` and ``paths`` walk only the matchings with at most
-# one bracket on each side: 0.10-0.11 s at 17 MB a command at n=8, 0.13-0.17 s
-# at 18 MB at n=9, and 0.22-0.26 s at 21.5 MB at n=10 (--force), the walk's
-# ceiling; the unbounded walk took 0.26 s at 44 MB at n=8 and 2.3 s at 270 MB
-# at n=9.
+# claim, which streams ``enumerate_all`` through diagram objects, and alone
+# walks as ``classes`` does: 0.70 s at 17 MB at n=8.  ``classes`` and ``paths``
+# walk only the matchings with at most one bracket on each side: 0.10-0.11 s
+# at 17 MB a command at n=8, 0.13-0.17 s at 18 MB at n=9, and 0.22-0.26 s at
+# 21.5 MB at n=10 (--force), the walk's ceiling; the unbounded walk took
+# 0.26 s at 44 MB at n=8 and 2.3 s at 270 MB at n=9.
 # ``relations`` checks one instance per family, 14 words of at most three
 # atoms on arrays of 2n slots, so its work is the ``word`` kind: under 0.1 ms
 # at n=10 and 12-15 ms at n=10,000 in-process.

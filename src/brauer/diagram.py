@@ -37,12 +37,12 @@ an explicit stack (about n**2 point slots) down to six free points and
 fills them from the 15 rows of partners of that six-set, built once per
 six-set, C(n+3, 6) of them (210 at n = 7).  The bracket walk goes
 level by level, merging equal (free points, key) states by count, and
-finishes each from the bracket masks of its last free points.  Given a
-bound, it counts only the matchings with at most that many brackets on
-each side: a key only gains bits as the walk goes on, so a state that
-holds the bound on one side takes no further bracket there, and no
-state it drops has a completion inside the bound.  The corank-2 census
-walks so with a bound of one, level by level to the empty finish.
+finishes each from the bracket masks of its last free points.  Bounded,
+for the corank-2 census, it counts only the matchings with at most one
+left bracket, level by level to the empty finish: a key only gains bits
+as the walk goes on, so a state that holds a left bracket pairs its
+unprimed points by lines alone.  Every matching has as many right
+brackets as left ones, so the right side needs no bound of its own.
 ``enumerate_all`` writes the one slot of each diagram it yields
 directly, without the frozen dataclass ``__init__``.
 """
@@ -227,19 +227,15 @@ def _compose(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             out[start], out[p] = p, start
             continue
         out[start], out[q] = q, start
+    # the first loop closed every block with an unprimed end, so a chain
+    # from a primed point still open ends at a primed point: a[q + n] >= n
     for start in range(n, size):
         if out[start] != -1:
             continue
         q = b[start]
         while q < n:
-            p = a[q + n]
-            if p < n:
-                break
-            q = b[p - n]
-        else:
-            out[start], out[q] = q, start
-            continue
-        out[start], out[p] = p, start
+            q = b[a[q + n] - n]
+        out[start], out[q] = q, start
     return tuple(out)
 
 
@@ -435,7 +431,7 @@ def check_ceiling(kind: str, n: int) -> None:
 
 
 def _bracket_walk(
-    n: int, most: int | None = None
+    n: int, bounded: bool = False
 ) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """Count the rank-n matchings by their bracket sets, building no diagram.
 
@@ -444,8 +440,8 @@ def _bracket_walk(
     for the bracket ``ends[b]``, a pair of 1-based labels.  The C(n,2)
     left-bracket bits come first, then the C(n,2) right-bracket bits.  A
     key is an H-class, so ``counts`` holds the H-class sizes.  With
-    ``most`` given, only the matchings with at most ``most`` brackets on
-    each side are counted, and ``counts`` is the full walk's restricted to
+    ``bounded`` set, only the matchings with at most one bracket on each
+    side are counted, and ``counts`` is the full walk's restricted to
     their keys, in the same order.
 
     The walk goes level by level over states (free points, key), each with
@@ -460,15 +456,16 @@ def _bracket_walk(
     order of :func:`enumerate_all`'s depth-first walk, so ``counts``
     keeps that order.
 
-    The bound drops no matching inside it.  A walk only ever adds bracket
-    bits, so a state that holds ``most`` brackets on one side has no
-    completion inside the bound that takes another bracket there: its
-    smallest free point, if unprimed, pairs only with the primed free
-    points (lines), and if primed, where every pair left is a right
-    bracket, the state is dropped when that side is full.  Skipping
-    pairs keeps the order of those left.  The bounded walk runs level by
-    level to the end, n levels, and finishes each state from
-    ``_matchings(0)``, the one empty matching.
+    The bound is tested on the left side alone and drops no matching
+    inside it.  A walk only ever adds bracket bits, so a state that holds
+    a left bracket has no completion inside the bound that takes another:
+    its smallest free point, if unprimed, pairs only with the primed free
+    points (lines).  Each side's n points are two ends of each of its
+    brackets and one end of each line, so every matching has as many
+    right brackets as left ones, and the right side holds the bound when
+    the left does.  Skipping pairs keeps the order of those left.  The
+    bounded walk runs level by level to the end, n levels, and finishes
+    each state from ``_matchings(0)``, the one empty matching.
     """
     if n < 1:
         raise DomainError("rank n must be a positive integer")
@@ -481,18 +478,15 @@ def _bracket_walk(
             bit[p][q] = 1 << len(ends)
             ends.append((p - lo + 1, q - lo + 1))
     # the free points each state is finished from: the last six, or none when bounded
-    last = min(size, 6) if most is None else 0
-    half = len(ends) // 2
-    left = (1 << half) - 1
+    last = 0 if bounded else min(size, 6)
+    left = (1 << len(ends) // 2) - 1
     states = {(tuple(range(size)), 0): 1}
     for _ in range(n - last // 2):
         merged: dict[tuple[tuple[int, ...], int], int] = {}
         get = merged.get
         for (free, key), times in states.items():
             p, start = free[0], 1
-            if most is not None and (key & left if p < n else key >> half).bit_count() >= most:
-                if p >= n:  # every pair left is a right bracket
-                    continue
+            if bounded and p < n and key & left:
                 start = bisect.bisect_left(free, n)  # lines only
             row = bit[p]
             for k in range(start, len(free)):

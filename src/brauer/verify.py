@@ -20,7 +20,8 @@ suite the rank and the call's one lazy bracket walk, a function of no
 arguments: the first suite that calls it starts the walk, a later one
 reads the same result, and the result dies with the call.  So
 ``counts`` and ``hclasses`` together walk once, and a call with neither
-does not walk.
+does not walk.  Only ``hclasses`` needs every key: without it the walk
+is bounded, as ``corank2_census`` walks alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from brauer.sequences import corank2_census, expected_class_count
 
 __all__ = ["Claim", "SUITES", "run_suites"]
 
-# the call's shared bracket walk: returns _bracket_walk(n), walking on first use
+# the call's shared bracket walk: returns _bracket_walk(n, bounded), walking on first use
 Walk = Callable[[], tuple[dict[int, int], list[tuple[int, int]]]]
 
 
@@ -185,5 +186,6 @@ SUITES = {
 def run_suites(n: int, names: list[str]) -> list[Claim]:
     """The claims of the named suites at rank n, suite by suite, all
     sharing one lazy bracket walk (module docstring)."""
-    walk = functools.cache(functools.partial(_bracket_walk, n))
+    bounded = "hclasses" not in names
+    walk = functools.cache(functools.partial(_bracket_walk, n, bounded=bounded))
     return [c for name in names for c in SUITES[name](n, walk)]

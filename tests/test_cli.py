@@ -228,7 +228,8 @@ class TestLengths:
 
     @pytest.mark.parametrize("damage", ["truncated", "extra_field", "same_orbit_twice",
                                         "v1_file", "distance_off_formula", "stray_text",
-                                        "point_twice", "rank_n_plus_1"])
+                                        "point_twice", "rank_n_plus_1", "header_not_utf8",
+                                        "header_field_too_long"])
     def test_damaged_cache_recomputed(self, capsys, tmp_path, damage):
         table = bfs_lengths(4)
         run(capsys, "longest", "4", "--cache-dir", str(tmp_path))
@@ -265,11 +266,18 @@ class TestLengths:
             # the last row's diagram with an identity line added at rank 5
             rows[-1][0] = text.replace("n=4;", "n=5;", 1) + "{5,5'}"
             assert parse_diagram(rows[-1][0]).n == 5
+        elif damage == "header_not_utf8":
+            rows[0][0] = "format\udcff"  # written as the lone byte 0xff
+        elif damage == "header_field_too_long":
+            rows[1][1] = "4" * (csv.field_size_limit() + 1)
         else:  # format 1: one row per element
             rows = [["format", "1"], *rows[1:3],
                     *sorted([d.to_text(), str(table[d])] for d in enumerate_all(4) if d.corank)]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", errors="surrogateescape") as fh:
             csv.writer(fh).writerows(rows)
+        if damage.startswith("header_"):
+            with pytest.raises(DomainError, match="unreadable cache file"):
+                GeodesicTable.load(path, 4)
         code, out, _ = run(capsys, "length", last.to_text(), "--cache-dir", str(tmp_path))
         assert code == 0 and out.strip() == str(table[last])
         assert path.read_bytes() == good
@@ -948,16 +956,18 @@ class TestVerify:
 
 class TestOneWalkPerCall:
     """The ``counts`` and ``hclasses`` suites of one ``verify`` call share
-    one bracket walk, and no walk outlives its call."""
+    one bracket walk, bounded unless ``hclasses`` runs, and no walk
+    outlives its call."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The rank of every bracket walk started, through verify or sequences."""
+        """The rank and bound of every bracket walk started, through verify
+        or sequences."""
         started = []
 
-        def counted(n, *bound):
-            started.append(n)
-            return _bracket_walk(n, *bound)
+        def counted(n, bounded=False):
+            started.append((n, bounded))
+            return _bracket_walk(n, bounded)
 
         monkeypatch.setattr(verify, "_bracket_walk", counted)
         monkeypatch.setattr(sequences, "_bracket_walk", counted)
@@ -966,13 +976,18 @@ class TestOneWalkPerCall:
     @pytest.mark.parametrize("suites", [("counts", "hclasses"), ("hclasses", "counts")])
     def test_both_suites_walk_once(self, capsys, walks, suites):
         code, out, _ = run(capsys, "verify", "7", *suites)
-        assert (code, walks) == (0, [7])
+        assert (code, walks) == (0, [(7, False)])
         assert out.count("PASS") == 4
+
+    def test_counts_alone_takes_the_bounded_walk(self, capsys, walks):
+        code, out, _ = run(capsys, "verify", "7", "counts")
+        assert (code, walks) == (0, [(7, True)])
+        assert out.count("PASS") == 3
 
     def test_each_call_walks_again(self, capsys, walks):
         for _ in range(2):
             assert run(capsys, "verify", "6", "counts", "hclasses")[0] == 0
-        assert walks == [6, 6]
+        assert walks == [(6, False), (6, False)]
 
     def test_a_call_with_neither_suite_does_not_walk(self, capsys, walks):
         assert run(capsys, "verify", "6", "relations")[0] == 0
@@ -1129,6 +1144,15 @@ class TestErrorHandling:
     def test_non_ascii_digits_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("classes", "1"), "classes need n >= 2"),
+        (("paths", "1", "1,2", "1,2"), "paths need n >= 2"),
+        (("paths", "4", "1,5", "1,2"), "endpoint pairs exceed the rank"),
+        (("verify", "1"), "verification suites need n >= 2"),
+    ])
+    def test_rank_or_endpoint_out_of_range_exits_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("mult", ATOM12_N3, ATOM12_N3, "--force"),
@@ -1454,6 +1478,11 @@ brauer longest: error: argument n: invalid int value: '+3'
 usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
 brauer longest: error: argument n: invalid int value: ' 3'
 """),
+    # nor a digit run longer than int() converts
+    ("longest", LONG): (2, "", f"""\
+usage: brauer longest [-h] [--json] [--force] [--cache-dir PATH] n
+brauer longest: error: argument n: invalid int value: '{LONG}'
+"""),
     ("verify", "-3", "relations"): (2, "", """\
 usage: brauer verify [-h] [--json] [--force] n [suites ...]
 brauer verify: error: argument n: invalid int value: '-3'
@@ -1507,7 +1536,9 @@ brauer: error: unrecognized arguments: --cache-dir X
 
 
 class TestParserGolden:
-    @pytest.mark.parametrize("argv", list(GOLDEN_PARSER), ids=lambda a: " ".join(a) or "(none)")
+    # an id is cut at 80 characters, which only the LONG rank reaches
+    @pytest.mark.parametrize("argv", list(GOLDEN_PARSER),
+                             ids=lambda a: " ".join(a)[:80] or "(none)")
     def test_output_is_byte_exact(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
         assert run(capsys, *argv) == GOLDEN_PARSER[argv]
