@@ -33,18 +33,6 @@ __all__ = [
 ]
 
 
-def _bridge_labels(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int, int, int]:
-    """Choose (u, v, f, g) with {u,v} the left bracket, {f,g} the right
-    one, and v outside {f,g}; smallest (v, f, g) wins."""
-    candidates = []
-    for u, v in (left, (left[1], left[0])):
-        for f, g in (right, (right[1], right[0])):
-            if v != f and v != g:
-                candidates.append((v, f, g, u))
-    v, f, g, u = min(candidates)
-    return u, v, f, g
-
-
 def decompose(pi: BrauerDiagram) -> Word:
     """Full atom factorization of a singular diagram, in one pass.
 
@@ -52,17 +40,21 @@ def decompose(pi: BrauerDiagram) -> Word:
     commuting prefix of atoms (sorted by smaller point), and every left
     bracket (u,v) but the smallest turns into the lines u -> f',
     v -> g' to the right bracket (f,g) of the same rank in sorted order.
-    That leaves one left bracket {a,b} and one right bracket.  If they
-    differ, the rest factors as xi * sigma_{v,f} sigma_{f,g}, with
-    (u,v,f,g) from :func:`_bridge_labels` and xi in the group over
-    {a,b}: xi's lines are the remaining lines with u' moved to f', and
-    v' moved to f' if u == g and to g' otherwise.  The word for xi is
+    That leaves one left bracket {a,b} and one right bracket {f,g}, both
+    sorted.  If they differ, the rest factors as
+    xi * sigma_{v,f} sigma_{f,g}, the bridge, where v is the smaller of
+    a, b outside {f,g} and u is the other one, and xi is in the group
+    over {a,b}: xi's lines are the remaining lines with u' moved to f',
+    and v' moved to f' if u == g and to g' otherwise.  The word for xi is
     the bracket atom (a,b), then for each cycle of length >= 2 of xi's
     permutation of the other points a run of atoms (a,point) and the
     bracket atom again.  Cycles and points come in the walk order of
     ``diagram._cycles`` on xi's lines, with a and b as identity lines:
     cycles by smallest point, each from there against the permutation.
-    The bridge atoms follow, each unless it repeats the last letter.
+    The bridge follows.  The word for xi ends with the bracket atom
+    (a,b), and (v,f) equals it exactly when u == f, so (v,f) is left out
+    then; (f,g) never repeats the letter before it, since {f,g} differs
+    from {a,b} and v lies outside {f,g}.
 
     On the {1,2} class the word has the length given by the cycle
     formula, so it is a geodesic there.  Output length is at most
@@ -82,13 +74,14 @@ def decompose(pi: BrauerDiagram) -> Word:
         quarks = [Quark(u, v) for u, v in lefts]
         for (u, v), (f, g) in zip(lefts[1:], rights[1:]):
             line[u - 1], line[v - 1] = f - 1, g - 1
+    a, b = lefts[0]
+    f, g = rights[0]
     bridge = []
-    if lefts[0] != rights[0]:
-        u, v, f, g = _bridge_labels(lefts[0], rights[0])
+    if (a, b) != (f, g):
+        u, v = (a, b) if a in (f, g) else (b, a)
         moved = {u - 1: f - 1, v - 1: f - 1 if u == g else g - 1}
         line = [moved.get(y, y) for y in line]
-        bridge = [Quark(v, f), Quark(f, g)]
-    a, b = lefts[0]
+        bridge = [Quark(f, g)] if u == f else [Quark(v, f), Quark(f, g)]
     line[a - 1], line[b - 1] = a - 1, b - 1
     xi = [0] * (2 * n)
     for x, y in enumerate(line):
@@ -102,10 +95,7 @@ def decompose(pi: BrauerDiagram) -> Word:
             quarks += [Quark(a, node + 1) for node in nodes[start:start + len(word)]]
             quarks.append(base)
         start += len(word)
-    for q in bridge:
-        if quarks[-1] != q:
-            quarks.append(q)
-    return Word(n, tuple(quarks))
+    return Word(n, tuple(quarks + bridge))
 
 
 def atom_closure(n: int) -> GeodesicTable:

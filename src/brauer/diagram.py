@@ -479,14 +479,15 @@ def _bracket_walk(
             ends.append((p - lo + 1, q - lo + 1))
     # the free points each state is finished from: the last six, or none when bounded
     last = 0 if bounded else min(size, 6)
-    left = (1 << len(ends) // 2) - 1
     states = {(tuple(range(size)), 0): 1}
     for _ in range(n - last // 2):
         merged: dict[tuple[tuple[int, ...], int], int] = {}
         get = merged.get
         for (free, key), times in states.items():
             p, start = free[0], 1
-            if bounded and p < n and key & left:
+            # while p is unprimed, every pair taken so far has an unprimed
+            # end, so key holds left-bracket bits alone
+            if bounded and p < n and key:
                 start = bisect.bisect_left(free, n)  # lines only
             row = bit[p]
             for k in range(start, len(free)):

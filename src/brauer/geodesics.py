@@ -23,6 +23,10 @@ the rotations and reflections that keep its word.
 A cycle word's least reading and its count of self-readings are
 memoised once per word for the process (``_least_reading``,
 ``_symmetries``); the memo holds only the words searches and loads meet.
+It stays because a search meets few words many times: the rank-7
+search reads 2,798 cycle words, 78 of them distinct.  Without it an
+in-process ``longest 7`` into a fresh cache directory took 12-16 ms,
+against 4-7 ms with it (medians of 300 calls, Python 3.11, 2-core VM).
 
 A ``GeodesicTable`` holds one distance per orbit.  A lookup finds its
 diagram's orbit, and the table's length is the sum of the orbit sizes,

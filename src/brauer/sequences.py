@@ -115,18 +115,19 @@ def corank2_census(n: int, walk: tuple[dict[int, int], list] | None = None) -> d
 
     One walk over the matchings with at most one left bracket, and so at
     most one right bracket (``_bracket_walk(n, bounded=True)``, which
-    drops no corank-2 matching), counts the bracket sets; a corank-2 set
-    has one left-bracket bit, and its one right-bracket bit is the
-    highest bit of the key.  ``walk``, if given, is a finished
+    drops no corank-2 matching), counts the bracket sets.  Every key has
+    as many left-bracket bits as right-bracket bits, and the left bits lie
+    below the right ones, so a corank-2 key is a key of two bits: its
+    lowest bit (``key & -key``) is the left bracket and its highest bit
+    the right one.  ``walk``, if given, is a finished
     ``_bracket_walk`` result, bounded or not, read instead of walking
     again.
     """
     counts, ends = _bracket_walk(n, bounded=True) if walk is None else walk
-    left = (1 << math.comb(n, 2)) - 1
     return {
-        (ends[(key & left).bit_length() - 1], ends[key.bit_length() - 1]): size
+        (ends[(key & -key).bit_length() - 1], ends[key.bit_length() - 1]): size
         for key, size in counts.items()
-        if (key & left).bit_count() == 1
+        if key.bit_count() == 2
     }
 
 

@@ -368,8 +368,9 @@ class TestCounting:
         assert (code, out) == (0, json.dumps(obj, indent=2) + "\n")
 
     def test_enumerate_json_streams(self):
-        # a list of the 135,135 rank-7 texts alone takes over 10 MB; the
-        # stream holds one at a time, into a sink that keeps no text
+        # a handler that lists the 10,395 rank-6 texts and passes them to
+        # json.dumps peaks at about 2.5 MB; the stream holds one at a time,
+        # into a sink that keeps no text, and peaks near 0.3 MB
         class LineCount(io.TextIOBase):
             lines = 0
 
@@ -381,11 +382,11 @@ class TestCounting:
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
-                code = main(["enumerate", "7", "--json"])
+                code = main(["enumerate", "6", "--json"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (code, sink.lines) == (0, 135135 + 7)
+        assert (code, sink.lines) == (0, 10395 + 7)
         assert peak < 2**20
 
 

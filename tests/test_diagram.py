@@ -338,7 +338,7 @@ class TestBracketWalk:
         left = math.comb(n, 2)
         inside = [(k, size) for k, size in counts.items()
                   if (k & (1 << left) - 1).bit_count() <= 1 and (k >> left).bit_count() <= 1]
-        bounded, bounded_ends = _bracket_walk(n, 1)
+        bounded, bounded_ends = _bracket_walk(n, bounded=True)
         assert (list(bounded.items()), bounded_ends) == (inside, ends)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -450,8 +450,9 @@ class TestEnumerate:
             assert next(enumerate_all(n)).partner == tuple(p ^ 1 for p in range(2 * n))
 
     def test_rejects_rank_below_one(self):
-        with pytest.raises(DomainError):
-            enumerate_all(0)
+        for build in (enumerate_all, identity):
+            with pytest.raises(DomainError, match=r"^rank n must be a positive integer$"):
+                build(0)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_random_diagram_rejects_rank_below_one(self, n):
@@ -540,11 +541,6 @@ class TestSerialization:
         for n in (1, 2, 3, 4, 5):
             for d in enumerate_all(n):
                 assert parse_diagram(d.to_text()) == d
-
-    def test_parse_rejects_garbage(self):
-        for bad in ["", "n=3", "n=3;{1,2}", "n=2;{1,2}{1',2'} x", "n=2;{1,2}(1',2')"]:
-            with pytest.raises(DomainError):
-                parse_diagram(bad)
 
     @pytest.mark.parametrize("text,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
     def test_parse_error_message(self, text, message):

@@ -89,14 +89,6 @@ def label_quark(label):
 
 
 class TestConnectedSequence:
-    def test_rejects_disconnected(self):
-        with pytest.raises(DomainError):
-            sequence(4, [(1, 2), (3, 4)])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            sequence(3, [(1, 4)])
-
     def test_single_pair_ok(self):
         assert len(sequence(5, [(2, 3)])) == 1
 
@@ -178,11 +170,6 @@ GAMMA4_DOT = """graph gamma4 {
 
 
 class TestGammaGraph:
-    def test_n4_shape(self):
-        degrees = dot_degrees(gamma_graph(4))
-        assert len(degrees) == 6
-        assert set(degrees.values()) == {4}
-
     def test_n4_golden(self):
         assert gamma_graph(4) == GAMMA4_DOT
 
@@ -213,12 +200,6 @@ class TestGammaGraph:
             assert order.index(a) < order.index(b)
             assert label_quark(a).meets(label_quark(b))
         assert len(set(dot_edges(dot))) == len(dot_edges(dot)) == 10 * 6 // 2
-
-    def test_dot_output(self):
-        dot = gamma_graph(3)
-        assert dot.startswith("graph gamma3 {")
-        assert '"1,2" -- "1,3";' in dot
-        assert dot.count("--") == 3
 
     def test_rank_below_two_rejected(self):
         with pytest.raises(DomainError):
@@ -258,12 +239,6 @@ class TestText:
         s = sequence(4, [(1, 2), (2, 3)])
         assert word_to_text(s) == "n=4: (1,2)(2,3)"
         assert parse_sequence(4, word_to_text(s).partition(": ")[2]) == s
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            parse_sequence(4, "")
-        with pytest.raises(DomainError):
-            parse_sequence(4, "(1,2);(2,3)")
 
     @pytest.mark.parametrize("n,text,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
     def test_parse_error_message(self, n, text, message):
