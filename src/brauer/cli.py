@@ -82,8 +82,8 @@ from brauer.verify import SUITES, run_suites
 # 21.5 MB at n=10 (--force), the walk's ceiling; the unbounded walk took
 # 0.26 s at 44 MB at n=8 and 2.3 s at 270 MB at n=9.
 # ``relations`` checks one instance per family, 14 words of at most three
-# atoms on arrays of 2n slots, so its work is the ``word`` kind: under 0.1 ms
-# at n=10 and 12-15 ms at n=10,000 in-process.
+# atoms, each at its family's rank k <= 4 (presentation docstring), on the
+# ``word`` row: 0.03-0.05 ms in-process at any n up to 10,000.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
 # orbits (135 of them at n=8, about 20 ms on a 2-core VM); the last two build
 # their witness W(n) directly and look it up in the table once, and

@@ -419,7 +419,7 @@ RANK_CEILINGS = {
     "pair graph": 150,
     # Evaluating a word costs O(n) memory per letter, so the rank must not be
     # unbounded.  The relations suite evaluates 14 words of at most three
-    # letters: 12-15 ms at n=10**4.
+    # letters, each at its family's rank k <= 4: 0.03-0.05 ms at any n.
     "word": 10**4,
 }
 

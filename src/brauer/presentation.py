@@ -27,7 +27,9 @@ under some s, so the instance at that tuple is the image of the instance
 at (1, ..., k), and an automorphism keeps two sides equal or unequal.
 So ``check_all_relations`` compares the two sides of each family once,
 at (1, ..., k), by ``diagram._atom_product``, which equals phi (pinned
-by test).  No confluent completion of the system is attempted.
+by test), and at rank k: adding identity lines embeds B_k in B_n as a
+submonoid and sends atoms to atoms, so the check's cost does not grow
+with n.  No confluent completion of the system is attempted.
 
 Word text format: ``n=5: (1,2)(2,3)(1,2)``.
 """
@@ -250,9 +252,9 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
     number of index tuples each family covers, P(n, k) for k indices (0
     when k > n), and the failing families as (family, (1, ..., k)).
 
-    Each family is checked once, on its instance at (1, ..., k), both
-    sides evaluated by ``diagram._atom_product``; by the relabelling
-    argument of the module docstring its verdict is that of every tuple."""
+    Each family is checked once, at (1, ..., k) in rank k, both sides
+    evaluated by ``diagram._atom_product``; by the module docstring its
+    verdict is that of every tuple at every rank n >= k."""
     if n < 2:
         raise DomainError("relations need n >= 2")
     check_ceiling("word", n)
@@ -263,7 +265,7 @@ def check_all_relations(n: int) -> tuple[dict[str, int], list[tuple[str, tuple[i
         checked[rule] = math.perm(n, len(label))
         if len(label) > n:
             continue
-        left, right = (_atom_product(n, [(label[a], label[b]) for a, b in side])
+        left, right = (_atom_product(len(label), [(label[a], label[b]) for a, b in side])
                        for side in (lhs, rhs))
         if left != right:
             violations.append((rule, tuple(label.values())))

@@ -71,7 +71,7 @@ def test_criterion_02_relations():
 
 
 def test_criterion_03_generation():
-    expected = {3: 9, 4: 81, 5: 825}
+    expected = {2: 1, 3: 9, 4: 81, 5: 825, 6: 9675}
     sizes, exact = {}, True
     for n in expected:
         # the flat search over the general product is the oracle: it closes
@@ -81,7 +81,7 @@ def test_criterion_03_generation():
         exact &= set(flat) == {d for d in enumerate_all(n) if d.corank >= 2}
         exact &= {_orbit_key(d.partner) for d in flat} == set(closure.orbits)
     ok = sizes == expected and exact
-    report(3, ok, f"atom closures for n=3,4,5 have sizes {list(sizes.values())}")
+    report(3, ok, f"atom closures for n=2..6 have sizes {list(sizes.values())}")
 
 
 def test_criterion_04_irreducibility():

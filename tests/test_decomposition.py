@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 
 import pytest
@@ -11,13 +10,12 @@ from brauer.diagram import (
     DomainError,
     _atom_pairs,
     atom,
-    count_all,
     enumerate_all,
     identity,
     multiply,
     random_diagram,
 )
-from brauer.geodesics import _orbit_key, ls_via_cycles
+from brauer.geodesics import ls_via_cycles
 from brauer.presentation import word_to_text
 from brauer.verify import run_suites
 from test_geodesics import reference_bfs
@@ -88,15 +86,6 @@ def reducible_atoms(n):
 
 
 class TestClosure:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_atoms_generate_all_singular_elements(self, n):
-        # the flat search over the general product closes the atoms element
-        # by element: it is the oracle for the orbit table, read through its keys
-        closure, flat = atom_closure(n), reference_bfs(n, tuple(_atom_pairs(n)))
-        assert len(closure) == count_all(n) - math.factorial(n)
-        assert set(flat) == {d for d in enumerate_all(n) if d.corank >= 2}
-        assert {_orbit_key(d.partner) for d in flat} == set(closure.orbits)
-
     def test_refuses_a_rank_past_its_ceiling_before_the_search(self, monkeypatch):
         def step(n, pairs):
             raise AssertionError("the search started")
@@ -105,10 +94,6 @@ class TestClosure:
         n = RANK_CEILINGS["BFS"] + 1
         with pytest.raises(DomainError, match=f"^rank n={n} exceeds the BFS rank limit {n - 1}$"):
             atom_closure(n)
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_atoms_irreducible(self, n):
-        assert reducible_atoms(n) == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_suite_agrees_with_per_atom_closures(self, n):

@@ -17,7 +17,6 @@ from brauer.diagram import (
     identity,
     make_diagram,
     multiply,
-    parse_diagram,
 )
 from brauer.geodesics import (
     GeodesicTable,
@@ -27,7 +26,6 @@ from brauer.geodesics import (
     _orbit_size,
     bfs_lengths,
     expected_max_length,
-    load_or_compute_table,
     ls_via_cycles,
 )
 
@@ -186,57 +184,6 @@ class TestCache:
         loaded = GeodesicTable.load(path, 3)
         assert loaded.n == 3 and loaded == table
 
-    def test_load_rejects_wrong_rank(self, tmp_path):
-        path = tmp_path / "t.csv"
-        bfs_lengths(3).save(path)
-        with pytest.raises(DomainError):
-            GeodesicTable.load(path, 4)
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("format,99\nn,3\ndiagram,distance\n")
-        with pytest.raises(DomainError):
-            GeodesicTable.load(path, 3)
-
-    @pytest.mark.parametrize("damage", [
-        "missing_row", "duplicate_row", "distance_zero", "distance_too_large",
-        "invertible_row", "wrong_rank_row", "extra_field", "not_a_number",
-        "same_orbit_twice", "v1_file", "distance_off_formula", "rank_one_file",
-    ])
-    def test_load_rejects_damaged_rows(self, tmp_path, damage):
-        path = tmp_path / "t.csv"
-        table = bfs_lengths(3)
-        table.save(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        head, body, (text, value) = rows[:3], rows[3:-1], rows[-1]
-        swapped = text.translate(str.maketrans("12", "21"))  # relabel 1 <-> 2
-        assert parse_diagram(swapped) != parse_diagram(text)
-        assert [v for _, v in rows[3:]].count("1") == 1  # the atom orbit
-        damaged = {
-            "missing_row": head + body,
-            "duplicate_row": rows + [[text, value]],
-            "distance_zero": head + body + [[text, "0"]],
-            "distance_too_large": head + body + [[text, str(expected_max_length(3) + 1)]],
-            "invertible_row": rows + [["n=3;{1,1'}{2,2'}{3,3'}", "1"]],
-            "wrong_rank_row": rows + [["n=2;{1,2}{1',2'}", "1"]],
-            "extra_field": head + body + [[text, value, "1"]],
-            "not_a_number": head + body + [[text, "x"]],
-            "same_orbit_twice": rows + [[swapped, value]],
-            # format 1 held one row per element
-            "v1_file": [["format", "1"], *head[1:],
-                        *sorted([d.to_text(), str(table[d])]
-                                for d in enumerate_all(3) if d.corank)],
-            # the atom orbit at 2: in range (1..2) but not its length
-            "distance_off_formula": head + [[t, "2" if v == "1" else v] for t, v in rows[3:]],
-            # a rank-1 table would be empty, and complete
-            "rank_one_file": [head[0], ["n", "1"], head[2]],
-        }[damage]
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(damaged)
-        with pytest.raises(DomainError):
-            GeodesicTable.load(path, 1 if damage == "rank_one_file" else 3)
-
     def test_failed_save_keeps_old_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "t.csv"
         bfs_lengths(3).save(path)
@@ -257,16 +204,3 @@ class TestCache:
             bfs_lengths(3).save(path)
         assert path.read_bytes() == good
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
-
-    def test_load_or_compute_populates_cache(self, tmp_path):
-        t1 = load_or_compute_table(3, cache_dir=tmp_path)
-        assert (tmp_path / "geodesics-n3.csv").exists()
-        t2 = load_or_compute_table(3, cache_dir=tmp_path)
-        assert t1 == t2
-
-    def test_stale_cache_recomputed(self, tmp_path):
-        (tmp_path / "geodesics-n3.csv").write_text("format,99\n")
-        table = load_or_compute_table(3, cache_dir=tmp_path)
-        assert table == bfs_lengths(3)
-        # the bad file was replaced with a loadable one
-        assert GeodesicTable.load(tmp_path / "geodesics-n3.csv", 3) == table
