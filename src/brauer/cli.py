@@ -85,14 +85,15 @@ from brauer.verify import SUITES, run_suites
 # atoms, each at its family's rank k <= 4 (presentation docstring), on the
 # ``word`` row: 0.03-0.05 ms in-process at any n up to 10,000.
 # ``length``, ``longest`` and ``lengths`` instead cost a BFS over conjugation
-# orbits (135 of them at n=8, about 20 ms on a 2-core VM); the last two build
-# their witness W(n) directly and look it up in the table once, and
-# ``lengths`` also checks the cycle formula on one representative of every
-# orbit.
+# orbits (135 of them at n=8, each extended by one atom per symmetry class:
+# 1,835 products, 9 ms for the first search in a fresh process on a 2-core
+# VM); the last two build their witness W(n) directly and look it up in the
+# table once, and ``lengths`` also checks the cycle formula on one
+# representative of every orbit.
 # ``irreducible`` runs the same BFS and one general product per orbit and
-# atom: 517 x 45 at n=10, about 0.23 s in-process (0.3-0.4 s a command).
+# atom: 517 x 45 at n=10, 0.26-0.29 s a command.
 # ``generation`` runs the same BFS once and reads its orbit table, one
-# representative per orbit (135 at n=8): 0.10-0.13 s a command at n=6 to 8.
+# representative per orbit (135 at n=8): 0.08-0.09 s a command at n=8.
 RANK_LIMITS = {
     "length": (8, "BFS"),
     "longest": (8, "BFS"),

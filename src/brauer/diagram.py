@@ -281,7 +281,7 @@ def _atom_product(n: int, pairs: Iterable[Sequence[int]]) -> list[int]:
     closes into a middle loop and the product is p itself.  Otherwise
     a = p[pi] and b = p[pj] become one block, and {i',j'} becomes a right
     bracket; every other block of p stays.  ``geodesics.bfs_lengths``
-    inlines this step rather than call it, once per orbit and atom.
+    inlines this step rather than call it, once per orbit and atom class.
     Routing this function through a shared step helper made ``atom``, and
     so ``phi``, slower.
     """
@@ -405,12 +405,13 @@ RANK_CEILINGS = {
     # 6,893,782,732 at n=12 (about 0.5 TB) and 110,235,964,060 at n=13, where
     # enumerate_all would stream 25!! (7.9e12) diagrams.
     "walk": 10,
-    # The orbit search grows about 1.9x in orbits and 2.1-2.4x in time a rank:
-    # 251, 517, 965, 1,928, 3,620, 7,102 and 13,455 orbits at n=9..15 in 0.05,
-    # 0.13, 0.33, 0.78, 1.75, 3.13 and 6.6 s, at about 0.7 KB an orbit.  By
-    # rank 24 that is some 4 million orbits and GBs of keys and frontier,
-    # doubling with each rank (the flat search, at (2n-1)!! elements, stops far
-    # below).
+    # The orbit search grows about 1.9x in orbits and 2.2-2.5x in time a rank:
+    # 251, 517, 965, 1,928, 3,620, 7,102 and 13,455 orbits at n=9..15 in 0.02,
+    # 0.05, 0.11-0.19, 0.27-0.41, 0.63-0.75, 1.7-1.9 and 3.6-4.2 s (one process
+    # for n=9..15, two runs), at 30 MB peak RSS at n=15, about 1.5 KB an orbit
+    # with the word memos.  By rank 24 that is some 4 million orbits and GBs of
+    # keys and frontier, doubling with each rank (the flat search, at (2n-1)!!
+    # elements, stops far below).
     "BFS": 24,
     # The pair graph has C(n,2)(n-2), about n**3/2, edges, and gamma_graph tests
     # every pair of its C(n,2) vertices: 0.2 s and 20 MB peak RSS at n=40, 3.1 s

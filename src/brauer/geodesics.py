@@ -8,9 +8,9 @@ Conjugating by a permutation s of {1..n} (relabel i -> s(i) and
 i' -> s(i)') sends atoms to atoms, so it is an automorphism of the right
 Cayley graph over the atoms, and ls is constant on S_n-orbits.  The
 breadth-first search therefore runs over orbits: it starts from the
-orbit of the atoms, extends one representative of each orbit by right
-multiplication, and records one exact distance per orbit (61 orbits
-where rank 7 has 130,095 singular elements).
+unit, extends one representative of each orbit by right multiplication,
+and records one exact distance per orbit (61 orbits where rank 7 has
+130,095 singular elements).
 
 An orbit is named by its key.  Each cycle word of ``diagram._cycles``,
 taken up to rotation and up to reversal with complement (the same cycle
@@ -20,13 +20,24 @@ up to relabelling.  The orbit has n!/|Aut| elements, where the
 stabilizer Aut permutes equal cycles and maps each cycle onto itself by
 the rotations and reflections that keep its word.
 
-A cycle word's least reading and its count of self-readings are
-memoised once per word for the process (``_least_reading``,
-``_symmetries``); the memo holds only the words searches and loads meet.
-It stays because a search meets few words many times: the rank-7
-search reads 2,798 cycle words, 78 of them distinct.  Without it an
-in-process ``longest 7`` into a fresh cache directory took 12-16 ms,
-against 4-7 ms with it (medians of 300 calls, Python 3.11, 2-core VM).
+The search extends the representative r of an orbit by one atom per
+class of node pairs under Aut, not by all C(n,2) atoms.  That is exact:
+an s in Aut gives s(r e_ij)s^-1 = r e_s(i)s(j), so the atoms {i,j} and
+{s(i),s(j)} give products in one orbit.  A class is a pair inside one
+cycle up to its word's rotations and reflections, a pair across two
+copies of one word up to those of each copy and the swap of the two,
+or a pair across two words up to those of each.  The rank-7 search so
+keys 664 products for its 61 orbits, where all 21 atoms would key 1,201.
+
+A cycle word's least reading, and a least word's symmetry maps with
+their classes of nodes and of node pairs, are memoised once per word
+for the process (``_least_reading``, ``_word_symmetry``); the memo
+holds only the words searches and loads meet.  It stays because a
+search meets few words many times: the rank-7 search reads 1,435 cycle
+words, 103 of them distinct, and its 61 keys hold 30 distinct words.
+Without it an in-process ``longest 7`` into a fresh cache directory
+took 8-9 ms, against 3 ms with it (medians of 300 calls, Python 3.11,
+2-core VM).
 
 A ``GeodesicTable`` holds one distance per orbit.  A lookup finds its
 diagram's orbit, and the table's length is the sum of the orbit sizes,
@@ -47,9 +58,10 @@ Tables can be cached as CSV, format 2: one row per orbit, holding a
 representative's text and its distance.  A cache file that is not a
 complete table of the requested rank (another format, a rank below 2, a
 row of another rank or an invertible row, a distance other than the
-closed form's, an orbit listed twice or missing) counts as stale and is
-recomputed by the search, so a cache never changes an answer, and a
-cache that cannot be written costs only a warning on stderr.
+closed form's, an orbit listed twice or missing) counts as stale: a
+warning on stderr gives the loader's reason, and the search recomputes
+the table, so a cache never changes an answer.  A cache that cannot be
+written costs only a warning too.
 """
 
 from __future__ import annotations
@@ -67,8 +79,6 @@ from pathlib import Path
 from brauer.diagram import (
     BrauerDiagram,
     DomainError,
-    _atom_pairs,
-    _atom_product,
     _cycles,
     check_ceiling,
     count_all,
@@ -108,12 +118,40 @@ def _least_reading(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _symmetries(word: tuple[int, ...]) -> int:
-    """How many readings of a cycle word give the word again."""
-    return sum(reading == word for reading in _readings(word))
+def _node_pairs(size: int) -> list[tuple[int, int]]:
+    """Every pair a < b of nodes 0..size-1, one list shared by all the
+    words of that length whose only symmetry is the identity."""
+    return list(itertools.combinations(range(size), 2))
 
 
-def _orbit_key(p: tuple[int, ...]) -> _OrbitKey:
+@functools.lru_cache(maxsize=None)
+def _word_symmetry(word: tuple[int, ...]) -> tuple[
+        list[tuple[int, ...]], list[int], list[tuple[int, int]]]:
+    """The automorphisms of one cycle with least word ``word``, its nodes
+    numbered 0..len-1 in walk order, and their classes.  Each reading
+    that gives the word again is one map t -> m[t]: walked forwards from
+    node r, t -> r + t; walked backwards from node r, t -> r - t (mod
+    len).  Returns the maps, the least node of each class of nodes and
+    the least pair a < b of each class of node pairs."""
+    size = len(word)
+    maps = [tuple((r + t) % size for t in range(size))
+            for r in range(size) if word[r:] + word[:r] == word]
+    back = tuple(1 - bit for bit in reversed(word))  # walked back from node size - 1
+    maps += [tuple((size - 1 - r - t) % size for t in range(size))
+             for r in range(size) if back[r:] + back[:r] == word]
+    if len(maps) == 1:  # most words: every node and pair is its own class
+        return maps, list(range(size)), _node_pairs(size)
+    nodes = sorted({min(m[t] for m in maps) for t in range(size)})
+    pairs = []
+    seen = set()
+    for a, b in itertools.combinations(range(size), 2):
+        if (a, b) not in seen:
+            pairs.append((a, b))
+            seen.update((m[a], m[b]) if m[a] < m[b] else (m[b], m[a]) for m in maps)
+    return maps, nodes, pairs
+
+
+def _orbit_key(p: Sequence[int]) -> _OrbitKey:
     """The conjugation-orbit key of a partner array (module docstring)."""
     return tuple(sorted(map(_least_reading, _cycles(p)[0])))
 
@@ -125,7 +163,7 @@ def _orbit_size(key: _OrbitKey) -> int:
     aut = 1
     for word, run in itertools.groupby(key):
         copies = sum(1 for _ in run)
-        aut *= math.factorial(copies) * _symmetries(word) ** copies
+        aut *= math.factorial(copies) * len(_word_symmetry(word)[0]) ** copies
     return math.factorial(sum(map(len, key))) // aut
 
 
@@ -263,45 +301,69 @@ class GeodesicTable:
         return cls(n, orbits)
 
 
+def _atom_classes(key: _OrbitKey) -> list[tuple[int, int]]:
+    """One pair of nodes {i, j} (0-based, i < j) per class of pairs under
+    the automorphisms of ``_orbit_representative(key)`` (module
+    docstring): a pair inside one cycle by its word's pair classes; a pair
+    across two copies of one word by an unordered pair of node classes,
+    on the run's first two copies; a pair across two words by a node
+    class of each, on each run's first copy (``_word_symmetry``)."""
+    runs = []
+    first = 0
+    for word, run in itertools.groupby(key):
+        copies = sum(1 for _ in run)
+        runs.append((first, len(word), copies, *_word_symmetry(word)[1:]))
+        first += copies * len(word)
+    pairs = []
+    for k, (f, size, copies, nodes, inner) in enumerate(runs):
+        pairs += [(f + a, f + b) for a, b in inner]
+        if copies > 1:
+            pairs += [(f + a, f + size + b)
+                      for a, b in itertools.combinations_with_replacement(nodes, 2)]
+        for g, _, _, other, _ in runs[k + 1:]:
+            pairs += [(f + a, g + b) for a in nodes for b in other]
+    return pairs
+
+
 def bfs_lengths(n: int) -> GeodesicTable:
     """Breadth-first search from the unit by right multiplication with
-    every atom, one representative per conjugation orbit: maps each orbit
-    key to the least number of atoms whose product lies in the orbit, the
-    exact ls value.  The unit, level 0, is not recorded; the atoms are
-    level 1.  A rank past the BFS row of RANK_CEILINGS is refused before
-    anything is built.
+    the atoms, over conjugation orbits: maps each orbit key to the least
+    number of atoms whose product lies in the orbit, the exact ls value.
+    The unit, level 0, is not recorded; the atoms are level 1.  A rank
+    past the BFS row of RANK_CEILINGS is refused before anything is built.
 
-    Only the first element reached in each orbit is expanded.  That is
-    exact because conjugation maps atoms to atoms (module docstring):
-    elements of one orbit have equally long geodesics, and their
-    neighbours lie in equal orbits again.  The loop inlines the four-slot
-    atom step of ``diagram._atom_product``.
+    The frontier holds orbit keys.  Each is expanded from its
+    representative r (``_orbit_representative``) by one atom per class of
+    ``_atom_classes(key)``: an automorphism s of r maps the product r.e_ij
+    to r.e_s(i)s(j), so the atoms of one class give products in one orbit
+    (module docstring).  The loop inlines the four-slot atom step of
+    ``diagram._atom_product``.  The table is put in key order.
     """
     if n < 2:
         raise DomainError("the singular part needs n >= 2")
     check_ceiling("BFS", n)
     orbits: dict[_OrbitKey, int] = {}
-    frontier = [tuple(_atom_product(n, ()))]
-    steps = [(n + i - 1, n + j - 1) for i, j in _atom_pairs(n)]
+    frontier: list[_OrbitKey] = [((0,),) * n]  # the unit: n identity lines
     level = 0
     while frontier:
         level += 1
         new = []
-        for p in frontier:
-            for pi, pj in steps:
+        for key in frontier:
+            p = _orbit_representative(key)
+            for i, j in _atom_classes(key):
+                pi, pj = n + i, n + j
                 a = p[pi]
                 if a == pj:
                     continue
                 b = p[pj]
                 q = list(p)
                 q[a], q[b], q[pi], q[pj] = b, a, pj, pi
-                q = tuple(q)
                 k = _orbit_key(q)
                 if k not in orbits:
                     orbits[k] = level
-                    new.append(q)
+                    new.append(k)
         frontier = new
-    return GeodesicTable(n, orbits)
+    return GeodesicTable(n, dict(sorted(orbits.items())))
 
 
 def expected_max_length(n: int) -> int:
@@ -332,16 +394,17 @@ def ls_via_cycles(pi: BrauerDiagram) -> int:
 
 def load_or_compute_table(n: int, cache_dir: str | Path | None = None) -> GeodesicTable:
     """Fetch the table from the cache directory if present, else compute
-    it and store it there when a cache directory is given.  A failed
-    store is reported on stderr and the computed table is returned."""
+    it and store it there when a cache directory is given.  A cache file
+    the loader rejects and a failed store are reported on stderr, with
+    the reason, and the computed table is returned."""
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"geodesics-n{n}.csv"
         if path.exists():
             try:
                 return GeodesicTable.load(path, n)
-            except (DomainError, OSError):
-                pass  # stale, foreign or damaged file: recompute below
+            except (DomainError, OSError) as exc:  # stale, foreign or damaged: recompute
+                print(f"warning: stale cache {path}: {exc}", file=sys.stderr)
     table = bfs_lengths(n)
     if path is not None:
         try:

@@ -218,7 +218,8 @@ class TestLengths:
         assert list(tmp_path.iterdir()) == []
 
     # the one table of damaged cache files: each is rejected by the loader,
-    # and ``length`` recomputes the answer and rewrites the file
+    # and ``length`` warns with the loader's reason, recomputes the answer
+    # and rewrites the file
     @pytest.mark.parametrize("damage", ["truncated", "extra_field", "same_orbit_twice",
                                         "v1_file", "distance_off_formula", "stray_text",
                                         "point_twice", "rank_n_plus_1", "header_not_utf8",
@@ -277,10 +278,10 @@ class TestLengths:
         with open(path, "w", newline="", errors="surrogateescape") as fh:
             csv.writer(fh).writerows(rows)
         match = "unreadable cache file" if damage.startswith("header_") else None
-        with pytest.raises(DomainError, match=match):
+        with pytest.raises(DomainError, match=match) as rejected:
             GeodesicTable.load(path, 4)
         assert run(capsys, "length", last.to_text(), "--cache-dir", str(tmp_path)) == (
-            0, f"{table[last]}\n", "")
+            0, f"{table[last]}\n", f"warning: stale cache {path}: {rejected.value}\n")
         assert path.read_bytes() == good
 
     @pytest.mark.parametrize("old,new", [("1", "2"), ("4", "3")])
@@ -295,14 +296,19 @@ class TestLengths:
         for argv in (["longest", "4"], ["length", row[0]]):
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerows(rows)
-            assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == run(capsys, *argv)
+            code, out, _ = run(capsys, *argv)
+            assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (code, out, (
+                f"warning: stale cache {path}: cache {path} has a distance other than "
+                "the closed form's\n"))
 
     def test_rank_one_cache_changes_no_answer(self, capsys, tmp_path):
         # an empty rank-1 table would be complete, so the loader must reject it
-        (tmp_path / "geodesics-n1.csv").write_text("format,2\nn,1\ndiagram,distance\n")
+        path = tmp_path / "geodesics-n1.csv"
+        path.write_text("format,2\nn,1\ndiagram,distance\n")
         expected = run(capsys, "longest", "1")
         assert expected == (2, "", "error: the singular part needs n >= 2\n")
-        assert run(capsys, "longest", "1", "--cache-dir", str(tmp_path)) == expected
+        assert run(capsys, "longest", "1", "--cache-dir", str(tmp_path)) == (2, "", (
+            f"warning: stale cache {path}: cache {path} does not match n=1\n{expected[2]}"))
 
     def test_unwritable_cache_keeps_answer(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"  # a regular file where a directory should be

@@ -87,10 +87,10 @@ def reducible_atoms(n):
 
 class TestClosure:
     def test_refuses_a_rank_past_its_ceiling_before_the_search(self, monkeypatch):
-        def step(n, pairs):
+        def step(key):
             raise AssertionError("the search started")
 
-        monkeypatch.setattr(geodesics, "_atom_product", step)
+        monkeypatch.setattr(geodesics, "_orbit_representative", step)
         n = RANK_CEILINGS["BFS"] + 1
         with pytest.raises(DomainError, match=f"^rank n={n} exceeds the BFS rank limit {n - 1}$"):
             atom_closure(n)

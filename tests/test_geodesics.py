@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from brauer import geodesics
 from brauer.cli import main
 from brauer.diagram import (
     BrauerDiagram,
@@ -65,6 +66,27 @@ def reference_bfs(n, pairs):
     return dist
 
 
+def every_atom_search(n):
+    """The orbit search that multiplies the first element reached in each
+    orbit by every atom, through the general product ``multiply``: maps
+    each orbit key to its level."""
+    atoms = [atom(n, i, j) for i, j in _atom_pairs(n)]
+    orbits = {}
+    frontier, level = [identity(n)], 0
+    while frontier:
+        level += 1
+        new = []
+        for d in frontier:
+            for a in atoms:
+                e = multiply(d, a)
+                key = _orbit_key(e.partner)
+                if key not in orbits:
+                    orbits[key] = level
+                    new.append(e)
+        frontier = new
+    return orbits
+
+
 def closed_form(key):
     """ls = n - s + c - b read off an orbit key: s identity lines,
     c bracket-free cycles through two or more points, b cycles through
@@ -112,6 +134,19 @@ class TestOrbits:
         keys = [(_orbit_key(d.partner), v) for d, v in table.representatives()]
         assert sorted(key for key, _ in keys) == sorted(table.orbits)
         assert dict(keys) == table.orbits
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_every_atom_search(self, n):
+        assert bfs_lengths(n).orbits == every_atom_search(n)
+
+    # every atom would key 1,201 products at n = 7 and 3,550 at n = 8
+    @pytest.mark.parametrize("n,products", [(7, 664), (8, 1835)])
+    def test_one_atom_per_class(self, monkeypatch, n, products):
+        keyed = []
+        orbit_key = geodesics._orbit_key
+        monkeypatch.setattr(geodesics, "_orbit_key", lambda p: keyed.append(p) or orbit_key(p))
+        bfs_lengths(n)
+        assert len(keyed) == products
 
     def test_census_n8(self):
         assert level_census(bfs_lengths(8)) == [
